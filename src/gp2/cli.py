@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from .executor import Budget, Engine, run_one
+from .executor import BOTTOM_POSSIBLE, Budget, Engine, run_one
 from .graphs import HostGraph
 from .parsing import ParseError, parse_host_graph, parse_program
 from .program import CheckError, check_program, checked
@@ -68,15 +68,11 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     engine = Engine(program.rules, budget=_budget(args))
     results = engine.semantics(program.main, graph)
-    lines = [g.to_text() for g in results.graphs]
-    if results.can_fail:
-        lines.append("fail")
-    if results.bottom != "none":
-        lines.append(f"bottom: {results.bottom}")
     for warning in engine.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _emit("\n".join(lines), args.output)
-    return EXIT_GRAPH
+    _emit(results.describe(), args.output)
+    # a truncated exploration may have missed results
+    return EXIT_BUDGET if results.bottom == BOTTOM_POSSIBLE else EXIT_GRAPH
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -133,7 +129,9 @@ def main(argv: list[str] | None = None) -> int:
         args.func = cmd_semantics
     try:
         return args.func(args)
-    except (ParseError, CheckError, OSError) as exc:
+    # UnicodeDecodeError: an input file that is not UTF-8; RecursionError:
+    # nesting too deep for the recursive-descent parser and checker
+    except (ParseError, CheckError, OSError, UnicodeDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

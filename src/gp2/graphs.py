@@ -7,8 +7,8 @@ partial variant where node labels may be absent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 Atom = int | str
 
@@ -219,12 +219,6 @@ class Premorphism:
 
     node_map: dict[str, str]
     edge_map: dict[str, str]
-    injective: bool = True
-
-    def is_injective(self) -> bool:
-        return len(set(self.node_map.values())) == len(self.node_map) and len(
-            set(self.edge_map.values())
-        ) == len(self.edge_map)
 
     def preserves_structure(self, src, dst: HostGraph) -> bool:
         """Check s/t commutation for a map between graph-like objects.
@@ -372,11 +366,6 @@ class IsoStore:
                 bucket[i] = (h, value)
                 return
         bucket.append((g, value))
-
-    def graphs(self) -> Iterator[HostGraph]:
-        for bucket in self._buckets.values():
-            for g, _ in bucket:
-                yield g
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets.values())

@@ -6,11 +6,11 @@ an assignment of values to typed variables, and a host graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .graphs import Atom, HostGraph, HostLabel, Premorphism
+from .graphs import Atom, HostGraph, Premorphism
 
 
 class EvalError(Exception):
@@ -252,42 +252,47 @@ def infer_type(e: ListExpr, decls: dict[str, VType]) -> VType:
     raise LabelTypeError(f"unknown expression {e!r}")
 
 
+# the fields of each node that hold nested expressions or conditions
+_NESTED = {
+    Empty: (),
+    IntLit: (),
+    StrLit: (),
+    Var: (),
+    Deg: (),
+    Neg: ("expr",),
+    TypeCheck: ("expr",),
+    Not: ("cond",),
+    EdgePred: ("label",),
+    **dict.fromkeys((Arith, Dot, Cons, Eq, Rel, And, Or), ("left", "right")),
+}
+
+
+def operands(e) -> list:
+    """The expressions and conditions directly nested in e, left to right."""
+    fields = _NESTED.get(type(e))
+    if fields is None:
+        raise TypeError(f"not an expression or condition: {e!r}")
+    return [getattr(e, f) for f in fields if getattr(e, f) is not None]
+
+
+def subterms(e):
+    """Yield e and every expression or condition nested in it, each node
+    before its operands and left operands before right ones."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(operands(e)))
+
+
 def variables(e) -> set[str]:
     """Names of all variables occurring in an expression or condition."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, (Empty, IntLit, StrLit, Deg)):
-        return set()
-    if isinstance(e, Neg):
-        return variables(e.expr)
-    if isinstance(e, (Arith, Dot, Cons, Eq, Rel, And, Or)):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, TypeCheck):
-        return variables(e.expr)
-    if isinstance(e, EdgePred):
-        return variables(e.label) if e.label is not None else set()
-    if isinstance(e, Not):
-        return variables(e.cond)
-    raise TypeError(f"not an expression or condition: {e!r}")
+    return {t.name for t in subterms(e) if isinstance(t, Var)}
 
 
 def degree_nodes(e) -> set[str]:
     """Node identifiers referenced by indeg/outdeg subterms."""
-    if isinstance(e, Deg):
-        return {e.node}
-    if isinstance(e, (Empty, IntLit, StrLit, Var)):
-        return set()
-    if isinstance(e, Neg):
-        return degree_nodes(e.expr)
-    if isinstance(e, (Arith, Dot, Cons, Eq, Rel, And, Or)):
-        return degree_nodes(e.left) | degree_nodes(e.right)
-    if isinstance(e, TypeCheck):
-        return degree_nodes(e.expr)
-    if isinstance(e, EdgePred):
-        return degree_nodes(e.label) if e.label is not None else set()
-    if isinstance(e, Not):
-        return degree_nodes(e.cond)
-    raise TypeError(f"not an expression or condition: {e!r}")
+    return {t.node for t in subterms(e) if isinstance(t, Deg)}
 
 
 # -- evaluation --------------------------------------------------------
@@ -417,55 +422,24 @@ def eval_condition(
 # -- simplicity --------------------------------------------------------
 
 
-def _has_arith(e: ListExpr) -> bool:
-    if isinstance(e, Arith):
-        return True
-    if isinstance(e, Neg):
-        return _has_arith(e.expr)
-    if isinstance(e, (Dot, Cons)):
-        return _has_arith(e.left) or _has_arith(e.right)
-    return False
-
-
-def _count_list_vars(e: ListExpr) -> int:
-    if isinstance(e, Var):
-        return 1 if e.vtype is VType.LIST else 0
-    if isinstance(e, Neg):
-        return _count_list_vars(e.expr)
-    if isinstance(e, (Dot, Cons, Arith)):
-        return _count_list_vars(e.left) + _count_list_vars(e.right)
-    return 0
-
-
-def _count_string_vars(e: ListExpr) -> int:
-    if isinstance(e, Var):
-        return 1 if e.vtype is VType.STRING else 0
-    if isinstance(e, Dot):
-        return _count_string_vars(e.left) + _count_string_vars(e.right)
-    return 0
-
-
-def _max_string_vars_per_string_expr(e: ListExpr) -> int:
-    """Largest string-variable count over maximal string subexpressions."""
-    if isinstance(e, (Dot, StrLit)) or (
-        isinstance(e, Var) and e.vtype is VType.STRING
-    ):
-        return _count_string_vars(e)
-    if isinstance(e, Cons):
-        return max(
-            _max_string_vars_per_string_expr(e.left),
-            _max_string_vars_per_string_expr(e.right),
-        )
-    if isinstance(e, Neg):
-        return _max_string_vars_per_string_expr(e.expr)
-    return 0
+def _count_vars(terms, vtype: VType) -> int:
+    return sum(isinstance(t, Var) and t.vtype is vtype for t in terms)
 
 
 def is_simple(e: ListExpr) -> bool:
     """Whether e may appear as a left-hand label: matching determines its
-    variables unambiguously."""
-    if _has_arith(e):
+    variables unambiguously.  That rules out arithmetic, more than one
+    list variable, and more than one string variable in a concatenation."""
+    terms = list(subterms(e))
+    if any(isinstance(t, Arith) for t in terms):
         return False
-    if _count_list_vars(e) > 1:
+    if _count_vars(terms, VType.LIST) > 1:
         return False
-    return _max_string_vars_per_string_expr(e) <= 1
+    # count each outermost concatenation once: the ones nested in it are
+    # covered by its count, and recounting them is quadratic in its length
+    nested = {id(o) for t in terms if isinstance(t, Dot) for o in operands(t)}
+    return all(
+        _count_vars(subterms(t), VType.STRING) <= 1
+        for t in terms
+        if isinstance(t, Dot) and id(t) not in nested
+    )

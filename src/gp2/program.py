@@ -54,7 +54,10 @@ class Seq:
     span: Optional[Span] = field(default=None, compare=False)
 
     def __str__(self) -> str:
-        return "; ".join(_paren(c, c if isinstance(c, (Or,)) else None) for c in self.items)
+        # bare, an if or try would take the items after it into its last branch
+        return "; ".join(
+            f"({c})" if isinstance(c, (If, Try, Or)) else str(c) for c in self.items
+        )
 
 
 @dataclass(frozen=True)
@@ -101,14 +104,26 @@ class Or:
     span: Optional[Span] = field(default=None, compare=False)
 
     def __str__(self) -> str:
-        return f"({self.left} or {self.right})"
+        left, right = (
+            f"({c})" if isinstance(c, (If, Try)) else str(c) for c in (self.left, self.right)
+        )
+        return f"({left} or {right})"
 
 
 Command = Union[Skip, Fail, RuleSetCall, MacroCall, Seq, If, Try, Loop, Or]
 
 
-def _paren(c: Command, wrap) -> str:
-    return f"({c})" if wrap is not None else str(c)
+def subcommands(c: Command) -> tuple[Command, ...]:
+    """The commands directly nested in c, in source order."""
+    if isinstance(c, Seq):
+        return c.items
+    if isinstance(c, (If, Try)):
+        return (c.cond, c.then) if c.els is None else (c.cond, c.then, c.els)
+    if isinstance(c, Loop):
+        return (c.body,)
+    if isinstance(c, Or):
+        return (c.left, c.right)
+    return ()
 
 
 def seq(items: list[Command]) -> Command:
@@ -186,19 +201,8 @@ def check_program(ast: ProgramAST) -> list[Violation]:
                 out.append(
                     Violation("program", where, f"unresolved macro {command.name!r}")
                 )
-        elif isinstance(command, Seq):
-            for c in command.items:
-                resolve(c, where)
-        elif isinstance(command, (If, Try)):
-            resolve(command.cond, where)
-            resolve(command.then, where)
-            if command.els is not None:
-                resolve(command.els, where)
-        elif isinstance(command, Loop):
-            resolve(command.body, where)
-        elif isinstance(command, Or):
-            resolve(command.left, where)
-            resolve(command.right, where)
+        for c in subcommands(command):
+            resolve(c, where)
 
     for macro in ast.macros.values():
         resolve(macro.body, f"macro {macro.name}")
@@ -234,54 +238,27 @@ def check_program(ast: ProgramAST) -> list[Violation]:
 
 
 def _macro_refs(command: Command, ast: ProgramAST) -> set[str]:
+    refs: set[str] = set()
     if isinstance(command, RuleSetCall):
-        return {n for n in command.names if command.bare and n in ast.macros}
-    if isinstance(command, MacroCall):
-        return {command.name}
-    if isinstance(command, Seq):
-        refs: set[str] = set()
-        for c in command.items:
-            refs |= _macro_refs(c, ast)
-        return refs
-    if isinstance(command, (If, Try)):
-        refs = _macro_refs(command.cond, ast) | _macro_refs(command.then, ast)
-        if command.els is not None:
-            refs |= _macro_refs(command.els, ast)
-        return refs
-    if isinstance(command, Loop):
-        return _macro_refs(command.body, ast)
-    if isinstance(command, Or):
-        return _macro_refs(command.left, ast) | _macro_refs(command.right, ast)
-    return set()
+        refs = {n for n in command.names if command.bare and n in ast.macros}
+    elif isinstance(command, MacroCall):
+        refs = {command.name}
+    for c in subcommands(command):
+        refs |= _macro_refs(c, ast)
+    return refs
 
 
 def expand_macros(command: Command, ast: ProgramAST) -> Command:
     """Substitute macro bodies; assumes the reference graph is acyclic."""
-    if isinstance(command, RuleSetCall):
-        if command.bare and command.names[0] in ast.macros:
-            return expand_macros(ast.macros[command.names[0]].body, ast)
-        return command
+    if isinstance(command, RuleSetCall) and command.bare and command.names[0] in ast.macros:
+        return expand_macros(ast.macros[command.names[0]].body, ast)
     if isinstance(command, MacroCall):
         return expand_macros(ast.macros[command.name].body, ast)
+    parts = [expand_macros(c, ast) for c in subcommands(command)]
     if isinstance(command, Seq):
-        return seq([expand_macros(c, ast) for c in command.items])
-    if isinstance(command, If):
-        return If(
-            expand_macros(command.cond, ast),
-            expand_macros(command.then, ast),
-            None if command.els is None else expand_macros(command.els, ast),
-        )
-    if isinstance(command, Try):
-        return Try(
-            expand_macros(command.cond, ast),
-            expand_macros(command.then, ast),
-            None if command.els is None else expand_macros(command.els, ast),
-        )
-    if isinstance(command, Loop):
-        return Loop(expand_macros(command.body, ast))
-    if isinstance(command, Or):
-        return Or(expand_macros(command.left, ast), expand_macros(command.right, ast))
-    return command
+        return seq(parts)
+    # If, Try, Loop and Or take their subcommands positionally
+    return type(command)(*parts) if parts else command
 
 
 def checked(ast: ProgramAST) -> CheckedProgram:

@@ -9,31 +9,25 @@ one.  Rewriting never mutates the input graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .graphs import (
-    Atom,
-    Edge,
-    HostGraph,
-    HostLabel,
-    IsoStore,
-    Premorphism,
-)
+from .graphs import Atom, HostGraph, HostLabel, IsoStore, Premorphism
 from .labels import (
-    Arith,
     Assignment,
     Condition,
     Cons,
-    Deg,
     Dot,
+    EdgePred,
     Empty,
+    Eq,
     EvalError,
-    IntLit,
     LabelTypeError,
     Neg,
+    Rel,
     RuleLabel,
     StrLit,
+    TypeCheck,
     Var,
     VType,
     degree_nodes,
@@ -41,7 +35,8 @@ from .labels import (
     eval_list,
     infer_type,
     is_simple,
-    is_subtype,
+    operands,
+    subterms,
     variables,
 )
 
@@ -155,40 +150,16 @@ def validate(schema: ConditionalRuleSchema) -> list[Violation]:
 
 
 def _condition_nodes(c: Condition) -> set[str]:
-    from .labels import And, EdgePred, Not, Or
-
-    if isinstance(c, EdgePred):
-        nodes = {c.source, c.target}
-        if c.label is not None:
-            nodes |= degree_nodes(c.label)
-        return nodes
-    if isinstance(c, Not):
-        return _condition_nodes(c.cond)
-    if isinstance(c, (And, Or)):
-        return _condition_nodes(c.left) | _condition_nodes(c.right)
-    return degree_nodes(c)
+    ends = {n for t in subterms(c) if isinstance(t, EdgePred) for n in (t.source, t.target)}
+    return ends | degree_nodes(c)
 
 
 def _check_condition_types(c: Condition, decls: dict[str, VType]) -> None:
-    from .labels import And, Eq, EdgePred, Not, Or, Rel, TypeCheck
-
-    if isinstance(c, TypeCheck):
-        infer_type(c.expr, decls)
-    elif isinstance(c, Eq):
-        infer_type(c.left, decls)
-        infer_type(c.right, decls)
-    elif isinstance(c, Rel):
-        for side in (c.left, c.right):
-            if infer_type(side, decls) is not VType.INT:
-                raise LabelTypeError(f"relational operands must be integers in {c}")
-    elif isinstance(c, EdgePred):
-        if c.label is not None:
-            infer_type(c.label, decls)
-    elif isinstance(c, Not):
-        _check_condition_types(c.cond, decls)
-    elif isinstance(c, (And, Or)):
-        _check_condition_types(c.left, decls)
-        _check_condition_types(c.right, decls)
+    for t in subterms(c):
+        if isinstance(t, (TypeCheck, Eq, Rel, EdgePred)):
+            for side in operands(t):
+                if infer_type(side, decls) is not VType.INT and isinstance(t, Rel):
+                    raise LabelTypeError(f"relational operands must be integers in {t}")
 
 
 # -- assignment inference ---------------------------------------------
@@ -209,7 +180,8 @@ def _flatten_dot(e) -> list:
 
 
 def _is_ground(e) -> bool:
-    return not variables(e)
+    # a bare variable, the usual item on the matching path, needs no walk
+    return not isinstance(e, Var) and not any(isinstance(t, Var) for t in subterms(e))
 
 
 def _bind(bindings: Assignment, name: str, value) -> bool:
@@ -510,23 +482,3 @@ def apply_ruleset(
                 out.append(result)
     return out
 
-
-def apply_one(
-    rules: list[ConditionalRuleSchema],
-    host: HostGraph,
-    rng=None,
-    warnings: Optional[list[str]] = None,
-) -> Optional[HostGraph]:
-    """One result: the first match in deterministic order, or a random one."""
-    matches: list[tuple[ConditionalRuleSchema, Premorphism, Assignment]] = []
-    for schema in rules:
-        for g, alpha in enumerate_matches(schema, host, warnings):
-            matches.append((schema, g, alpha))
-            if rng is None:
-                break
-        if matches and rng is None:
-            break
-    if not matches:
-        return None
-    schema, g, alpha = matches[0] if rng is None else rng.choice(matches)
-    return apply(schema, host, g, alpha)

@@ -5,6 +5,7 @@ from gp2.graphs import isomorphic
 from gp2.parsing import parse_host_graph
 
 DIVERGE = "rule null() [ | ] => [ | ] interface = {}\nmain = null!\n"
+GROW = "rule grow() [ | ] => [ (n1, 0) | ] interface = {}\nmain = grow!\n"
 
 
 @pytest.fixture
@@ -115,6 +116,14 @@ class TestSemantics:
         assert code == 0
         assert out.strip() == "bottom: proven"
 
+    @pytest.mark.parametrize("mode", [["semantics"], ["run", "--mode", "all"]])
+    def test_truncated_exploration_exits_two(self, files, capsys, mode):
+        p = files("p.gp2", GROW)
+        g = files("g.host", "[ | ]\n")
+        code, out, _ = run_cli(capsys, *mode, p, g, "--max-steps", "50")
+        assert code == 2
+        assert out.strip() == "bottom: possible"
+
 
 class TestCheck:
     def test_valid_program(self, files, capsys):
@@ -142,3 +151,31 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", p)
         assert code == 3
         assert "error" in err
+
+
+class TestErrors:
+    def test_non_utf8_host_exits_three(self, files, capsys, tmp_path):
+        p = files("p.gp2", "main = skip\n")
+        g = tmp_path / "g.host"
+        g.write_bytes(b"[ (n1, \"\xff\") | ]\n")
+        code, _, err = run_cli(capsys, "run", p, str(g))
+        assert code == 3
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_deeply_nested_main_exits_three(self, files, capsys):
+        p = files("p.gp2", "main = " + "(" * 2000 + "skip" + ")" * 2000 + "\n")
+        g = files("g.host", "[ | ]\n")
+        code, _, err = run_cli(capsys, "run", p, g)
+        assert code == 3
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_long_rule_label_check_exits_three(self, files, capsys):
+        label = ":".join(["0"] * 3000)
+        p = files(
+            "p.gp2",
+            f"rule r() [ (n1, {label}) | ] => [ (n1, 0) | ] interface = {{n1}}\n"
+            "main = r\n",
+        )
+        code, _, err = run_cli(capsys, "check", p)
+        assert code == 3
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from genlib import random_body
 from gp2.labels import Arith, Cons, Dot, IntLit, StrLit, Var, VType
 from gp2.parsing import ParseError, parse_host_graph, parse_program
 from gp2.program import (
@@ -110,6 +113,16 @@ class TestPrograms:
         main = main_of("main = (r; skip)!")
         assert isinstance(main, Loop)
         assert isinstance(main.body, Seq)
+
+    @pytest.mark.parametrize("text", ["(if a then a); a", "(if a then b) or fail"])
+    def test_printed_branch_reparses(self, text):
+        main = main_of(f"main = {text}")
+        assert main_of(f"main = {main}") == main
+
+    def test_printed_random_bodies_reparse(self):
+        for seed in range(500):
+            body = random_body(random.Random(seed), ("a", "b", "r"), depth=4)
+            assert main_of(f"main = {body}") == body, f"seed {seed}: {body}"
 
     def test_empty_ruleset_call(self):
         main = parse_program("main = {}").main

@@ -16,14 +16,16 @@ from gp2.labels import (
     StrLit,
     Var,
     VType,
+    degree_nodes,
+    variables,
 )
 from gp2.parsing import parse_host_graph, parse_program
 from gp2.program import checked
 from gp2.rules import (
     ConditionalRuleSchema,
     RuleGraph,
+    Violation,
     apply,
-    apply_one,
     apply_ruleset,
     enumerate_matches,
     infer_assignment,
@@ -36,6 +38,20 @@ def schema_of(source: str, name: str) -> ConditionalRuleSchema:
 
 
 NULL_RULE = "rule null() [ | ] => [ | ] interface = {}"
+
+
+def nested_condition_rule(relation: str = "a", degree_node: str = "n1"):
+    """A rule whose condition nests not, and, or, >, =, int(...) and an
+    edge(...) whose label holds an indeg."""
+    return parse_program(
+        "rule r(a, b: int; s: string; x: list)\n"
+        "  [ (n1, a:x) (n2, s) | (e1, n1, n2, b) ]\n"
+        "  => [ (n1, a:x) (n2, s) | ]\n"
+        "  interface = {n1, n2}\n"
+        f'  where not (int(a) and (s = "x" or {relation} > outdeg(n2)))\n'
+        f"    and edge(n1, n2, indeg({degree_node}):b)\n"
+        "main = r"
+    ).rules["r"]
 
 
 class TestValidate:
@@ -70,6 +86,26 @@ class TestValidate:
     def test_identity_rule_is_valid(self):
         schema = schema_of(NULL_RULE, "null")
         assert validate(schema) == []
+
+    def test_nested_condition_collectors(self):
+        condition = nested_condition_rule().condition
+        assert variables(condition) == {"a", "b", "s"}
+        assert degree_nodes(condition) == {"n1", "n2"}
+        assert validate(nested_condition_rule()) == []
+
+    def test_nested_condition_degree_operand_not_on_left(self):
+        assert validate(nested_condition_rule(degree_node="n9")) == [
+            Violation("r", "condition", "node 'n9' is not a left-graph node")
+        ]
+
+    def test_nested_condition_string_operand_of_relation(self):
+        assert validate(nested_condition_rule(relation="s")) == [
+            Violation(
+                "r",
+                "condition",
+                "relational operands must be integers in s > outdeg(n2)",
+            )
+        ]
 
     def test_interface_must_appear_on_both_sides(self):
         left = RuleGraph()
@@ -250,7 +286,6 @@ class TestApply:
 class TestApplyRuleset:
     def test_empty_ruleset_has_no_result(self):
         assert apply_ruleset([], parse_host_graph("[ (n1, 0) | ]")) == []
-        assert apply_one([], parse_host_graph("[ (n1, 0) | ]")) is None
 
     def test_null_singleton(self):
         schema = schema_of(NULL_RULE, "null")
