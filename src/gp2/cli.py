@@ -125,6 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse's own error path exits 2, which means an exhausted budget
+    for flag in ("--max-steps", "--max-configs"):
+        if getattr(args, flag[2:].replace("-", "_"), 0) < 0:
+            print(f"error: {flag} must not be negative", file=sys.stderr)
+            return EXIT_ERROR
     if args.command == "run" and args.mode == "all":
         args.func = cmd_semantics
     try:

@@ -61,6 +61,11 @@ class HostGraph:
 
     Parallel edges and loops are permitted.  Graphs are treated as
     immutable once fully constructed; rewriting copies first.
+
+    Adjacency queries read a lazy incidence index: each node's incident
+    edge ids in edge insertion order, a loop listed once.  It is built on
+    first use and dropped, like the cached signature, on every mutation,
+    so its lists are never changed in place and a copy may share them.
     """
 
     def __init__(self) -> None:
@@ -69,6 +74,7 @@ class HostGraph:
         self._node_counter = 0
         self._edge_counter = 0
         self._signature: Optional[tuple] = None
+        self._incident: Optional[dict[str, list[str]]] = None
 
     # -- construction -------------------------------------------------
 
@@ -78,7 +84,7 @@ class HostGraph:
         elif node_id in self.nodes:
             raise GraphError(f"duplicate node id {node_id!r}")
         self.nodes[node_id] = label
-        self._signature = None
+        self._signature = self._incident = None
         return node_id
 
     def add_edge(
@@ -97,29 +103,29 @@ class HostGraph:
         elif edge_id in self.edges:
             raise GraphError(f"duplicate edge id {edge_id!r}")
         self.edges[edge_id] = Edge(source, target, label)
-        self._signature = None
+        self._signature = self._incident = None
         return edge_id
 
     def remove_edge(self, edge_id: str) -> None:
         if edge_id not in self.edges:
             raise GraphError(f"unknown edge id {edge_id!r}")
         del self.edges[edge_id]
-        self._signature = None
+        self._signature = self._incident = None
 
     def remove_node(self, node_id: str) -> None:
         if node_id not in self.nodes:
             raise GraphError(f"unknown node id {node_id!r}")
-        for eid, e in self.edges.items():
-            if e.source == node_id or e.target == node_id:
-                raise GraphError(f"node {node_id!r} still incident to edge {eid!r}")
+        incident = self.incidence()[node_id]
+        if incident:
+            raise GraphError(f"node {node_id!r} still incident to edge {incident[0]!r}")
         del self.nodes[node_id]
-        self._signature = None
+        self._signature = self._incident = None
 
     def relabel_node(self, node_id: str, label: HostLabel) -> None:
         if node_id not in self.nodes:
             raise GraphError(f"unknown node id {node_id!r}")
         self.nodes[node_id] = label
-        self._signature = None
+        self._signature = self._incident = None
 
     def _fresh_node_id(self) -> str:
         while True:
@@ -142,6 +148,7 @@ class HostGraph:
         g._node_counter = self._node_counter
         g._edge_counter = self._edge_counter
         g._signature = self._signature
+        g._incident = self._incident
         return g
 
     # -- queries ------------------------------------------------------
@@ -150,19 +157,32 @@ class HostGraph:
         """Count of in- or out-edges at a node; a loop counts once each way."""
         if node_id not in self.nodes:
             raise GraphError(f"unknown node id {node_id!r}")
+        edges = self.edges
+        incident = self.incidence()[node_id]
         if direction == "in":
-            return sum(1 for e in self.edges.values() if e.target == node_id)
+            return sum(1 for eid in incident if edges[eid].target == node_id)
         if direction == "out":
-            return sum(1 for e in self.edges.values() if e.source == node_id)
+            return sum(1 for eid in incident if edges[eid].source == node_id)
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
 
+    def incidence(self) -> dict[str, list[str]]:
+        """The incidence index, built on first use; callers must not change it."""
+        if self._incident is None:
+            index: dict[str, list[str]] = {n: [] for n in self.nodes}
+            for eid, e in self.edges.items():
+                index[e.source].append(eid)
+                if e.target != e.source:
+                    index[e.target].append(eid)
+            self._incident = index
+        return self._incident
+
     def incident_edges(self, node_id: str) -> Iterator[str]:
-        for eid, e in self.edges.items():
-            if e.source == node_id or e.target == node_id:
-                yield eid
+        yield from self.incidence().get(node_id, ())
 
     def edges_between(self, source: str, target: str) -> Iterator[str]:
-        for eid, e in self.edges.items():
+        edges = self.edges
+        for eid in self.incidence().get(source, ()):
+            e = edges[eid]
             if e.source == source and e.target == target:
                 yield eid
 

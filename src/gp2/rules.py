@@ -5,6 +5,12 @@ host graph, infers the unique assignment that makes each one
 label-preserving, filters by the rule condition and the dangling
 condition, and applies the instantiated rule in place of the abstract
 one.  Rewriting never mutates the input graph.
+
+Premorphisms are found by a static search plan per left graph, cached on
+it: edge by edge, each later edge reached through the host's incidence
+index from a node already bound, checking injectivity and marks as each
+item is bound.  The matches are sorted into one fixed order, so a seeded
+run does not depend on the plan.
 """
 
 from __future__ import annotations
@@ -54,12 +60,15 @@ class RuleGraph:
     def __init__(self) -> None:
         self.nodes: dict[str, RuleLabel] = {}
         self.edges: dict[str, RuleEdge] = {}
+        self._plan: Optional[tuple] = None  # the cached search plan
 
     def add_node(self, node_id: str, label: RuleLabel) -> None:
         self.nodes[node_id] = label
+        self._plan = None
 
     def add_edge(self, edge_id: str, source: str, target: str, label: RuleLabel) -> None:
         self.edges[edge_id] = RuleEdge(source, target, label)
+        self._plan = None
 
 
 @dataclass
@@ -317,47 +326,87 @@ def infer_assignment(
 # -- match enumeration -------------------------------------------------
 
 
+def _search_plan(left: RuleGraph) -> tuple:
+    """The cached search plan of a left graph.  The slots are the sorted
+    nodes, then the sorted edges.  Each edge step touches a node bound
+    before it where the graph allows; the nodes no edge touches come last."""
+    if left._plan is None:
+        nodes, edges = sorted(left.nodes), sorted(left.edges)
+        slot = {nid: i for i, nid in enumerate(nodes)}
+        ends = {eid: (left.edges[eid].source, left.edges[eid].target) for eid in edges}
+        steps: list[tuple] = []
+        bound: set[str] = set()
+        todo = edges[:]
+        while todo:
+            eid = next((e for e in todo if bound.intersection(ends[e])), todo[0])
+            todo.remove(eid)
+            bound.update(ends[eid])
+            source, target = ends[eid]
+            marked = left.edges[eid].label.marked
+            steps.append((len(nodes) + edges.index(eid), slot[source], slot[target], marked))
+        steps += [(slot[n], None, None, left.nodes[n].marked) for n in nodes if n not in bound]
+        left._plan = (nodes, edges, [left.nodes[n].marked for n in nodes], steps)
+    return left._plan
+
+
 def _premorphisms(left: RuleGraph, host: HostGraph) -> Iterator[Premorphism]:
-    """All injective structure-preserving maps, in deterministic order."""
-    left_nodes = sorted(left.nodes)
-    left_edges = sorted(left.edges)
-    host_nodes = sorted(host.nodes)
-
-    node_map: dict[str, str] = {}
+    """All injective structure-preserving maps that agree on marks, ordered
+    by node images in sorted left-node order, then edge images in sorted
+    left-edge order."""
+    nodes, edges, node_marks, steps = _search_plan(left)
+    host_nodes, host_edges = host.nodes, host.edges
+    image: list = [None] * (len(nodes) + len(edges))
     used_nodes: set[str] = set()
+    used_edges: set[str] = set()
+    found: list[tuple] = []
 
-    def assign_edges(i: int, edge_map: dict[str, str], used: set[str]):
-        if i == len(left_edges):
-            yield Premorphism(dict(node_map), dict(edge_map))
+    def step(i: int) -> None:
+        if i == len(steps):
+            found.append(tuple(image))
             return
-        eid = left_edges[i]
-        ledge = left.edges[eid]
-        src = node_map[ledge.source]
-        tgt = node_map[ledge.target]
-        for heid in sorted(host.edges_between(src, tgt)):
-            if heid in used:
-                continue
-            edge_map[eid] = heid
-            used.add(heid)
-            yield from assign_edges(i + 1, edge_map, used)
-            del edge_map[eid]
-            used.remove(heid)
-
-    def assign_nodes(i: int):
-        if i == len(left_nodes):
-            yield from assign_edges(0, {}, set())
+        slot, a, b, marked = steps[i]
+        if a is None:  # a node that no left edge touches
+            for hid, label in host_nodes.items():
+                if hid not in used_nodes and label.marked == marked:
+                    image[slot] = hid
+                    used_nodes.add(hid)
+                    step(i + 1)
+                    used_nodes.remove(hid)
             return
-        nid = left_nodes[i]
-        for hid in host_nodes:
-            if hid in used_nodes:
+        if image[a] is None and image[b] is None:
+            candidates = host_edges
+        else:
+            candidates = host.incidence()[image[b] if image[a] is None else image[a]]
+        for heid in candidates:
+            e = host_edges[heid]
+            if heid in used_edges or e.label.marked != marked:
                 continue
-            node_map[nid] = hid
-            used_nodes.add(hid)
-            yield from assign_nodes(i + 1)
-            del node_map[nid]
-            used_nodes.remove(hid)
+            fresh = []
+            for end, hid in ((a, e.source), (b, e.target)):
+                if (
+                    image[end] is None
+                    and hid not in used_nodes
+                    and host_nodes[hid].marked == node_marks[end]
+                ):
+                    image[end] = hid
+                    used_nodes.add(hid)
+                    fresh.append(end)
+                elif image[end] != hid:
+                    break
+            else:
+                image[slot] = heid
+                used_edges.add(heid)
+                step(i + 1)
+                used_edges.remove(heid)
+            for end in fresh:
+                used_nodes.remove(image[end])
+                image[end] = None
 
-    yield from assign_nodes(0)
+    step(0)
+    found.sort()
+    k = len(nodes)
+    for key in found:
+        yield Premorphism(dict(zip(nodes, key[:k])), dict(zip(edges, key[k:])))
 
 
 def _dangling_ok(

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
+from typing import Iterator, Optional
 
-from gp2.graphs import HostGraph, HostLabel, IsoStore
+from gp2.graphs import HostGraph, HostLabel, IsoStore, Premorphism
 from gp2.labels import (
     Cons,
     Dot,
@@ -330,6 +330,61 @@ def random_schema(rng: random.Random, name: str = "r") -> ConditionalRuleSchema:
                 RuleLabel(IntLit(rng.choice(INT_POOL)), False),
             )
     return ConditionalRuleSchema(name, decls, left, interface, right, None)
+
+
+# -- reference matcher -------------------------------------------------
+
+
+def reference_premorphisms(left: RuleGraph, host: HostGraph) -> Iterator[Premorphism]:
+    """All injective structure-preserving maps, node tuple by node tuple.
+
+    The naive enumerator the search-plan matcher replaced: every injective
+    tuple of host nodes in sorted order, then every choice of host edges
+    between the images, found by scanning all host edges.  Marks are left
+    to assignment inference.
+    """
+    left_nodes = sorted(left.nodes)
+    left_edges = sorted(left.edges)
+    host_nodes = sorted(host.nodes)
+
+    node_map: dict[str, str] = {}
+    used_nodes: set[str] = set()
+
+    def assign_edges(i: int, edge_map: dict[str, str], used: set[str]):
+        if i == len(left_edges):
+            yield Premorphism(dict(node_map), dict(edge_map))
+            return
+        eid = left_edges[i]
+        ledge = left.edges[eid]
+        src = node_map[ledge.source]
+        tgt = node_map[ledge.target]
+        between = [
+            heid for heid, e in host.edges.items() if e.source == src and e.target == tgt
+        ]
+        for heid in sorted(between):
+            if heid in used:
+                continue
+            edge_map[eid] = heid
+            used.add(heid)
+            yield from assign_edges(i + 1, edge_map, used)
+            del edge_map[eid]
+            used.remove(heid)
+
+    def assign_nodes(i: int):
+        if i == len(left_nodes):
+            yield from assign_edges(0, {}, set())
+            return
+        nid = left_nodes[i]
+        for hid in host_nodes:
+            if hid in used_nodes:
+                continue
+            node_map[nid] = hid
+            used_nodes.add(hid)
+            yield from assign_nodes(i + 1)
+            del node_map[nid]
+            used_nodes.remove(hid)
+
+    yield from assign_nodes(0)
 
 
 # -- random command trees ----------------------------------------------

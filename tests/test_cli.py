@@ -179,3 +179,13 @@ class TestErrors:
         code, _, err = run_cli(capsys, "check", p)
         assert code == 3
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "semantics"])
+    @pytest.mark.parametrize("flag", ["--max-steps", "--max-configs"])
+    def test_negative_budget_exits_three(self, files, capsys, command, flag):
+        p = files("p.gp2", "main = skip\n")
+        g = files("g.host", "[ | ]\n")
+        code, out, err = run_cli(capsys, command, p, g, flag, "-1")
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {flag} must not be negative\n"

@@ -100,6 +100,57 @@ class TestStructure:
         assert g.nodes[n] == HostLabel((0,))
 
 
+class TestIncidenceIndex:
+    """The lazy index answers every adjacency query as a full scan would,
+    through any sequence of mutations and copies."""
+
+    @staticmethod
+    def check_against_scans(g: HostGraph) -> None:
+        for n in g.nodes:
+            incident = [i for i, e in g.edges.items() if n in (e.source, e.target)]
+            assert list(g.incident_edges(n)) == incident
+            assert g.degree(n, "in") == sum(e.target == n for e in g.edges.values())
+            assert g.degree(n, "out") == sum(e.source == n for e in g.edges.values())
+            for m in g.nodes:
+                between = [i for i, e in g.edges.items() if (e.source, e.target) == (n, m)]
+                assert list(g.edges_between(n, m)) == between
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_mutations_and_copies(self, seed):
+        rng = random.Random(seed)
+        pool = [HostGraph()]
+        refused = 0
+        for _ in range(150):
+            g = rng.choice(pool)
+            op = rng.choice(
+                ["node", "edge", "edge", "edge", "drop_edge", "drop_node", "relabel", "copy"]
+            )
+            if op == "node" or not g.nodes:
+                g.add_node(HostLabel((rng.randint(0, 2),)))
+            elif op == "edge":
+                g.add_edge(rng.choice(list(g.nodes)), rng.choice(list(g.nodes)), HostLabel(()))
+            elif op == "drop_edge" and g.edges:
+                g.remove_edge(rng.choice(list(g.edges)))
+            elif op == "drop_node":
+                n = rng.choice(list(g.nodes))
+                first = next((i for i, e in g.edges.items() if n in (e.source, e.target)), None)
+                if first is None:
+                    g.remove_node(n)
+                else:
+                    refused += 1
+                    with pytest.raises(GraphError) as info:
+                        g.remove_node(n)
+                    assert str(info.value) == f"node {n!r} still incident to edge {first!r}"
+                    assert n in g.nodes
+            elif op == "relabel":
+                g.relabel_node(rng.choice(list(g.nodes)), HostLabel((9,), True))
+            elif op == "copy" and len(pool) < 4:
+                pool.append(g.copy())
+            for h in pool:
+                self.check_against_scans(h)
+        assert refused
+
+
 class TestMorphisms:
     def test_identity_is_label_preserving(self):
         g = parse_host_graph('[ (n1, 0) (n2, 1) | (e1, n1, n2, "x") ]')

@@ -1,10 +1,19 @@
+import collections
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genlib import brute_assignments, random_host, random_schema, random_simple_label
+from genlib import (
+    brute_assignments,
+    random_eulerian,
+    random_host,
+    random_schema,
+    random_simple_label,
+    reference_premorphisms,
+)
+from gp2 import corpus, rules
 from gp2.graphs import HostGraph, HostLabel, Premorphism, isomorphic
 from gp2.labels import (
     Arith,
@@ -346,3 +355,98 @@ class TestDpoInvariants:
             for nid in deleted:
                 for eid in host.incident_edges(nid):
                     assert eid in matched_edges
+
+
+# -- the search-plan matcher against the node-first reference ----------
+
+
+# each trial draws how often a mark is set or flipped; 0 keeps every
+# structural match, so loops and parallel edges are matched often
+MARK_RATES = (0.0, 0.2, 0.5)
+
+
+def with_random_marks(rng: random.Random, host: HostGraph, rate: float) -> HostGraph:
+    out = HostGraph()
+    for nid, lab in host.nodes.items():
+        out.add_node(HostLabel(lab.items, rng.random() < rate), nid)
+    for eid, e in host.edges.items():
+        out.add_edge(e.source, e.target, HostLabel(e.label.items, rng.random() < rate), eid)
+    return out
+
+
+def with_flipped_left_marks(rng: random.Random, schema, rate: float) -> ConditionalRuleSchema:
+    left = RuleGraph()
+    for nid, lab in schema.left.nodes.items():
+        left.add_node(nid, RuleLabel(lab.expr, lab.marked ^ (rng.random() < rate)))
+    for eid, e in schema.left.edges.items():
+        label = RuleLabel(e.label.expr, e.label.marked ^ (rng.random() < rate))
+        left.add_edge(eid, e.source, e.target, label)
+    return ConditionalRuleSchema(
+        schema.name, schema.variables, left, schema.interface, schema.right, schema.condition
+    )
+
+
+def maps(premorphisms, left, host) -> list:
+    """The node and edge maps, in order and with their dict orders, of the
+    premorphisms that agree with the left graph on every mark."""
+    return [
+        (list(g.node_map.items()), list(g.edge_map.items()))
+        for g in premorphisms
+        if all(left.nodes[n].marked == host.nodes[h].marked for n, h in g.node_map.items())
+        and all(
+            left.edges[e].label.marked == host.edges[h].label.marked
+            for e, h in g.edge_map.items()
+        )
+    ]
+
+
+def matches_and_warnings(schema, host) -> tuple:
+    warnings: list[str] = []
+    found = [
+        (list(g.node_map.items()), list(g.edge_map.items()), alpha)
+        for g, alpha in enumerate_matches(schema, host, warnings)
+    ]
+    return found, warnings
+
+
+class TestMatcherAgainstReference:
+    """The search plan yields exactly the reference's premorphisms and the
+    reference pipeline's matches, in the same order, so seeded runs pick
+    the same match."""
+
+    def agree(self, monkeypatch, schema, host, seen) -> None:
+        left = schema.left
+        got = maps(rules._premorphisms(left, host), left, host)
+        assert got == maps(reference_premorphisms(left, host), left, host)
+        found = matches_and_warnings(schema, host)
+        with monkeypatch.context() as m:
+            m.setattr(rules, "_premorphisms", reference_premorphisms)
+            assert found == matches_and_warnings(schema, host), host.to_text()
+        ends = [(e.source, e.target) for e in left.edges.values()]
+        touched = {n for pair in ends for n in pair}
+        seen["matches"] += len(found[0])
+        seen["loop"] += bool(got) and any(s == t for s, t in ends)
+        seen["parallel"] += bool(got) and len(set(ends)) < len(ends)
+        seen["isolated"] += bool(got) and bool(set(left.nodes) - touched)
+
+    def test_random_schemas_on_marked_hosts(self, monkeypatch):
+        seen = collections.Counter()
+        for trial in range(500):
+            rng = random.Random(trial)
+            rate = rng.choice(MARK_RATES)
+            schema = with_flipped_left_marks(rng, random_schema(rng), rate)
+            host = with_random_marks(rng, random_host(rng, max_nodes=6), rate)
+            self.agree(monkeypatch, schema, host, seen)
+        assert min(seen[k] for k in ("matches", "loop", "parallel", "isolated")) > 0, seen
+
+    @pytest.mark.parametrize("name", corpus.PROGRAMS)
+    def test_corpus_rules_on_marked_hosts(self, monkeypatch, name):
+        seen = collections.Counter()
+        rng = random.Random(name)
+        hosts = [random_host(rng, max_nodes=6) for _ in range(30)]
+        hosts += [random_eulerian(rng, max_nodes=6) for _ in range(30)]
+        for host in hosts:
+            host = with_random_marks(rng, host, rng.choice(MARK_RATES))
+            for schema in corpus.load(name).rules.values():
+                self.agree(monkeypatch, schema, host, seen)
+        assert seen["matches"] > 0, seen
