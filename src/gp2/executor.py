@@ -10,6 +10,7 @@ and reports divergence or stuckness through a bottom flag.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -160,7 +161,7 @@ class Engine:
         table = _ConfigTable()
         root, _ = table.intern(command, graph)
         edges: dict[int, list[int]] = {}
-        frontier = [root]
+        frontier = deque([root])
         results = IsoStore()
         result_list: list[HostGraph] = []
         can_fail = False
@@ -168,7 +169,7 @@ class Engine:
         truncated = False
 
         while frontier:
-            index = frontier.pop(0)
+            index = frontier.popleft()
             if not self.tick() or len(table) > self.budget.max_configs:
                 truncated = True
                 break

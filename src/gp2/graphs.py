@@ -7,6 +7,7 @@ partial variant where node labels may be absent.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -36,6 +37,16 @@ class HostLabel:
     def __str__(self) -> str:
         return format_label(self.items, self.marked)
 
+    @property
+    def sort_key(self) -> tuple:
+        """A totally ordered stand-in for the label, cached on first use."""
+        key = self.__dict__.get("_sort_key")
+        if key is None:
+            # items with the same atom kinds (int or str) compare without error
+            key = (tuple([isinstance(a, str) for a in self.items]), self.items, self.marked)
+            self.__dict__["_sort_key"] = key  # a cache, not a dataclass field
+        return key
+
 
 def format_atom(a: Atom) -> str:
     if isinstance(a, int):
@@ -64,8 +75,9 @@ class HostGraph:
 
     Adjacency queries read a lazy incidence index: each node's incident
     edge ids in edge insertion order, a loop listed once.  It is built on
-    first use and dropped, like the cached signature, on every mutation,
-    so its lists are never changed in place and a copy may share them.
+    first use and dropped, like the cached canonical certificate
+    (`signature`), on every mutation, so its lists are never changed in
+    place and a copy may share them.
     """
 
     def __init__(self) -> None:
@@ -115,9 +127,14 @@ class HostGraph:
     def remove_node(self, node_id: str) -> None:
         if node_id not in self.nodes:
             raise GraphError(f"unknown node id {node_id!r}")
-        incident = self.incidence()[node_id]
-        if incident:
-            raise GraphError(f"node {node_id!r} still incident to edge {incident[0]!r}")
+        if self._incident is not None:
+            incident = iter(self._incident[node_id])
+        else:
+            # one scan: an index built here would be dropped by the removal
+            incident = (i for i, e in self.edges.items() if node_id in (e.source, e.target))
+        first = next(incident, None)
+        if first is not None:
+            raise GraphError(f"node {node_id!r} still incident to edge {first!r}")
         del self.nodes[node_id]
         self._signature = self._incident = None
 
@@ -199,34 +216,90 @@ class HostGraph:
         return left + right
 
     def signature(self) -> tuple:
-        """An isomorphism-invariant hashable fingerprint, used for bucketing."""
-        if self._signature is not None:
-            return self._signature
-        indeg = dict.fromkeys(self.nodes, 0)
-        outdeg = dict.fromkeys(self.nodes, 0)
-        for e in self.edges.values():
-            outdeg[e.source] += 1
-            indeg[e.target] += 1
-        node_sig = sorted(
-            (_items_key(lab.items), lab.marked, indeg[n], outdeg[n])
-            for n, lab in self.nodes.items()
-        )
-        edge_sig = sorted(
-            (_items_key(e.label.items), e.label.marked, e.source == e.target)
-            for e in self.edges.values()
-        )
-        self._signature = (tuple(node_sig), tuple(edge_sig))
+        """The canonical certificate: equal exactly for isomorphic graphs."""
+        if self._signature is None:
+            self._signature = _certificate(self)
         return self._signature
 
     def __repr__(self) -> str:
         return f"HostGraph({self.to_text()})"
 
 
-def _items_key(items: tuple[Atom, ...]) -> tuple:
-    """A totally ordered stand-in for an atom list (ints and strings mix)."""
-    return tuple(
-        (0, a, "") if isinstance(a, int) else (1, 0, a) for a in items
-    )
+def _ranks(keys: list) -> list[int]:
+    """Each key's rank among the distinct keys: a canonical colouring."""
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
+
+
+def _certificate(g: HostGraph) -> tuple:
+    """Canonical form by colour refinement and individualisation.
+
+    Node colours start as ranks of (label, in-degree, out-degree) and are
+    refined by the sorted multisets of (neighbour colour, edge label) over
+    out- and in-edges.  While a colour class has several nodes, each of
+    them is individualised in turn and the colouring refined again; every
+    discrete colouring reached gives a leaf, the sorted edge list over
+    colours, and the least leaf is the certificate.  A branch that is the
+    image of an explored one under an automorphism is skipped: a swap of
+    two nodes that preserves the edges, or a leaf equal to an earlier one.
+    """
+    labels = [lab.sort_key for lab in g.nodes.values()]
+    index = {n: i for i, n in enumerate(g.nodes)}
+    edges = [(index[e.source], index[e.target], e.label.sort_key) for e in g.edges.values()]
+    out: list[list] = [[] for _ in index]
+    into: list[list] = [[] for _ in index]
+    for s, t, lab in edges:
+        out[s].append((t, lab))
+        into[t].append((s, lab))
+    nodes = range(len(index))
+
+    def refine(colours: list[int]) -> list[int]:
+        while len(set(colours)) < len(colours):
+            refined = _ranks([
+                (
+                    colours[v],
+                    tuple(sorted((colours[w], lab) for w, lab in out[v])),
+                    tuple(sorted((colours[w], lab) for w, lab in into[v])),
+                )
+                for v in nodes
+            ])
+            if refined == colours:
+                break
+            colours = refined
+        return colours
+
+    def automorphic_swap(u: int, v: int) -> bool:
+        swap = {u: v, v: u}
+        moved = [(s, t, lab) for s, t, lab in edges if s in swap or t in swap]
+        image = [(swap.get(s, s), swap.get(t, t), lab) for s, t, lab in moved]
+        return sorted(moved) == sorted(image)
+
+    leaves: dict[tuple, tuple] = {}
+
+    def search(colours: list[int], path: tuple) -> int:
+        """Collect the leaves below `path`; return the depth to resume at."""
+        if len(set(colours)) == len(colours):
+            leaf = tuple(sorted((colours[s], colours[t], lab) for s, t, lab in edges))
+            if leaf not in leaves:
+                leaves[leaf] = path
+                return len(path)
+            # an automorphism maps the earlier leaf's path onto this one, so
+            # the subtree below their common prefix repeats an explored one
+            return next(i for i, (a, b) in enumerate(zip(leaves[leaf], path)) if a != b)
+        cell = min(c for c, k in Counter(colours).items() if k > 1)
+        tried: list[int] = []
+        for v in nodes:
+            if colours[v] != cell or any(automorphic_swap(u, v) for u in tried):
+                continue
+            tried.append(v)
+            child = [c + (c > cell or (c == cell and w != v)) for w, c in enumerate(colours)]
+            back = search(refine(child), path + (v,))
+            if back < len(path):
+                return back
+        return len(path)
+
+    search(refine(_ranks([(labels[v], len(into[v]), len(out[v])) for v in nodes])), ())
+    return tuple(sorted(labels)), min(leaves)
 
 
 @dataclass
@@ -277,94 +350,20 @@ def is_label_preserving_morphism(
 
 
 def isomorphic(a: HostGraph, b: HostGraph) -> bool:
-    """Backtracking isomorphism test, partitioned by label and degrees."""
+    """Isomorphism test by equality of canonical certificates."""
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return False
-    if a.signature() != b.signature():
-        return False
-
-    def node_keys(g: HostGraph) -> dict[str, tuple]:
-        indeg = dict.fromkeys(g.nodes, 0)
-        outdeg = dict.fromkeys(g.nodes, 0)
-        for e in g.edges.values():
-            outdeg[e.source] += 1
-            indeg[e.target] += 1
-        return {
-            n: (_items_key(lab.items), lab.marked, indeg[n], outdeg[n])
-            for n, lab in g.nodes.items()
-        }
-
-    a_keys = node_keys(a)
-    b_keys = node_keys(b)
-    a_nodes = sorted(a.nodes, key=lambda n: a_keys[n])
-    candidates: dict[str, list[str]] = {
-        n: [m for m in b.nodes if b_keys[m] == a_keys[n]] for n in a_nodes
-    }
-
-    b_edge_bag: dict[tuple[str, str], list] = {}
-    for e in b.edges.values():
-        b_edge_bag.setdefault((e.source, e.target), []).append(e.label)
-
-    def edges_ok(mapping: dict[str, str]) -> bool:
-        want: dict[tuple[str, str], list] = {}
-        for e in a.edges.values():
-            want.setdefault((mapping[e.source], mapping[e.target]), []).append(e.label)
-        for pair, labels in want.items():
-            have = b_edge_bag.get(pair, [])
-            if sorted(map(str, labels)) != sorted(map(str, have)):
-                return False
-        return sum(len(v) for v in want.values()) == len(b.edges)
-
-    used: set[str] = set()
-    mapping: dict[str, str] = {}
-
-    def backtrack(i: int) -> bool:
-        if i == len(a_nodes):
-            return edges_ok(mapping)
-        n = a_nodes[i]
-        for m in candidates[n]:
-            if m in used:
-                continue
-            # prune: adjacency with already-mapped nodes must agree
-            ok = True
-            for p, q in mapping.items():
-                if _pair_profile(a, n, p) != _pair_profile(b, m, q):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[n] = m
-            used.add(m)
-            if backtrack(i + 1):
-                return True
-            del mapping[n]
-            used.remove(m)
-        return False
-
-    return backtrack(0)
-
-
-def _pair_profile(g: HostGraph, u: str, v: str) -> tuple:
-    fwd = sorted(str(g.edges[e].label) for e in g.edges_between(u, v))
-    bwd = sorted(str(g.edges[e].label) for e in g.edges_between(v, u))
-    return (tuple(fwd), tuple(bwd))
+    return a.signature() == b.signature()
 
 
 class IsoStore:
-    """A set/map of graphs keyed up to isomorphism.
-
-    Buckets by signature and falls back to pairwise isomorphism checks,
-    which is fine at desk scale.
-    """
+    """A set/map of graphs keyed up to isomorphism by canonical certificate."""
 
     def __init__(self) -> None:
-        self._buckets: dict[tuple, list[tuple[HostGraph, object]]] = {}
+        self._values: dict[tuple, object] = {}
 
     def get(self, g: HostGraph, default=None):
-        for h, value in self._buckets.get(g.signature(), []):
-            if isomorphic(g, h):
-                return value
-        return default
+        return self._values.get(g.signature(), default)
 
     def contains(self, g: HostGraph) -> bool:
         sentinel = object()
@@ -372,20 +371,14 @@ class IsoStore:
 
     def put(self, g: HostGraph, value=None) -> bool:
         """Insert unless an isomorphic graph is present; True if inserted."""
-        bucket = self._buckets.setdefault(g.signature(), [])
-        for h, _ in bucket:
-            if isomorphic(g, h):
-                return False
-        bucket.append((g, value))
+        key = g.signature()
+        if key in self._values:
+            return False
+        self._values[key] = value
         return True
 
     def set(self, g: HostGraph, value) -> None:
-        bucket = self._buckets.setdefault(g.signature(), [])
-        for i, (h, _) in enumerate(bucket):
-            if isomorphic(g, h):
-                bucket[i] = (h, value)
-                return
-        bucket.append((g, value))
+        self._values[g.signature()] = value
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
+        return len(self._values)

@@ -77,14 +77,12 @@ def random_eulerian(rng: random.Random, max_nodes: int = 6) -> HostGraph:
     return g
 
 
-def small_hosts(
+def host_universe(
     max_nodes: int = 3,
     max_edges: int = 3,
     labels: tuple = ((), (0,), ("a",)),
-) -> list[HostGraph]:
-    """Every host with the given bounds, one per isomorphism class."""
-    store = IsoStore()
-    out: list[HostGraph] = []
+) -> Iterator[HostGraph]:
+    """Every labelled host with the given bounds, isomorphic ones repeated."""
     for n in range(max_nodes + 1):
         for node_labels in itertools.combinations_with_replacement(labels, n):
             base = HostGraph()
@@ -97,9 +95,17 @@ def small_hosts(
                     g = base.copy()
                     for s, t, lab in combo:
                         g.add_edge(s, t, HostLabel(lab))
-                    if store.put(g):
-                        out.append(g)
-    return out
+                    yield g
+
+
+def small_hosts(
+    max_nodes: int = 3,
+    max_edges: int = 3,
+    labels: tuple = ((), (0,), ("a",)),
+) -> list[HostGraph]:
+    """Every host with the given bounds, one per isomorphism class."""
+    store = IsoStore()
+    return [g for g in host_universe(max_nodes, max_edges, labels) if store.put(g)]
 
 
 # -- simple rule-label generation and brute-force matching -------------
@@ -385,6 +391,134 @@ def reference_premorphisms(left: RuleGraph, host: HostGraph) -> Iterator[Premorp
             used_nodes.remove(hid)
 
     yield from assign_nodes(0)
+
+
+# -- reference isomorphism test ----------------------------------------
+
+
+def _items_key(items: tuple) -> tuple:
+    """A totally ordered stand-in for an atom list (ints and strings mix)."""
+    return tuple(
+        (0, a, "") if isinstance(a, int) else (1, 0, a) for a in items
+    )
+
+
+def reference_signature(g: HostGraph) -> tuple:
+    """An isomorphism-invariant fingerprint: sorted node and edge keys.
+
+    The bucket key that `HostGraph.signature` gave before it became a
+    canonical certificate; non-isomorphic graphs may share it.
+    """
+    indeg = dict.fromkeys(g.nodes, 0)
+    outdeg = dict.fromkeys(g.nodes, 0)
+    for e in g.edges.values():
+        outdeg[e.source] += 1
+        indeg[e.target] += 1
+    node_sig = sorted(
+        (_items_key(lab.items), lab.marked, indeg[n], outdeg[n])
+        for n, lab in g.nodes.items()
+    )
+    edge_sig = sorted(
+        (_items_key(e.label.items), e.label.marked, e.source == e.target)
+        for e in g.edges.values()
+    )
+    return (tuple(node_sig), tuple(edge_sig))
+
+
+def reference_isomorphic(a: HostGraph, b: HostGraph) -> bool:
+    """Backtracking isomorphism test, partitioned by label and degrees.
+
+    The pairwise test that canonical certificates replaced.
+    """
+    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
+        return False
+    if reference_signature(a) != reference_signature(b):
+        return False
+
+    def node_keys(g: HostGraph) -> dict[str, tuple]:
+        indeg = dict.fromkeys(g.nodes, 0)
+        outdeg = dict.fromkeys(g.nodes, 0)
+        for e in g.edges.values():
+            outdeg[e.source] += 1
+            indeg[e.target] += 1
+        return {
+            n: (_items_key(lab.items), lab.marked, indeg[n], outdeg[n])
+            for n, lab in g.nodes.items()
+        }
+
+    a_keys = node_keys(a)
+    b_keys = node_keys(b)
+    a_nodes = sorted(a.nodes, key=lambda n: a_keys[n])
+    candidates: dict[str, list[str]] = {
+        n: [m for m in b.nodes if b_keys[m] == a_keys[n]] for n in a_nodes
+    }
+
+    b_edge_bag: dict[tuple[str, str], list] = {}
+    for e in b.edges.values():
+        b_edge_bag.setdefault((e.source, e.target), []).append(e.label)
+
+    def edges_ok(mapping: dict[str, str]) -> bool:
+        want: dict[tuple[str, str], list] = {}
+        for e in a.edges.values():
+            want.setdefault((mapping[e.source], mapping[e.target]), []).append(e.label)
+        for pair, labels in want.items():
+            have = b_edge_bag.get(pair, [])
+            if sorted(map(str, labels)) != sorted(map(str, have)):
+                return False
+        return sum(len(v) for v in want.values()) == len(b.edges)
+
+    used: set[str] = set()
+    mapping: dict[str, str] = {}
+
+    def backtrack(i: int) -> bool:
+        if i == len(a_nodes):
+            return edges_ok(mapping)
+        n = a_nodes[i]
+        for m in candidates[n]:
+            if m in used:
+                continue
+            # prune: adjacency with already-mapped nodes must agree
+            ok = True
+            for p, q in mapping.items():
+                if _pair_profile(a, n, p) != _pair_profile(b, m, q):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[n] = m
+            used.add(m)
+            if backtrack(i + 1):
+                return True
+            del mapping[n]
+            used.remove(m)
+        return False
+
+    return backtrack(0)
+
+
+def _pair_profile(g: HostGraph, u: str, v: str) -> tuple:
+    fwd = sorted(str(g.edges[e].label) for e in g.edges_between(u, v))
+    bwd = sorted(str(g.edges[e].label) for e in g.edges_between(v, u))
+    return (tuple(fwd), tuple(bwd))
+
+
+class ReferenceStore:
+    """Graphs up to isomorphism: signature buckets searched pairwise."""
+
+    def __init__(self) -> None:
+        self.buckets: dict[tuple, list[HostGraph]] = {}
+
+    def put(self, g: HostGraph) -> bool:
+        """Insert unless an isomorphic graph is present; True if inserted."""
+        bucket = self.buckets.setdefault(reference_signature(g), [])
+        if any(reference_isomorphic(g, h) for h in bucket):
+            return False
+        bucket.append(g)
+        return True
+
+    def __iter__(self) -> Iterator[HostGraph]:
+        for bucket in self.buckets.values():
+            yield from bucket
 
 
 # -- random command trees ----------------------------------------------

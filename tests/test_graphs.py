@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genlib import random_host
+from genlib import (
+    ReferenceStore,
+    host_universe,
+    random_host,
+    reference_isomorphic,
+)
 from gp2.graphs import (
+    Edge,
     GraphError,
     HostGraph,
     HostLabel,
@@ -84,6 +90,17 @@ class TestStructure:
         g.add_edge(n, n, HostLabel(()))
         with pytest.raises(GraphError):
             g.remove_node(n)
+
+    def test_refusal_names_first_incident_edge(self):
+        g = HostGraph()
+        a, b = g.add_node(HostLabel((0,)), "a"), g.add_node(HostLabel((0,)), "b")
+        g.add_edge(b, b, HostLabel(()), "z")
+        g.add_edge(a, b, HostLabel(()), "y")
+        for indexed in (False, True):
+            if indexed:
+                g.incidence()
+            with pytest.raises(GraphError, match="still incident to edge 'z'"):
+                g.remove_node(b)
 
     def test_fresh_ids_skip_collisions(self):
         g = HostGraph()
@@ -231,6 +248,105 @@ class TestIsomorphism:
         g = random_host(rng, max_nodes=6)
         h = parse_host_graph(g.to_text())
         assert isomorphic(g, h)
+
+
+POOL = ((), (0,), ("a",), (1, "a"), ("a", 1))
+
+
+def random_marked_host(rng: random.Random, max_nodes: int = 8) -> HostGraph:
+    def label() -> HostLabel:
+        return HostLabel(rng.choice(POOL), rng.random() < 0.3)
+
+    g = HostGraph()
+    ids = [g.add_node(label()) for _ in range(rng.randint(0, max_nodes))]
+    for _ in range(rng.randint(0, 2 * len(ids)) if ids else 0):
+        g.add_edge(rng.choice(ids), rng.choice(ids), label())
+    return g
+
+
+def shuffled_copy(rng: random.Random, g: HostGraph, reverse: bool = False) -> HostGraph:
+    """g with fresh ids and insertion orders; with `reverse`, one edge turned round."""
+    nodes = list(g.nodes)
+    edges = list(g.edges.values())
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    if reverse and edges:
+        e = edges[0]
+        edges[0] = Edge(e.target, e.source, e.label)
+    h = HostGraph()
+    ids = {n: h.add_node(g.nodes[n], f"v{i}") for i, n in enumerate(nodes)}
+    for i, e in enumerate(edges):
+        h.add_edge(ids[e.source], ids[e.target], e.label, f"f{i}")
+    return h
+
+
+def uniform_host(n: int, pairs: list) -> HostGraph:
+    g = HostGraph()
+    ids = [g.add_node(HostLabel((0,))) for _ in range(n)]
+    for s, t in pairs:
+        g.add_edge(ids[s], ids[t], HostLabel(()))
+    return g
+
+
+class TestCertificateAgainstReference:
+    """Equal certificates exactly when the backtracking reference test
+    finds an isomorphism."""
+
+    def test_small_host_universe(self):
+        store, reference = IsoStore(), ReferenceStore()
+        for g in host_universe(3, 3):
+            store.put(g)
+            reference.put(g)
+        representatives = list(reference)
+        assert len(store) == len(representatives) == 20_705
+        assert len({g.signature() for g in representatives}) == 20_705
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_marked_hosts(self, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(60):
+            g = random_marked_host(rng)
+            h = shuffled_copy(rng, g)
+            assert reference_isomorphic(g, h)
+            assert g.signature() == h.signature()
+            r = shuffled_copy(rng, g, reverse=True)
+            same = reference_isomorphic(g, r)
+            assert (g.signature() == r.signature()) == same
+            assert isomorphic(g, r) == same
+            outcomes.add(same)
+        assert outcomes == {True, False}
+
+
+class TestSymmetricHosts:
+    """Automorphisms prune the search.  The swap check gives the edgeless
+    and complete hosts one branch per level, where the leaf check alone
+    explores a path for every node of each cell; without the leaf check the
+    matching needs 10! leaves and the search does not finish."""
+
+    GRID = [(r * 4 + c, r * 4 + c + 1) for r in range(4) for c in range(3)] + [
+        (r * 4 + c, r * 4 + c + 4) for r in range(3) for c in range(4)
+    ]
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [
+            (12, []),
+            (7, [(i, j) for i in range(7) for j in range(7)]),
+            (12, [(i, (i + 1) % 12) for i in range(12)]),
+            (16, GRID),
+            (20, [(2 * i, 2 * i + 1) for i in range(10)]),
+        ],
+        ids=["edgeless-12", "complete-with-loops-7", "cycle-12", "grid-4x4", "matching-10"],
+    )
+    def test_shuffled_copies_share_certificate(self, n, pairs):
+        rng = random.Random(n)
+        g = uniform_host(n, pairs)
+        for _ in range(3):
+            assert shuffled_copy(rng, g).signature() == g.signature()
+        if pairs:
+            r = shuffled_copy(rng, g, reverse=True)
+            assert (r.signature() == g.signature()) == reference_isomorphic(g, r)
 
 
 class TestSerialization:

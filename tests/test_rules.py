@@ -292,6 +292,24 @@ class TestApply:
         assert len(result.edges) == 1
 
 
+    def test_deleting_nodes_builds_no_incidence_index(self, monkeypatch):
+        schema = corpus.load("series_parallel").rules["delete_base"]
+        host = parse_host_graph("[ (n1, 0) (n2, 0) | (e1, n1, n2, empty) ]")
+        [(g, alpha)] = list(enumerate_matches(schema, host))
+        builds = 0
+        incidence = HostGraph.incidence
+
+        def counted(graph):
+            nonlocal builds
+            builds += graph._incident is None
+            return incidence(graph)
+
+        monkeypatch.setattr(HostGraph, "incidence", counted)
+        result = apply(schema, host, g, alpha)
+        assert builds == 0
+        assert not result.nodes and not result.edges
+
+
 class TestApplyRuleset:
     def test_empty_ruleset_has_no_result(self):
         assert apply_ruleset([], parse_host_graph("[ (n1, 0) | ]")) == []
