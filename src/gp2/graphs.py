@@ -37,16 +37,6 @@ class HostLabel:
     def __str__(self) -> str:
         return format_label(self.items, self.marked)
 
-    @property
-    def sort_key(self) -> tuple:
-        """A totally ordered stand-in for the label, cached on first use."""
-        key = self.__dict__.get("_sort_key")
-        if key is None:
-            # items with the same atom kinds (int or str) compare without error
-            key = (tuple([isinstance(a, str) for a in self.items]), self.items, self.marked)
-            self.__dict__["_sort_key"] = key  # a cache, not a dataclass field
-        return key
-
 
 def format_atom(a: Atom) -> str:
     if isinstance(a, int):
@@ -127,12 +117,7 @@ class HostGraph:
     def remove_node(self, node_id: str) -> None:
         if node_id not in self.nodes:
             raise GraphError(f"unknown node id {node_id!r}")
-        if self._incident is not None:
-            incident = iter(self._incident[node_id])
-        else:
-            # one scan: an index built here would be dropped by the removal
-            incident = (i for i, e in self.edges.items() if node_id in (e.source, e.target))
-        first = next(incident, None)
+        first = next((i for i, e in self.edges.items() if node_id in (e.source, e.target)), None)
         if first is not None:
             raise GraphError(f"node {node_id!r} still incident to edge {first!r}")
         del self.nodes[node_id]
@@ -241,11 +226,16 @@ def _certificate(g: HostGraph) -> tuple:
     discrete colouring reached gives a leaf, the sorted edge list over
     colours, and the least leaf is the certificate.  A branch that is the
     image of an explored one under an automorphism is skipped: a swap of
-    two nodes that preserves the edges, or a leaf equal to an earlier one.
+    two nodes that preserves the edges, or a node in the orbit of a tried
+    one under the automorphisms that equal leaves reveal.
     """
-    labels = [lab.sort_key for lab in g.nodes.values()]
+
+    def key(label: HostLabel) -> tuple:  # a total order: atoms of one kind compare
+        return tuple([isinstance(a, str) for a in label.items]), label.items, label.marked
+
+    labels = [key(lab) for lab in g.nodes.values()]
     index = {n: i for i, n in enumerate(g.nodes)}
-    edges = [(index[e.source], index[e.target], e.label.sort_key) for e in g.edges.values()]
+    edges = [(index[e.source], index[e.target], key(e.label)) for e in g.edges.values()]
     out: list[list] = [[] for _ in index]
     into: list[list] = [[] for _ in index]
     for s, t, lab in edges:
@@ -275,21 +265,36 @@ def _certificate(g: HostGraph) -> tuple:
         return sorted(moved) == sorted(image)
 
     leaves: dict[tuple, tuple] = {}
+    automorphisms: list[list[int]] = []
 
     def search(colours: list[int], path: tuple) -> int:
         """Collect the leaves below `path`; return the depth to resume at."""
         if len(set(colours)) == len(colours):
             leaf = tuple(sorted((colours[s], colours[t], lab) for s, t, lab in edges))
             if leaf not in leaves:
-                leaves[leaf] = path
+                leaves[leaf] = path, colours
                 return len(path)
-            # an automorphism maps the earlier leaf's path onto this one, so
-            # the subtree below their common prefix repeats an explored one
-            return next(i for i, (a, b) in enumerate(zip(leaves[leaf], path)) if a != b)
+            # the automorphism that maps the earlier leaf onto this one fixes
+            # their common prefix and maps the rest of this subtree onto an
+            # explored one; it is kept to prune siblings in the same orbit
+            earlier_path, earlier = leaves[leaf]
+            node_at = sorted(nodes, key=colours.__getitem__)
+            automorphisms.append([node_at[c] for c in earlier])
+            return next(i for i, (a, b) in enumerate(zip(earlier_path, path)) if a != b)
         cell = min(c for c, k in Counter(colours).items() if k > 1)
+        members = [v for v in nodes if colours[v] == cell]
+        orbit = {v: {v} for v in members}  # under the automorphisms that fix `path`
         tried: list[int] = []
-        for v in nodes:
-            if colours[v] != cell or any(automorphic_swap(u, v) for u in tried):
+        known = 0
+        for v in members:
+            for a in automorphisms[known:]:
+                if all(a[x] == x for x in path):
+                    for x in members:
+                        if a[x] not in orbit[x]:
+                            merged = orbit[x] | orbit[a[x]]
+                            orbit.update(dict.fromkeys(merged, merged))
+            known = len(automorphisms)
+            if not orbit[v].isdisjoint(tried) or any(automorphic_swap(u, v) for u in tried):
                 continue
             tried.append(v)
             child = [c + (c > cell or (c == cell and w != v)) for w, c in enumerate(colours)]
