@@ -105,17 +105,16 @@ class _ConfigTable:
     """Interning of unfinished configurations up to graph isomorphism."""
 
     def __init__(self) -> None:
-        self._by_cmd: dict[Command, IsoStore] = {}
+        # per command, each graph's canonical certificate to its index
+        self._by_cmd: dict[Command, dict[tuple, int]] = {}
         self.commands: list[Command] = []
         self.graphs: list[HostGraph] = []
 
     def intern(self, command: Command, graph: HostGraph) -> tuple[int, bool]:
-        store = self._by_cmd.setdefault(command, IsoStore())
-        existing = store.get(graph)
-        if existing is not None:
-            return existing, False
         index = len(self.commands)
-        store.set(graph, index)
+        existing = self._by_cmd.setdefault(command, {}).setdefault(graph.signature(), index)
+        if existing != index:
+            return existing, False
         self.commands.append(command)
         self.graphs.append(graph)
         return index, True

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 Atom = int | str
@@ -36,6 +37,11 @@ class HostLabel:
 
     def __str__(self) -> str:
         return format_label(self.items, self.marked)
+
+    @cached_property
+    def sort_key(self) -> tuple:
+        """A total order on labels: atoms of one kind compare."""
+        return tuple([isinstance(a, str) for a in self.items]), self.items, self.marked
 
 
 def format_atom(a: Atom) -> str:
@@ -230,12 +236,9 @@ def _certificate(g: HostGraph) -> tuple:
     one under the automorphisms that equal leaves reveal.
     """
 
-    def key(label: HostLabel) -> tuple:  # a total order: atoms of one kind compare
-        return tuple([isinstance(a, str) for a in label.items]), label.items, label.marked
-
-    labels = [key(lab) for lab in g.nodes.values()]
+    labels = [lab.sort_key for lab in g.nodes.values()]
     index = {n: i for i, n in enumerate(g.nodes)}
-    edges = [(index[e.source], index[e.target], key(e.label)) for e in g.edges.values()]
+    edges = [(index[e.source], index[e.target], e.label.sort_key) for e in g.edges.values()]
     out: list[list] = [[] for _ in index]
     into: list[list] = [[] for _ in index]
     for s, t, lab in edges:

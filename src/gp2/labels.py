@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .graphs import Atom, HostGraph, Premorphism
 
@@ -368,6 +368,46 @@ def eval_list(
     if isinstance(e, Cons):
         return eval_list(e.left, g, alpha, host) + eval_list(e.right, g, alpha, host)
     raise EvalError(f"unknown expression {e!r}")
+
+
+def list_items(e: ListExpr) -> list:
+    """The items of a list expression: its `:` chain flattened, `empty` dropped."""
+    out, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Cons):
+            stack += (e.right, e.left)
+        elif not isinstance(e, Empty):
+            out.append(e)
+    return out
+
+
+def compile_list(e: ListExpr) -> Callable[[Premorphism, Assignment, HostGraph], tuple]:
+    """An evaluator of e, equal to `eval_list(e, ...)` with e fixed.
+
+    Literals become constants and variables lookups; every other item
+    (arithmetic, degrees, negation, concatenation) goes to `eval_list`.
+    """
+    pieces = [  # a constant tuple, a variable name, or an expression
+        (item.value,) if isinstance(item, (IntLit, StrLit))
+        else item.name if isinstance(item, Var)
+        else item
+        for item in list_items(e)
+    ]
+
+    def evaluate(g: Premorphism, alpha: Assignment, host: HostGraph) -> tuple:
+        out: tuple = ()
+        for p in pieces:
+            if isinstance(p, tuple):
+                out += p
+            elif isinstance(p, str):
+                value = alpha[p]
+                out += value if isinstance(value, tuple) else (value,)
+            else:
+                out += eval_list(p, g, alpha, host)
+        return out
+
+    return evaluate
 
 
 def eval_condition(

@@ -11,21 +11,27 @@ it: edge by edge, each later edge reached through the host's incidence
 index from a node already bound, checking injectivity and marks as each
 item is bound.  The matches are sorted into one fixed order, so a seeded
 run does not depend on the plan.
+
+Labels are compiled once per rule graph, on first use, and cached beside
+the plan.  Each left label becomes a unifier: its items are flattened
+once, each specialised to its kind (an int, string or atom variable, a
+negation chain over an int variable, a ground item, a concatenation),
+and tested against the host atoms from the front up to the list
+variable and from the back after it; the list variable takes the rest.
+Each right label becomes an evaluator (`labels.compile_list`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .graphs import Atom, HostGraph, HostLabel, IsoStore, Premorphism
+from .graphs import HostGraph, HostLabel, IsoStore, Premorphism
 from .labels import (
     Assignment,
     Condition,
-    Cons,
     Dot,
     EdgePred,
-    Empty,
     Eq,
     EvalError,
     LabelTypeError,
@@ -36,11 +42,13 @@ from .labels import (
     TypeCheck,
     Var,
     VType,
+    compile_list,
     degree_nodes,
     eval_condition,
     eval_list,
     infer_type,
     is_simple,
+    list_items,
     operands,
     subterms,
     variables,
@@ -60,15 +68,19 @@ class RuleGraph:
     def __init__(self) -> None:
         self.nodes: dict[str, RuleLabel] = {}
         self.edges: dict[str, RuleEdge] = {}
-        self._plan: Optional[tuple] = None  # the cached search plan
+        # compiled on first use: the search plan and the label unifiers of
+        # a left graph, the label evaluators of a right graph
+        self._plan: Optional[tuple] = None
+        self._unifiers: Optional[tuple] = None
+        self._evaluators: Optional[tuple] = None
 
     def add_node(self, node_id: str, label: RuleLabel) -> None:
         self.nodes[node_id] = label
-        self._plan = None
+        self._plan = self._unifiers = self._evaluators = None
 
     def add_edge(self, edge_id: str, source: str, target: str, label: RuleLabel) -> None:
         self.edges[edge_id] = RuleEdge(source, target, label)
-        self._plan = None
+        self._plan = self._unifiers = self._evaluators = None
 
 
 @dataclass
@@ -174,14 +186,6 @@ def _check_condition_types(c: Condition, decls: dict[str, VType]) -> None:
 # -- assignment inference ---------------------------------------------
 
 
-def _flatten(e) -> list:
-    if isinstance(e, Cons):
-        return _flatten(e.left) + _flatten(e.right)
-    if isinstance(e, Empty):
-        return []
-    return [e]
-
-
 def _flatten_dot(e) -> list:
     if isinstance(e, Dot):
         return _flatten_dot(e.left) + _flatten_dot(e.right)
@@ -189,8 +193,7 @@ def _flatten_dot(e) -> list:
 
 
 def _is_ground(e) -> bool:
-    # a bare variable, the usual item on the matching path, needs no walk
-    return not isinstance(e, Var) and not any(isinstance(t, Var) for t in subterms(e))
+    return not any(isinstance(t, Var) for t in subterms(e))
 
 
 def _bind(bindings: Assignment, name: str, value) -> bool:
@@ -231,69 +234,91 @@ def _unify_string(e, text: str, bindings: Assignment) -> bool:
     return _bind(bindings, pieces[i].name, middle)
 
 
-def _unify_item(
-    item, atom: Atom, bindings: Assignment, g: Premorphism, host: HostGraph
-) -> bool:
-    # negation chains over an integer variable are invertible
-    negations = 0
-    core = item
-    while isinstance(core, Neg) and not _is_ground(core):
-        negations += 1
-        core = core.expr
-    if negations and isinstance(core, Var) and core.vtype is VType.INT:
-        if not isinstance(atom, int):
-            return False
-        return _bind(bindings, core.name, atom if negations % 2 == 0 else -atom)
-    if _is_ground(item):
-        try:
-            value = eval_list(item, g, {}, host)
-        except EvalError:
-            return False
-        return value == (atom,)
-    if isinstance(item, Var):
-        if item.vtype is VType.INT:
-            return isinstance(atom, int) and _bind(bindings, item.name, atom)
-        if item.vtype is VType.STRING:
-            return isinstance(atom, str) and _bind(bindings, item.name, atom)
-        if item.vtype is VType.ATOM:
-            return _bind(bindings, item.name, atom)
-        return False  # a bare list variable is handled positionally
-    if isinstance(item, (Dot, StrLit)):
-        return isinstance(atom, str) and _unify_string(item, atom, bindings)
+def _never(*_) -> bool:
     return False
 
 
-def _unify_list(
-    expr,
-    items: tuple[Atom, ...],
-    bindings: Assignment,
-    g: Premorphism,
-    host: HostGraph,
-) -> bool:
-    parts = _flatten(expr)
-    list_positions = [
-        i for i, p in enumerate(parts) if isinstance(p, Var) and p.vtype is VType.LIST
+def _compile_item(item) -> Callable:
+    """A test of one host atom against one left-label item that binds the
+    item's variables: `test(atom, bindings, g, host) -> bool`."""
+    negations, core = 0, item
+    while isinstance(core, Neg) and not _is_ground(core):
+        negations, core = negations + 1, core.expr
+    if negations:  # a negation chain over an integer variable is invertible
+        if not (isinstance(core, Var) and core.vtype is VType.INT):
+            return _never
+        name, sign = core.name, -1 if negations % 2 else 1
+        return lambda a, b, g, host: isinstance(a, int) and _bind(b, name, sign * a)
+    if _is_ground(item):
+        if degree_nodes(item):  # depends on the match: evaluate each time
+
+            def ground(a, b, g, host) -> bool:
+                try:
+                    return eval_list(item, g, {}, host) == (a,)
+                except EvalError:
+                    return False
+
+            return ground
+        try:
+            value = eval_list(item, None, {}, None)
+        except EvalError:
+            return _never
+        return lambda a, b, g, host: value == (a,)
+    if isinstance(item, Var):
+        name = item.name
+        if item.vtype is VType.INT:
+            return lambda a, b, g, host: isinstance(a, int) and _bind(b, name, a)
+        if item.vtype is VType.STRING:
+            return lambda a, b, g, host: isinstance(a, str) and _bind(b, name, a)
+        if item.vtype is VType.ATOM:
+            return lambda a, b, g, host: _bind(b, name, a)
+        return _never  # a bare list variable is handled positionally
+    if isinstance(item, Dot):
+        return lambda a, b, g, host: isinstance(a, str) and _unify_string(item, a, b)
+    return _never
+
+
+def _compile_label(label: RuleLabel) -> Callable:
+    """A unifier of one left label with a host label, binding its variables
+    into an assignment: `unify(host_label, bindings, g, host) -> bool`.
+    Items before the list variable test atoms from the front, items after
+    it atoms from the back, and the list variable takes the rest."""
+    parts = list_items(label.expr)
+    lists = [i for i, p in enumerate(parts) if isinstance(p, Var) and p.vtype is VType.LIST]
+    if len(lists) > 1:
+        return _never
+    at = lists[0] if lists else len(parts)
+    name = parts[at].name if lists else None
+    fixed, marked = len(parts) - len(lists), label.marked
+    # each item with the index of its atom, counted from the back after `at`
+    steps = [
+        (_compile_item(p), i if i < at else i - len(parts))
+        for i, p in enumerate(parts)
+        if i != at
     ]
-    if len(list_positions) > 1:
-        return False
-    if not list_positions:
-        if len(parts) != len(items):
+
+    def unify(
+        host_label: HostLabel, bindings: Assignment, g: Premorphism, host: HostGraph
+    ) -> bool:
+        items = host_label.items
+        if host_label.marked != marked or (len(items) < fixed if lists else len(items) != fixed):
             return False
-        return all(
-            _unify_item(p, a, bindings, g, host) for p, a in zip(parts, items)
+        for test, i in steps:
+            if not test(items[i], bindings, g, host):
+                return False
+        return name is None or _bind(bindings, name, items[at : len(items) - fixed + at])
+
+    return unify
+
+
+def _unifiers(left: RuleGraph) -> tuple:
+    """The cached unifiers of a left graph: sorted nodes, then sorted edges."""
+    if left._unifiers is None:
+        left._unifiers = (
+            [(nid, _compile_label(left.nodes[nid])) for nid in sorted(left.nodes)],
+            [(eid, _compile_label(left.edges[eid].label)) for eid in sorted(left.edges)],
         )
-    i = list_positions[0]
-    head, tail = parts[:i], parts[i + 1 :]
-    if len(head) + len(tail) > len(items):
-        return False
-    for p, a in zip(head, items[: len(head)]):
-        if not _unify_item(p, a, bindings, g, host):
-            return False
-    for p, a in zip(tail, items[len(items) - len(tail) :]):
-        if not _unify_item(p, a, bindings, g, host):
-            return False
-    middle = items[len(head) : len(items) - len(tail)]
-    return _bind(bindings, parts[i].name, middle)
+    return left._unifiers
 
 
 def infer_assignment(
@@ -305,20 +330,15 @@ def infer_assignment(
     must agree exactly, and repeated variable occurrences must bind
     consistently.
     """
+    nodes, edges = _unifiers(left)
     bindings: Assignment = {}
-    for nid in sorted(left.nodes):
-        rule_label = left.nodes[nid]
-        host_label = host.nodes[g.node_map[nid]]
-        if rule_label.marked != host_label.marked:
+    node_map, host_nodes = g.node_map, host.nodes
+    for nid, unify in nodes:
+        if not unify(host_nodes[node_map[nid]], bindings, g, host):
             return None
-        if not _unify_list(rule_label.expr, host_label.items, bindings, g, host):
-            return None
-    for eid in sorted(left.edges):
-        rule_edge = left.edges[eid]
-        host_edge = host.edges[g.edge_map[eid]]
-        if rule_edge.label.marked != host_edge.label.marked:
-            return None
-        if not _unify_list(rule_edge.label.expr, host_edge.label.items, bindings, g, host):
+    edge_map, host_edges = g.edge_map, host.edges
+    for eid, unify in edges:
+        if not unify(host_edges[edge_map[eid]].label, bindings, g, host):
             return None
     return bindings
 
@@ -425,10 +445,15 @@ def _dangling_ok(
     return True
 
 
-def _right_label(
-    label: RuleLabel, g: Premorphism, alpha: Assignment, host: HostGraph
-) -> HostLabel:
-    return HostLabel(eval_list(label.expr, g, alpha, host), label.marked)
+def _evaluators(right: RuleGraph) -> tuple:
+    """The cached evaluators of a right graph's labels with their marks:
+    one dict for the nodes and one for the edges, in insertion order."""
+    if right._evaluators is None:
+        right._evaluators = (
+            {nid: (compile_list(lab.expr), lab.marked) for nid, lab in right.nodes.items()},
+            {eid: (compile_list(e.label.expr), e.label.marked) for eid, e in right.edges.items()},
+        )
+    return right._evaluators
 
 
 def enumerate_matches(
@@ -443,6 +468,8 @@ def enumerate_matches(
     or a right-hand label raises an evaluation error (the latter with a
     warning).
     """
+    nodes, edges = _evaluators(schema.right)
+    right_labels = [evaluate for evaluate, _ in (*nodes.values(), *edges.values())]
     for g in _premorphisms(schema.left, host):
         alpha = infer_assignment(schema.left, g, host)
         if alpha is None:
@@ -460,20 +487,13 @@ def enumerate_matches(
         if not _dangling_ok(schema, g, host):
             continue
         try:
-            for label in _right_labels(schema):
-                _right_label(label, g, alpha, host)
+            for evaluate in right_labels:
+                evaluate(g, alpha, host)
         except EvalError as exc:
             if warnings is not None:
                 warnings.append(f"rule {schema.name}: match discarded ({exc})")
             continue
         yield g, alpha
-
-
-def _right_labels(schema: ConditionalRuleSchema):
-    for label in schema.right.nodes.values():
-        yield label
-    for edge in schema.right.edges.values():
-        yield edge.label
 
 
 def apply(
@@ -497,9 +517,11 @@ def apply(
         if nid not in schema.interface:
             result.remove_node(g.node_map[nid])
 
+    nodes, edges = _evaluators(schema.right)
     new_nodes: dict[str, str] = {}
-    for nid in sorted(schema.right.nodes):
-        label = _right_label(schema.right.nodes[nid], g, alpha, host)
+    for nid in sorted(nodes):
+        evaluate, marked = nodes[nid]
+        label = HostLabel(evaluate(g, alpha, host), marked)
         if nid in schema.interface:
             result.relabel_node(g.node_map[nid], label)
         else:
@@ -508,9 +530,10 @@ def apply(
     def image(nid: str) -> str:
         return g.node_map[nid] if nid in schema.interface else new_nodes[nid]
 
-    for eid in sorted(schema.right.edges):
+    for eid in sorted(edges):
         edge = schema.right.edges[eid]
-        label = _right_label(edge.label, g, alpha, host)
+        evaluate, marked = edges[eid]
+        label = HostLabel(evaluate(g, alpha, host), marked)
         result.add_edge(image(edge.source), image(edge.target), label)
 
     return result

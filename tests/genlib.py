@@ -12,18 +12,21 @@ from typing import Iterator, Optional
 
 from gp2.graphs import HostGraph, HostLabel, IsoStore, Premorphism
 from gp2.labels import (
+    Assignment,
     Cons,
     Dot,
     Empty,
+    EvalError,
     IntLit,
     Neg,
     StrLit,
     Var,
     VType,
+    eval_list,
     is_simple,
 )
 from gp2.program import Command, Fail, If, Loop, Or, RuleSetCall, Seq, Skip, Try, seq
-from gp2.rules import ConditionalRuleSchema, RuleGraph
+from gp2.rules import ConditionalRuleSchema, RuleGraph, _bind, _is_ground, _unify_string
 from gp2.labels import RuleLabel
 
 ATOM_POOL = ((), (0,), (1,), ("a",), (2, "b"), (-1,))
@@ -391,6 +394,99 @@ def reference_premorphisms(left: RuleGraph, host: HostGraph) -> Iterator[Premorp
             used_nodes.remove(hid)
 
     yield from assign_nodes(0)
+
+
+# -- reference assignment inference -------------------------------------
+#
+# The interpreter's unifier before labels were compiled: it flattens each
+# left label and dispatches on each item's kind for every candidate.
+
+
+def _unify_item(
+    item, atom, bindings: Assignment, g: Premorphism, host: HostGraph
+) -> bool:
+    # negation chains over an integer variable are invertible
+    negations = 0
+    core = item
+    while isinstance(core, Neg) and not _is_ground(core):
+        negations += 1
+        core = core.expr
+    if negations and isinstance(core, Var) and core.vtype is VType.INT:
+        if not isinstance(atom, int):
+            return False
+        return _bind(bindings, core.name, atom if negations % 2 == 0 else -atom)
+    if _is_ground(item):
+        try:
+            value = eval_list(item, g, {}, host)
+        except EvalError:
+            return False
+        return value == (atom,)
+    if isinstance(item, Var):
+        if item.vtype is VType.INT:
+            return isinstance(atom, int) and _bind(bindings, item.name, atom)
+        if item.vtype is VType.STRING:
+            return isinstance(atom, str) and _bind(bindings, item.name, atom)
+        if item.vtype is VType.ATOM:
+            return _bind(bindings, item.name, atom)
+        return False  # a bare list variable is handled positionally
+    if isinstance(item, (Dot, StrLit)):
+        return isinstance(atom, str) and _unify_string(item, atom, bindings)
+    return False
+
+
+def _unify_list(
+    expr,
+    items: tuple,
+    bindings: Assignment,
+    g: Premorphism,
+    host: HostGraph,
+) -> bool:
+    parts = _flatten_cons(expr)
+    list_positions = [
+        i for i, p in enumerate(parts) if isinstance(p, Var) and p.vtype is VType.LIST
+    ]
+    if len(list_positions) > 1:
+        return False
+    if not list_positions:
+        if len(parts) != len(items):
+            return False
+        return all(
+            _unify_item(p, a, bindings, g, host) for p, a in zip(parts, items)
+        )
+    i = list_positions[0]
+    head, tail = parts[:i], parts[i + 1 :]
+    if len(head) + len(tail) > len(items):
+        return False
+    for p, a in zip(head, items[: len(head)]):
+        if not _unify_item(p, a, bindings, g, host):
+            return False
+    for p, a in zip(tail, items[len(items) - len(tail) :]):
+        if not _unify_item(p, a, bindings, g, host):
+            return False
+    middle = items[len(head) : len(items) - len(tail)]
+    return _bind(bindings, parts[i].name, middle)
+
+
+def reference_infer_assignment(
+    left: RuleGraph, g: Premorphism, host: HostGraph
+) -> Optional[Assignment]:
+    """The unique assignment making g label-preserving, or None."""
+    bindings: Assignment = {}
+    for nid in sorted(left.nodes):
+        rule_label = left.nodes[nid]
+        host_label = host.nodes[g.node_map[nid]]
+        if rule_label.marked != host_label.marked:
+            return None
+        if not _unify_list(rule_label.expr, host_label.items, bindings, g, host):
+            return None
+    for eid in sorted(left.edges):
+        rule_edge = left.edges[eid]
+        host_edge = host.edges[g.edge_map[eid]]
+        if rule_edge.label.marked != host_edge.label.marked:
+            return None
+        if not _unify_list(rule_edge.label.expr, host_edge.label.items, bindings, g, host):
+            return None
+    return bindings
 
 
 # -- reference isomorphism test ----------------------------------------

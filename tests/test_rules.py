@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genlib import (
+    INT_POOL,
+    STRING_POOL,
     brute_assignments,
     random_eulerian,
     random_host,
+    random_host_items,
     random_schema,
     random_simple_label,
+    reference_infer_assignment,
     reference_premorphisms,
 )
 from gp2 import corpus, rules
@@ -18,14 +22,20 @@ from gp2.graphs import HostGraph, HostLabel, Premorphism, isomorphic
 from gp2.labels import (
     Arith,
     Cons,
+    Deg,
     Dot,
     Empty,
+    EvalError,
     IntLit,
+    Neg,
     RuleLabel,
     StrLit,
     Var,
     VType,
+    compile_list,
     degree_nodes,
+    eval_list,
+    subterms,
     variables,
 )
 from gp2.parsing import parse_host_graph, parse_program
@@ -468,3 +478,244 @@ class TestMatcherAgainstReference:
             for schema in corpus.load(name).rules.values():
                 self.agree(monkeypatch, schema, host, seen)
         assert seen["matches"] > 0, seen
+
+
+# -- compiled labels against the reference -----------------------------
+
+HOST_ITEMS = (
+    (), (0,), (1,), (-1,), ("a",), ("ab",), ("",), (0, "a"), (1, 1), ("b", -1, 2), (2, "ab", 0, 1)
+)
+
+
+def random_left_graph(rng: random.Random) -> RuleGraph:
+    """A left graph with simple labels whose variable names repeat across
+    labels, some with a ground item: a degree, a constant or `1 / 0`."""
+    node_ids = [f"n{i + 1}" for i in range(rng.randint(1, 3))]
+
+    def label() -> RuleLabel:
+        expr, _ = random_simple_label(rng)
+        if rng.random() < 0.3:
+            ground = rng.choice([
+                Deg(rng.choice(["in", "out"]), rng.choice(node_ids)),
+                Neg(Deg("out", rng.choice(node_ids))),
+                Arith("+", Deg("in", rng.choice(node_ids)), IntLit(-1)),
+                Arith("/", IntLit(1), IntLit(0)),
+                Dot(StrLit("a"), StrLit("b")),
+                Neg(Neg(IntLit(1))),
+            ])
+            expr = Cons(ground, expr) if rng.random() < 0.5 else Cons(expr, ground)
+        return RuleLabel(expr, rng.random() < 0.2)
+
+    left = RuleGraph()
+    for nid in node_ids:
+        left.add_node(nid, label())
+    for j in range(rng.randint(0, 3)):
+        left.add_edge(f"e{j + 1}", rng.choice(node_ids), rng.choice(node_ids), label())
+    return left
+
+
+def instantiated(rng: random.Random, left: RuleGraph) -> HostGraph:
+    """A host of the left graph's shape, labelled with the left labels
+    evaluated under one random value per variable name and type."""
+    shape = HostGraph()
+    for nid in left.nodes:
+        shape.add_node(HostLabel(), nid)
+    for eid, e in left.edges.items():
+        shape.add_edge(e.source, e.target, HostLabel(), eid)
+    g = Premorphism({n: n for n in left.nodes}, {})
+    values: dict = {}
+
+    def label(rule_label: RuleLabel) -> HostLabel:
+        alpha = {}
+        for t in subterms(rule_label.expr):
+            if isinstance(t, Var):
+                if (t.name, t.vtype) not in values:
+                    values[t.name, t.vtype] = {
+                        VType.INT: lambda: rng.choice(INT_POOL),
+                        VType.STRING: lambda: rng.choice(STRING_POOL),
+                        VType.ATOM: lambda: rng.choice(INT_POOL + STRING_POOL),
+                        VType.LIST: lambda: random_host_items(rng, 3),
+                    }[t.vtype]()
+                alpha[t.name] = values[t.name, t.vtype]
+        try:
+            items = eval_list(rule_label.expr, g, alpha, shape)
+        except EvalError:
+            items = ()
+        return HostLabel(items, rule_label.marked ^ (rng.random() < 0.05))
+
+    host = HostGraph()
+    for nid, rule_label in left.nodes.items():
+        host.add_node(label(rule_label), nid)
+    for eid, e in left.edges.items():
+        host.add_edge(e.source, e.target, label(e.label), eid)
+    return host
+
+
+def assignments(infer, left, host) -> list:
+    """The inferred assignment of every premorphism, dict order included."""
+    return [
+        None if alpha is None else list(alpha.items())
+        for alpha in (infer(left, g, host) for g in reference_premorphisms(left, host))
+    ]
+
+
+def random_right_expr(rng: random.Random, depth: int):
+    """A random right-label expression over the variables i, j (int), s
+    (string), a (atom) and x (list), with negation chains, arithmetic
+    (`/ 0` among it), degrees of n1 and n2, and `.` with one string variable."""
+
+    def int_expr(d: int):
+        kind = rng.choice(["lit", "var", "deg"] + ["neg", "arith"] * (d > 0))
+        if kind == "lit":
+            return IntLit(rng.choice(INT_POOL))
+        if kind == "var":
+            return Var(rng.choice("ij"), VType.INT)
+        if kind == "deg":
+            return Deg(rng.choice(["in", "out"]), rng.choice(["n1", "n2"]))
+        if kind == "neg":
+            inner = int_expr(d - 1)
+            for _ in range(rng.randint(1, 3)):
+                inner = Neg(inner)
+            return inner
+        right = IntLit(0) if rng.random() < 0.2 else int_expr(d - 1)
+        return Arith(rng.choice("+-*/"), int_expr(d - 1), right)
+
+    def str_expr(d: int):
+        if d == 0 or rng.random() < 0.5:
+            return StrLit(rng.choice(STRING_POOL)) if rng.random() < 0.6 else Var("s", VType.STRING)
+        pieces = [StrLit(rng.choice(STRING_POOL)) for _ in range(rng.randint(1, 3))]
+        pieces.insert(rng.randint(0, len(pieces)), Var("s", VType.STRING))
+        expr = pieces[0]
+        for p in pieces[1:]:
+            expr = Dot(expr, p) if rng.random() < 0.5 else Dot(p, expr)
+        return expr
+
+    kind = rng.choice(["empty", "list", "atom", "int", "str"] + ["cons"] * 3 * (depth > 0))
+    if kind == "empty":
+        return Empty()
+    if kind == "list":
+        return Var("x", VType.LIST)
+    if kind == "atom":
+        return Var("a", VType.ATOM)
+    if kind == "int":
+        return int_expr(2)
+    if kind == "str":
+        return str_expr(2)
+    return Cons(random_right_expr(rng, depth - 1), random_right_expr(rng, depth - 1))
+
+
+def evaluate_or_error(evaluate) -> tuple:
+    try:
+        return "value", evaluate()
+    except EvalError as exc:
+        return "error", str(exc)
+
+
+class TestCompiledLabels:
+    """Compiled left labels infer the reference's assignments, key order
+    included, and compiled right labels evaluate as `eval_list` does."""
+
+    def agree(self, left, host, seen) -> None:
+        got = assignments(infer_assignment, left, host)
+        assert got == assignments(reference_infer_assignment, left, host), host.to_text()
+        seen["candidates"] += len(got)
+        seen["assignments"] += sum(alpha is not None for alpha in got)
+
+    def test_random_schemas_on_marked_hosts(self):
+        seen = collections.Counter()
+        for trial in range(500):
+            rng = random.Random(trial)
+            rate = rng.choice(MARK_RATES)
+            schema = with_flipped_left_marks(rng, random_schema(rng), rate)
+            host = with_random_marks(rng, random_host(rng, max_nodes=6), rate)
+            self.agree(schema.left, host, seen)
+        assert seen["assignments"] > 0 and seen["candidates"] > seen["assignments"], seen
+
+    def test_rich_left_labels_on_marked_hosts(self):
+        seen = collections.Counter()
+        for trial in range(1000):
+            rng = random.Random(trial)
+            left = random_left_graph(rng)
+            if trial % 2:
+                host = with_random_marks(rng, random_host(rng, 4, labels=HOST_ITEMS), 0.2)
+            else:
+                host = instantiated(rng, left)
+            self.agree(left, host, seen)
+        assert seen["assignments"] > 100, seen
+
+    @pytest.mark.parametrize("name", corpus.PROGRAMS)
+    def test_corpus_rules_on_random_and_eulerian_hosts(self, name):
+        seen = collections.Counter()
+        program = corpus.load(name)
+        rng = random.Random(name)
+        hosts = [random_host(rng, max_nodes=5) for _ in range(20)]
+        hosts += [random_eulerian(rng, max_nodes=5) for _ in range(20)]
+        for host in hosts:
+            host = with_random_marks(rng, host, rng.choice(MARK_RATES))
+            # a few rewrite steps give hosts with the labels the rules write
+            for _ in range(4):
+                for schema in program.rules.values():
+                    self.agree(schema.left, host, seen)
+                steps = [
+                    (schema, match)
+                    for schema in program.rules.values()
+                    for match in enumerate_matches(schema, host)
+                ]
+                if not steps:
+                    break
+                schema, (g, alpha) = rng.choice(steps)
+                host = apply(schema, host, g, alpha)
+        assert seen["assignments"] > 0, seen
+
+    def test_right_labels_evaluate_as_eval_list(self):
+        host = parse_host_graph("[ (n1, 0) (n2, 1) | (e1, n1, n2, 0) (e2, n1, n1, 0) ]")
+        g = Premorphism({"n1": "n1", "n2": "n2"}, {})
+        seen = collections.Counter()
+        for trial in range(3000):
+            rng = random.Random(trial)
+            expr = random_right_expr(rng, 3)
+            alpha = {
+                "i": rng.choice([-2, 0, 3, 3, "bad"]),
+                "j": rng.choice([0, 2]),
+                "s": rng.choice(["", "ab", "ab", 5]),
+                "a": rng.choice([1, "q"]),
+                "x": rng.choice([(), (1, "b"), (0,)]),
+            }
+            got = evaluate_or_error(lambda: compile_list(expr)(g, alpha, host))
+            assert got == evaluate_or_error(lambda: eval_list(expr, g, alpha, host)), str(expr)
+            seen[got[0]] += 1
+            seen["division by zero"] += got == ("error", "division by zero")
+            seen["degree"] += got[0] == "value" and bool(degree_nodes(expr))
+        assert min(seen.values()) >= 20, seen
+
+    def test_adding_items_after_a_match_drops_compiled_labels(self):
+        host = parse_host_graph("[ (n1, 1) (n2, 2) | (e1, n1, n2, 3) ]")
+        left, right = RuleGraph(), RuleGraph()
+        left.add_node("n1", RuleLabel(Var("x", VType.LIST)))
+        right.add_node("n1", RuleLabel(Var("x", VType.LIST)))
+        schema = ConditionalRuleSchema("r", {}, left, frozenset({"n1"}), right)
+        assert [alpha for _, alpha in enumerate_matches(schema, host)] == [
+            {"x": (1,)},
+            {"x": (2,)},
+        ]
+        g = Premorphism({"n1": "n1", "n2": "n2"}, {})
+        left.add_node("n2", RuleLabel(Var("y", VType.INT)))
+        assert infer_assignment(left, g, host) == {"x": (1,), "y": 2}
+        left.add_edge("e1", "n1", "n2", RuleLabel(IntLit(4)))
+        assert infer_assignment(left, Premorphism(g.node_map, {"e1": "e1"}), host) is None
+
+        left = RuleGraph()
+        left.add_node("n1", RuleLabel(Var("x", VType.LIST)))
+        schema = ConditionalRuleSchema("r", {}, left, frozenset({"n1"}), right)
+        g, alpha = Premorphism({"n1": "n1"}, {}), {"x": (1,)}
+        assert apply(schema, host, g, alpha).to_text() == host.to_text()
+        right.add_node("m1", RuleLabel(StrLit("new")))
+        result = apply(schema, host, g, alpha)
+        assert sorted(map(str, result.nodes.values())) == ['"new"', "1", "2"]
+        right.add_edge("f1", "n1", "m1", RuleLabel(Var("x", VType.LIST), True))
+        result = apply(schema, host, g, alpha)
+        assert HostLabel((1,), True) in [e.label for e in result.edges.values()]
+        right.add_node("m2", RuleLabel(Arith("/", IntLit(1), IntLit(0))))
+        warnings: list[str] = []
+        assert list(enumerate_matches(schema, host, warnings)) == []
+        assert warnings == ["rule r: match discarded (division by zero)"] * 2
