@@ -321,41 +321,6 @@ class Premorphism:
     node_map: dict[str, str]
     edge_map: dict[str, str]
 
-    def preserves_structure(self, src, dst: HostGraph) -> bool:
-        """Check s/t commutation for a map between graph-like objects.
-
-        `src` may be a HostGraph or a rule graph; it only needs `edges`
-        with source/target fields and a `nodes` mapping.
-        """
-        for leid, heid in self.edge_map.items():
-            if leid not in src.edges or heid not in dst.edges:
-                return False
-            le, he = src.edges[leid], dst.edges[heid]
-            if self.node_map.get(le.source) != he.source:
-                return False
-            if self.node_map.get(le.target) != he.target:
-                return False
-        return all(n in src.nodes for n in self.node_map) and all(
-            h in dst.nodes for h in self.node_map.values()
-        )
-
-
-def is_label_preserving_morphism(
-    g: Premorphism, src: HostGraph, dst: HostGraph
-) -> bool:
-    """True iff g is structure-preserving and maps every label onto an equal one."""
-    if set(g.node_map) != set(src.nodes) or set(g.edge_map) != set(src.edges):
-        return False
-    if not g.preserves_structure(src, dst):
-        return False
-    for n, h in g.node_map.items():
-        if src.nodes[n] != dst.nodes[h]:
-            return False
-    for e, h in g.edge_map.items():
-        if src.edges[e].label != dst.edges[h].label:
-            return False
-    return True
-
 
 def isomorphic(a: HostGraph, b: HostGraph) -> bool:
     """Isomorphism test by equality of canonical certificates."""

@@ -1,10 +1,11 @@
-"""Concrete syntax: lexer and recursive-descent parsers for programs,
-rule declarations, and host graphs."""
+"""Concrete syntax: one tokenizer, one precedence-climbing routine for the
+three operator grammars, and one reader for graph literals."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import re
+from functools import reduce
+from typing import Callable, NamedTuple, Optional
 
 from .graphs import GraphError, HostGraph, HostLabel
 from .labels import (
@@ -37,7 +38,6 @@ from .program import (
     Or,
     ProgramAST,
     RuleSetCall,
-    Seq,
     Skip,
     Try,
     seq,
@@ -57,6 +57,19 @@ SYMBOLS = [
     "+", "-", "*", "/", "<", ">", "|",
 ]
 
+# One alternative per token kind, tried in order. Integers are ASCII digits.
+# An identifier is a letter or `_` and then letters, digits or `_`; the class
+# `[^\W\d]` also admits non-decimal numerals such as `²`, which `tokenize`
+# refuses. Inside a string, `\"` and `\\` are escapes and any other
+# backslash stands for itself.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)|(?P<comment>//[^\n]*)|(?P<INT>[0-9]+)"
+    r"|(?P<IDENT>[^\W\d]\w*)"
+    r'|"(?P<STRING>[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*)"'
+    "|(?P<SYMBOL>" + "|".join(map(re.escape, SYMBOLS)) + ")"
+)
+_ESCAPE = re.compile(r'\\(["\\])')
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
@@ -66,8 +79,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, KEYWORD, INT, STRING, SYMBOL, EOF
     value: str
     line: int
@@ -76,74 +88,77 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
-                    out.append(text[j + 1])
-                    j += 2
-                elif text[j] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            tokens.append(Token("STRING", "".join(out), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("SYMBOL", sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
+    pos, line, line_start = 0, 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group(m.lastgroup)
+        if m.start() != pos or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
+            break
+        if kind == "space":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = pos + value.rindex("\n") + 1
+        elif kind != "comment":
+            if kind == "IDENT" and value in KEYWORDS:
+                kind = "KEYWORD"
+            elif kind == "STRING" and "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+            tokens.append(Token(kind, value, line, pos - line_start + 1))
+        pos = m.end()
+    col = pos - line_start + 1
+    if pos < len(text):
+        c = text[pos]
+        message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
+        raise ParseError(message, line, col)
     tokens.append(Token("EOF", "", line, col))
     return tokens
 
 
+# Operator tables map an operator's (token kind, value) to (precedence,
+# build); a higher precedence binds tighter. `Parser.climb` reads a run of
+# operands joined by operators of one precedence and makes its tree with
+# build(first token, operands, operator values).
+
+
+def _left(make: Callable) -> Callable:
+    """A build that folds a run to the left with make(start, op, left, right)."""
+    return lambda start, items, ops: reduce(
+        lambda left, step: make(start, step[0], left, step[1]), zip(ops, items[1:]), items[0]
+    )
+
+
+def _cons(start: Token, items: list, ops: list):
+    return reduce(lambda tail, item: Cons(item, tail), reversed(items))
+
+
+_arith = _left(lambda start, op, left, right: Arith(op, left, right))
+EXPRESSION_OPS = {
+    ("SYMBOL", ":"): (1, _cons),
+    ("SYMBOL", "."): (2, _left(lambda start, op, left, right: Dot(left, right))),
+    ("SYMBOL", "+"): (3, _arith),
+    ("SYMBOL", "-"): (3, _arith),
+    ("SYMBOL", "*"): (4, _arith),
+    ("SYMBOL", "/"): (4, _arith),
+}
+CONDITION_OPS = {
+    ("KEYWORD", "or"): (1, _left(lambda start, op, left, right: CondOr(left, right))),
+    ("KEYWORD", "and"): (2, _left(lambda start, op, left, right: CondAnd(left, right))),
+}
+COMMAND_OPS = {
+    # every `or` of a chain carries the chain's start
+    ("KEYWORD", "or"): (
+        1, _left(lambda start, op, left, right: Or(left, right, span=(start.line, start.col)))
+    ),
+    ("SYMBOL", ";"): (2, lambda start, items, ops: seq(items)),
+}
+_NO_OP = (0, None)
+
+
 class Parser:
-    def __init__(self, text: str, decls: Optional[dict[str, VType]] = None):
+    def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
-        self.decls = decls or {}
+        # the variables of the rule being read; expressions occur only in rules
+        self.decls: dict[str, VType] = {}
 
     # -- token helpers -------------------------------------------------
 
@@ -177,86 +192,87 @@ class Parser:
             f"expected {want!r}, found {tok.value or tok.kind!r}", tok.line, tok.col
         )
 
-    # -- host graphs ---------------------------------------------------
+    def integer(self) -> int:
+        tok = self.expect("INT")
+        try:
+            return int(tok.value)
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(str(exc), tok.line, tok.col) from None
 
-    def parse_host_graph(self) -> HostGraph:
-        graph = HostGraph()
+    def climb(self, ops: dict, operand: Callable, min_prec: int = 1):
+        """Parse operands joined by the binary operators of `ops` that bind
+        at least as tightly as `min_prec`.
+
+        A run of operators of one precedence is read in one loop, so only a
+        tighter operator or a nested operand costs a stack frame."""
+        start = self.peek()
+        left = operand()
+        while True:
+            tok = self.peek()
+            prec, build = ops.get((tok.kind, tok.value), _NO_OP)
+            if prec < min_prec:
+                return left
+            items, signs = [left], []
+            while prec == ops.get((tok.kind, tok.value), _NO_OP)[0]:
+                signs.append(self.next().value)
+                items.append(self.climb(ops, operand, prec + 1))
+                tok = self.peek()
+            left = build(start, items, signs)
+
+    # -- graph literals --------------------------------------------------
+
+    def parse_graph(self, graph, parse_label: Callable):
+        """Read `[ (id, label)* | (id, source, target, label)* ]` into `graph`.
+
+        A rule graph refuses a duplicate id as soon as it is read. A host
+        graph refuses a duplicate id or an unknown endpoint when the item is
+        added. Both report at the item's `(`."""
         self.expect("SYMBOL", "[")
-        while self.at("SYMBOL", "("):
-            tok = self.next()
-            nid = self.expect("IDENT").value
-            self.expect("SYMBOL", ",")
-            label = self.parse_host_label()
-            self.expect("SYMBOL", ")")
-            try:
-                graph.add_node(label, nid)
-            except GraphError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from exc
-        self.expect("SYMBOL", "|")
-        while self.at("SYMBOL", "("):
-            tok = self.next()
-            eid = self.expect("IDENT").value
-            self.expect("SYMBOL", ",")
-            src = self.expect("IDENT").value
-            self.expect("SYMBOL", ",")
-            tgt = self.expect("IDENT").value
-            self.expect("SYMBOL", ",")
-            label = self.parse_host_label()
-            self.expect("SYMBOL", ")")
-            try:
-                graph.add_edge(src, tgt, label, eid)
-            except GraphError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from exc
-        self.expect("SYMBOL", "]")
+        sections = (("node", graph.nodes, 1, "|"), ("edge", graph.edges, 3, "]"))
+        for kind, known, arity, close in sections:
+            while self.at("SYMBOL", "("):
+                tok = self.next()
+                ids = [self.expect("IDENT").value]
+                if ids[0] in known and isinstance(graph, RuleGraph):
+                    raise ParseError(f"duplicate {kind} id {ids[0]!r}", tok.line, tok.col)
+                while len(ids) < arity:
+                    self.expect("SYMBOL", ",")
+                    ids.append(self.expect("IDENT").value)
+                self.expect("SYMBOL", ",")
+                label = parse_label()
+                self.expect("SYMBOL", ")")
+                try:
+                    if kind == "node":
+                        graph.add_node(node_id=ids[0], label=label)
+                    else:
+                        graph.add_edge(edge_id=ids[0], source=ids[1], target=ids[2], label=label)
+                except GraphError as exc:
+                    raise ParseError(str(exc), tok.line, tok.col) from exc
+            self.expect("SYMBOL", close)
         return graph
 
     def parse_host_label(self) -> HostLabel:
-        items: tuple = ()
-        if self.accept("KEYWORD", "empty"):
-            pass
-        else:
-            items = (self.parse_host_atom(),)
+        items = []
+        if not self.accept("KEYWORD", "empty"):
+            items.append(self.parse_host_atom())
             while self.accept("SYMBOL", ":"):
-                items += (self.parse_host_atom(),)
-        marked = self.accept("SYMBOL", "#") is not None
-        return HostLabel(items, marked)
+                items.append(self.parse_host_atom())
+        return HostLabel(tuple(items), self.accept("SYMBOL", "#") is not None)
 
     def parse_host_atom(self):
         if self.accept("SYMBOL", "-"):
-            return -int(self.expect("INT").value)
+            return -self.integer()
         if self.at("INT"):
-            return int(self.next().value)
+            return self.integer()
         if self.at("STRING"):
             return self.next().value
         raise self.error("expected an integer or string atom")
 
+    def parse_rule_label(self) -> RuleLabel:
+        expr = self.climb(EXPRESSION_OPS, self.parse_unary)
+        return RuleLabel(expr, self.accept("SYMBOL", "#") is not None)
+
     # -- label expressions ----------------------------------------------
-
-    def parse_listexpr(self):
-        left = self.parse_dot()
-        if self.accept("SYMBOL", ":"):
-            return Cons(left, self.parse_listexpr())
-        return left
-
-    def parse_dot(self):
-        expr = self.parse_additive()
-        while self.accept("SYMBOL", "."):
-            expr = Dot(expr, self.parse_additive())
-        return expr
-
-    def parse_additive(self):
-        expr = self.parse_multiplicative()
-        while self.at("SYMBOL", "+") or self.at("SYMBOL", "-"):
-            op = self.next().value
-            expr = Arith(op, expr, self.parse_multiplicative())
-        return expr
-
-    def parse_multiplicative(self):
-        expr = self.parse_unary()
-        while self.at("SYMBOL", "*") or self.at("SYMBOL", "/"):
-            op = self.next().value
-            expr = Arith(op, expr, self.parse_unary())
-        return expr
 
     def parse_unary(self):
         if self.accept("SYMBOL", "-"):
@@ -265,7 +281,7 @@ class Parser:
 
     def parse_expr_primary(self):
         if self.at("INT"):
-            return IntLit(int(self.next().value))
+            return IntLit(self.integer())
         if self.at("STRING"):
             return StrLit(self.next().value)
         if self.accept("KEYWORD", "empty"):
@@ -277,7 +293,7 @@ class Parser:
             self.expect("SYMBOL", ")")
             return Deg("in" if kw == "indeg" else "out", node)
         if self.accept("SYMBOL", "("):
-            expr = self.parse_listexpr()
+            expr = self.climb(EXPRESSION_OPS, self.parse_unary)
             self.expect("SYMBOL", ")")
             return expr
         if self.at("IDENT"):
@@ -292,31 +308,19 @@ class Parser:
 
     # -- conditions ------------------------------------------------------
 
-    def parse_condition(self) -> Condition:
-        cond = self.parse_cond_and()
-        while self.accept("KEYWORD", "or"):
-            cond = CondOr(cond, self.parse_cond_and())
-        return cond
-
-    def parse_cond_and(self) -> Condition:
-        cond = self.parse_cond_not()
-        while self.accept("KEYWORD", "and"):
-            cond = CondAnd(cond, self.parse_cond_not())
-        return cond
-
     def parse_cond_not(self) -> Condition:
         if self.accept("KEYWORD", "not"):
             return Not(self.parse_cond_not())
         return self.parse_cond_primary()
 
     def parse_cond_primary(self) -> Condition:
-        for tname in ("int", "string", "atom"):
-            if self.at("KEYWORD", tname):
-                self.next()
-                self.expect("SYMBOL", "(")
-                expr = self.parse_listexpr()
-                self.expect("SYMBOL", ")")
-                return TypeCheck(tname, expr)
+        tok = self.peek()
+        if tok.kind == "KEYWORD" and tok.value in ("int", "string", "atom"):
+            self.next()
+            self.expect("SYMBOL", "(")
+            expr = self.climb(EXPRESSION_OPS, self.parse_unary)
+            self.expect("SYMBOL", ")")
+            return TypeCheck(tok.value, expr)
         if self.accept("KEYWORD", "edge"):
             self.expect("SYMBOL", "(")
             src = self.expect("IDENT").value
@@ -324,7 +328,7 @@ class Parser:
             tgt = self.expect("IDENT").value
             label = None
             if self.accept("SYMBOL", ","):
-                label = self.parse_listexpr()
+                label = self.climb(EXPRESSION_OPS, self.parse_unary)
             self.expect("SYMBOL", ")")
             return EdgePred(src, tgt, label)
         # comparison, falling back to a parenthesised condition
@@ -334,21 +338,21 @@ class Parser:
         except ParseError:
             self.pos = saved
         if self.accept("SYMBOL", "("):
-            cond = self.parse_condition()
+            cond = self.climb(CONDITION_OPS, self.parse_cond_not)
             self.expect("SYMBOL", ")")
             return cond
         raise self.error("expected a condition")
 
     def parse_comparison(self) -> Condition:
-        left = self.parse_listexpr()
-        if self.accept("SYMBOL", "="):
-            return Eq(left, self.parse_listexpr())
-        if self.accept("SYMBOL", "!="):
-            return Eq(left, self.parse_listexpr(), negated=True)
-        for op in (">=", "<=", ">", "<"):
-            if self.accept("SYMBOL", op):
-                return Rel(op, left, self.parse_listexpr())
-        raise self.error("expected a comparison operator")
+        left = self.climb(EXPRESSION_OPS, self.parse_unary)
+        op = self.peek().value
+        if not self.at("SYMBOL") or op not in ("=", "!=", ">=", "<=", ">", "<"):
+            raise self.error("expected a comparison operator")
+        self.next()
+        right = self.climb(EXPRESSION_OPS, self.parse_unary)
+        if op in ("=", "!="):
+            return Eq(left, right, negated=op == "!=")
+        return Rel(op, left, right)
 
     # -- rule declarations ----------------------------------------------
 
@@ -377,76 +381,32 @@ class Parser:
                 if not self.accept("SYMBOL", ";"):
                     break
         self.expect("SYMBOL", ")")
-        old_decls = self.decls
         self.decls = decls
-        try:
-            left = self.parse_rule_graph()
-            self.expect("SYMBOL", "=>")
-            right = self.parse_rule_graph()
-            self.expect("KEYWORD", "interface")
-            self.expect("SYMBOL", "=")
-            self.expect("SYMBOL", "{")
-            interface: set[str] = set()
-            if self.at("IDENT"):
-                interface.add(self.next().value)
-                while self.accept("SYMBOL", ","):
-                    interface.add(self.expect("IDENT").value)
-            self.expect("SYMBOL", "}")
-            condition = None
-            if self.accept("KEYWORD", "where"):
-                condition = self.parse_condition()
-        finally:
-            self.decls = old_decls
+        left = self.parse_graph(RuleGraph(), self.parse_rule_label)
+        self.expect("SYMBOL", "=>")
+        right = self.parse_graph(RuleGraph(), self.parse_rule_label)
+        self.expect("KEYWORD", "interface")
+        self.expect("SYMBOL", "=")
+        interface = self.parse_names()
+        condition = None
+        if self.accept("KEYWORD", "where"):
+            condition = self.climb(CONDITION_OPS, self.parse_cond_not)
         return ConditionalRuleSchema(
             name, decls, left, frozenset(interface), right, condition
         )
 
-    def parse_rule_graph(self) -> RuleGraph:
-        graph = RuleGraph()
-        self.expect("SYMBOL", "[")
-        while self.at("SYMBOL", "("):
-            tok = self.next()
-            nid = self.expect("IDENT").value
-            if nid in graph.nodes:
-                raise ParseError(f"duplicate node id {nid!r}", tok.line, tok.col)
-            self.expect("SYMBOL", ",")
-            expr = self.parse_listexpr()
-            marked = self.accept("SYMBOL", "#") is not None
-            self.expect("SYMBOL", ")")
-            graph.add_node(nid, RuleLabel(expr, marked))
-        self.expect("SYMBOL", "|")
-        while self.at("SYMBOL", "("):
-            tok = self.next()
-            eid = self.expect("IDENT").value
-            if eid in graph.edges:
-                raise ParseError(f"duplicate edge id {eid!r}", tok.line, tok.col)
-            self.expect("SYMBOL", ",")
-            src = self.expect("IDENT").value
-            self.expect("SYMBOL", ",")
-            tgt = self.expect("IDENT").value
-            self.expect("SYMBOL", ",")
-            expr = self.parse_listexpr()
-            marked = self.accept("SYMBOL", "#") is not None
-            self.expect("SYMBOL", ")")
-            graph.add_edge(eid, src, tgt, RuleLabel(expr, marked))
-        self.expect("SYMBOL", "]")
-        return graph
+    def parse_names(self) -> list[str]:
+        """Read `{ id, ... }`, possibly empty."""
+        self.expect("SYMBOL", "{")
+        names = []
+        if self.at("IDENT"):
+            names.append(self.next().value)
+            while self.accept("SYMBOL", ","):
+                names.append(self.expect("IDENT").value)
+        self.expect("SYMBOL", "}")
+        return names
 
     # -- commands --------------------------------------------------------
-
-    def parse_comseq(self) -> Command:
-        start = self.peek()
-        left = self.parse_seq_level()
-        while self.accept("KEYWORD", "or"):
-            right = self.parse_seq_level()
-            left = Or(left, right, span=(start.line, start.col))
-        return left
-
-    def parse_seq_level(self) -> Command:
-        items = [self.parse_postfix()]
-        while self.accept("SYMBOL", ";"):
-            items.append(self.parse_postfix())
-        return seq(items)
 
     def parse_postfix(self) -> Command:
         start = self.peek()
@@ -462,31 +422,21 @@ class Parser:
             return Skip(span=span)
         if self.accept("KEYWORD", "fail"):
             return Fail(span=span)
-        if self.accept("KEYWORD", "if"):
-            cond = self.parse_comseq()
+        if self.accept("KEYWORD", "if") or self.accept("KEYWORD", "try"):
+            cond = self.climb(COMMAND_OPS, self.parse_postfix)
             self.expect("KEYWORD", "then")
-            then = self.parse_comseq()
-            els = self.parse_comseq() if self.accept("KEYWORD", "else") else None
-            return If(cond, then, els, span=span)
-        if self.accept("KEYWORD", "try"):
-            cond = self.parse_comseq()
-            self.expect("KEYWORD", "then")
-            then = self.parse_comseq()
-            els = self.parse_comseq() if self.accept("KEYWORD", "else") else None
-            return Try(cond, then, els, span=span)
-        if self.accept("SYMBOL", "{"):
-            names: list[str] = []
-            if self.at("IDENT"):
-                names.append(self.next().value)
-                while self.accept("SYMBOL", ","):
-                    names.append(self.expect("IDENT").value)
-            self.expect("SYMBOL", "}")
-            return RuleSetCall(tuple(names), bare=False, span=span)
+            then = self.climb(COMMAND_OPS, self.parse_postfix)
+            els = None
+            if self.accept("KEYWORD", "else"):
+                els = self.climb(COMMAND_OPS, self.parse_postfix)
+            return (If if tok.value == "if" else Try)(cond, then, els, span=span)
+        if self.at("SYMBOL", "{"):
+            return RuleSetCall(tuple(self.parse_names()), bare=False, span=span)
         if self.at("IDENT"):
             name = self.next().value
             return RuleSetCall((name,), bare=True, span=span)
         if self.accept("SYMBOL", "("):
-            cmd = self.parse_comseq()
+            cmd = self.climb(COMMAND_OPS, self.parse_postfix)
             self.expect("SYMBOL", ")")
             return cmd
         raise self.error("expected a command")
@@ -499,28 +449,21 @@ class Parser:
         mains: list[Command] = []
         while not self.at("EOF"):
             tok = self.peek()
+            if self.accept("KEYWORD", "main"):
+                self.expect("SYMBOL", "=")
+                mains.append(self.climb(COMMAND_OPS, self.parse_postfix))
+                continue
             if self.at("KEYWORD", "rule"):
-                schema = self.parse_rule_decl()
-                if schema.name in rules or schema.name in macros:
-                    raise ParseError(
-                        f"duplicate declaration {schema.name!r}", tok.line, tok.col
-                    )
-                rules[schema.name] = schema
-            elif self.at("KEYWORD", "main"):
-                self.next()
+                decl, table = self.parse_rule_decl(), rules
+            elif self.accept("IDENT"):
                 self.expect("SYMBOL", "=")
-                mains.append(self.parse_comseq())
-            elif self.at("IDENT"):
-                name = self.next().value
-                self.expect("SYMBOL", "=")
-                body = self.parse_comseq()
-                if name in rules or name in macros:
-                    raise ParseError(
-                        f"duplicate declaration {name!r}", tok.line, tok.col
-                    )
-                macros[name] = MacroDecl(name, body, span=(tok.line, tok.col))
+                body = self.climb(COMMAND_OPS, self.parse_postfix)
+                decl, table = MacroDecl(tok.value, body, span=(tok.line, tok.col)), macros
             else:
                 raise self.error("expected a declaration")
+            if decl.name in rules or decl.name in macros:
+                raise ParseError(f"duplicate declaration {decl.name!r}", tok.line, tok.col)
+            table[decl.name] = decl
         return ProgramAST(rules, macros, mains)
 
 
@@ -531,6 +474,6 @@ def parse_program(text: str) -> ProgramAST:
 
 def parse_host_graph(text: str) -> HostGraph:
     parser = Parser(text)
-    graph = parser.parse_host_graph()
+    graph = parser.parse_graph(HostGraph(), parser.parse_host_label)
     parser.expect("EOF")
     return graph

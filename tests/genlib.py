@@ -28,6 +28,7 @@ from gp2.labels import (
 from gp2.program import Command, Fail, If, Loop, Or, RuleSetCall, Seq, Skip, Try, seq
 from gp2.rules import ConditionalRuleSchema, RuleGraph, _bind, _is_ground, _unify_string
 from gp2.labels import RuleLabel
+from gp2.parsing import KEYWORDS, SYMBOLS, ParseError, Token
 
 ATOM_POOL = ((), (0,), (1,), ("a",), (2, "b"), (-1,))
 STRING_POOL = ("", "a", "b", "ab", "aba", "bb")
@@ -617,6 +618,45 @@ class ReferenceStore:
             yield from bucket
 
 
+# -- morphisms -----------------------------------------------------------
+
+
+def preserves_structure(g: Premorphism, src, dst: HostGraph) -> bool:
+    """Check s/t commutation for a map between graph-like objects.
+
+    `src` may be a HostGraph or a rule graph; it only needs `edges`
+    with source/target fields and a `nodes` mapping.
+    """
+    for leid, heid in g.edge_map.items():
+        if leid not in src.edges or heid not in dst.edges:
+            return False
+        le, he = src.edges[leid], dst.edges[heid]
+        if g.node_map.get(le.source) != he.source:
+            return False
+        if g.node_map.get(le.target) != he.target:
+            return False
+    return all(n in src.nodes for n in g.node_map) and all(
+        h in dst.nodes for h in g.node_map.values()
+    )
+
+
+def is_label_preserving_morphism(
+    g: Premorphism, src: HostGraph, dst: HostGraph
+) -> bool:
+    """True iff g is structure-preserving and maps every label onto an equal one."""
+    if set(g.node_map) != set(src.nodes) or set(g.edge_map) != set(src.edges):
+        return False
+    if not preserves_structure(g, src, dst):
+        return False
+    for n, h in g.node_map.items():
+        if src.nodes[n] != dst.nodes[h]:
+            return False
+    for e, h in g.edge_map.items():
+        if src.edges[e].label != dst.edges[h].label:
+            return False
+    return True
+
+
 # -- random command trees ----------------------------------------------
 
 
@@ -645,3 +685,72 @@ def random_body(
     if kind == "or":
         return Or(sub(), sub())
     return Loop(sub())
+
+
+# -- tokenizer ---------------------------------------------------------
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The character-loop tokenizer that `gp2.parsing.tokenize` replaced."""
+    tokens: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("INT", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
+            tokens.append(Token(kind, word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c == '"':
+            j = i + 1
+            out = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
+                    out.append(text[j + 1])
+                    j += 2
+                elif text[j] == "\n":
+                    raise ParseError("unterminated string", start_line, start_col)
+                else:
+                    out.append(text[j])
+                    j += 1
+            if j >= n:
+                raise ParseError("unterminated string", start_line, start_col)
+            tokens.append(Token("STRING", "".join(out), start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        for sym in SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(Token("SYMBOL", sym, start_line, start_col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token("EOF", "", line, col))
+    return tokens

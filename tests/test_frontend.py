@@ -1,0 +1,200 @@
+"""The front end's lexical rules, its cost on long labels, its agreement
+with the character-loop tokenizer it replaced, and deep nesting."""
+
+import random
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from genlib import random_body, random_host, reference_tokenize
+from gp2 import corpus
+from gp2.cli import main as cli_main
+from gp2.executor import Budget, run_one, semantics
+from gp2.parsing import ParseError, parse_host_graph, parse_program, tokenize
+from gp2.program import checked
+
+LONG_INT = "7" * 5000
+
+
+class TestLexicalRules:
+    @pytest.mark.parametrize(
+        "host, col",
+        [
+            ("[ (n1, ²) | ]", 8),  # a superscript digit, not a decimal one
+            ("[ (n1, 1٣) | ]", 9),  # an Arabic-Indic three after an ASCII 1
+            (f"[ (n1, {LONG_INT}) | ]", 8),
+            (f"[ (n1, 0) | (e1, n1, n1, 0:-{LONG_INT}) ]", 29),
+        ],
+        ids=["superscript", "arabic-indic", "long", "long-negative"],
+    )
+    def test_host_refused_at_its_position(self, host, col):
+        with pytest.raises(ParseError) as exc:
+            parse_host_graph(host)
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+    def test_long_integer_in_rule_label_refused_at_its_position(self):
+        text = f"rule r() [ | ] =>\n [ (n1, 1:{LONG_INT}) | ] interface = {{}}\nmain = r"
+        with pytest.raises(ParseError) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.col) == (2, 11)
+
+    def test_non_ascii_letters_and_digits_in_identifiers(self):
+        ast = parse_program(
+            "rule é٣() [ (n², 0) | ] => [ (n², 1) | ] interface = {n²}\nmain = é٣"
+        )
+        assert set(ast.rules["é٣"].left.nodes) == {"n²"}
+
+    @pytest.mark.parametrize(
+        "host",
+        ["[ (n1, ²) | ]", "[ (n1, 1٣) | ]", f"[ (n1, {LONG_INT}) | ]"],
+        ids=["superscript", "arabic-indic", "long"],
+    )
+    def test_run_exits_three(self, tmp_path, capsys, host):
+        (tmp_path / "p.gp2").write_text("main = skip\n", encoding="utf-8")
+        (tmp_path / "g.host").write_text(host, encoding="utf-8")
+        code = cli_main(["run", str(tmp_path / "p.gp2"), str(tmp_path / "g.host")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: 1:") and len(err.strip().splitlines()) == 1
+
+    def test_check_exits_three_on_long_integer(self, tmp_path, capsys):
+        program = f"rule r() [ | ] => [ (n1, {LONG_INT}) | ] interface = {{}}\nmain = r\n"
+        (tmp_path / "p.gp2").write_text(program, encoding="utf-8")
+        assert cli_main(["check", str(tmp_path / "p.gp2")]) == 3
+        assert capsys.readouterr().err.startswith("error: 1:26: ")
+
+
+def test_long_host_label_parses_in_linear_time():
+    host = "[ (n1, " + ":".join(["1", '"a"'] * 50_000) + ") | ]"
+    began = time.perf_counter()
+    graph = parse_host_graph(host)
+    assert time.perf_counter() - began < 5.0
+    assert len(graph.nodes["n1"].items) == 100_000
+
+
+# -- differential against the character-loop tokenizer -------------------
+
+ALPHABET = 'ab_1 09\n\t"\\/#:.;,()[]{}=!<>-+*|é²٣'
+
+
+def lexed(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as exc:
+        return (exc.line, exc.col, exc.message)
+
+
+def assert_same_tokens(text: str) -> None:
+    new, old = lexed(tokenize, text), lexed(reference_tokenize, text)
+    if new == old:
+        return
+    if isinstance(new, tuple):
+        # an integer is ASCII digits; the old loop took any Unicode digit
+        line, col, message = new
+        offset = sum(len(s) + 1 for s in text.split("\n")[: line - 1]) + col - 1
+        char = text[offset]
+        assert message == f"unexpected character {char!r}", text
+        assert char.isdigit() and not char.isascii(), text
+        assert lexed(tokenize, text[:offset]) == lexed(reference_tokenize, text[:offset])
+        return
+    # the old loop left the end-of-input column where a final `//` began
+    assert isinstance(old, list) and new[:-1] == old[:-1], text
+    last_line = text.rsplit("\n", 1)[-1]
+    assert old[-1].line == new[-1].line, text
+    assert last_line[old[-1].col - 1 :].startswith("//"), text
+    assert new[-1].col == len(last_line) + 1, text
+
+
+class TestTokenizerAgainstReference:
+    def test_corpus(self):
+        for name in corpus.PROGRAMS:
+            assert tokenize(corpus.program_text(name)) == reference_tokenize(
+                corpus.program_text(name)
+            )
+
+    def test_printed_random_bodies(self):
+        for seed in range(300):
+            body = random_body(random.Random(seed), ("a", "b", "r"), depth=4)
+            text = f"main = {body}"
+            assert tokenize(text) == reference_tokenize(text), text
+
+    def test_printed_random_hosts(self):
+        for seed in range(300):
+            text = random_host(random.Random(seed)).to_text()
+            assert tokenize(text) == reference_tokenize(text), text
+
+    def test_random_strings(self):
+        rng = random.Random(6)
+        for _ in range(20_000):
+            assert_same_tokens("".join(rng.choices(ALPHABET, k=rng.randint(0, 24))))
+
+    @pytest.mark.parametrize(
+        "text",
+        ['"a\\"', '"a\\\\"b"', '"\\x\\"\\\\"', "a // c", "x²", "1²", "-٣", '"²"'],
+    )
+    def test_edge_cases(self, text):
+        assert_same_tokens(text)
+
+
+# -- nesting ---------------------------------------------------------------
+
+DEPTH = 120
+
+
+def program(label="x", where="", main="r", macros=""):
+    where = f" where {where}" if where else ""
+    return (
+        f"rule r(x: int) [ (n1, x) | ] => [ (n1, {label}) | ] interface = {{n1}}{where}\n"
+        f"{macros}main = {main}\n"
+    )
+
+
+NESTED = {
+    "parentheses in main": program(main="(" * DEPTH + "r" + ")" * DEPTH),
+    "if chain": program(main="if r then " * DEPTH + "r"),
+    "!": program(main="r" + "!" * DEPTH),
+    "or": program(main=" or ".join(["r"] * (DEPTH + 1))),
+    "macro chain": program(
+        main=f"m{DEPTH}",
+        macros="m0 = r\n" + "".join(f"m{i + 1} = m{i}\n" for i in range(DEPTH)),
+    ),
+    "parentheses in an expression": program(label="(" * DEPTH + "x" + ")" * DEPTH),
+    "unary -": program(label="-" * DEPTH + "x"),
+    ": chain": program(label=":".join(["x"] * (DEPTH + 1))),
+    "+ chain": program(label="+".join(["x"] * (DEPTH + 1))),
+    "parentheses in a condition": program(where="(" * DEPTH + "x = 0" + ")" * DEPTH),
+    "not": program(where="not " * DEPTH + "x = 0"),
+    "and chain": program(where=" and ".join(["x = 0"] * (DEPTH + 1))),
+}
+
+
+def printed(ast) -> str:
+    rule = ast.rules["r"]
+    macros = "".join(f"{m.name} = {m.body}\n" for m in ast.macros.values())
+    where = "" if rule.condition is None else str(rule.condition)
+    return program(str(rule.right.nodes["n1"].expr), where, str(ast.main), macros)
+
+
+def parse_check_print_run(text: str) -> None:
+    ast = parse_program(text)
+    prog = checked(ast)
+    again = parse_program(printed(ast))
+    assert again.main == ast.main
+    assert {m.name: m.body for m in again.macros.values()} == {
+        m.name: m.body for m in ast.macros.values()
+    }
+    assert again.rules["r"].right.nodes == ast.rules["r"].right.nodes
+    assert again.rules["r"].condition == ast.rules["r"].condition
+    host = parse_host_graph("[ (n1, 0) | ]")
+    budget = Budget(max_steps=500, max_configs=500)
+    assert run_one(prog, host, budget=budget).kind in ("graph", "fail", "budget")
+    assert semantics(prog, host, budget=budget).bottom in ("none", "proven", "possible")
+
+
+@pytest.mark.parametrize("construct", list(NESTED))
+def test_deep_nesting(construct):
+    # a fresh thread starts with an empty stack, as the command line does,
+    # so the depth reached does not depend on the test runner's frames
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(parse_check_print_run, NESTED[construct]).result()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from genlib import (
     ReferenceStore,
     host_universe,
+    is_label_preserving_morphism,
+    preserves_structure,
     random_host,
     reference_isomorphic,
 )
@@ -17,7 +19,6 @@ from gp2.graphs import (
     HostLabel,
     IsoStore,
     Premorphism,
-    is_label_preserving_morphism,
     isomorphic,
 )
 from gp2.parsing import parse_host_graph
@@ -190,7 +191,7 @@ class TestMorphisms:
             {"n1": "m1", "n2": "m2", "n3": "m3"},
             {"e1": "f1", "e2": "f2", "e3": "f3"},
         )
-        assert g.preserves_structure(a, b)
+        assert preserves_structure(g, a, b)
         assert is_label_preserving_morphism(g, a, b)
 
 
