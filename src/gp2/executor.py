@@ -1,16 +1,16 @@
 """Small-step execution of programs: single seeded runs, bounded
 exhaustive result sets, and program equivalence checking.
 
-Configurations are either an unfinished pair (rest program, graph), a
-result graph, or the failure state.  The exhaustive explorer follows
-every transition up to a budget, deduplicates graphs up to isomorphism,
-and reports divergence or stuckness through a bottom flag.
+The explorer's configurations are pairs (continuation, graph), where a
+continuation is the tuple of commands still to run, sequences spliced in;
+() is a result and None failure.  It follows every transition up to a
+budget, deduplicates configurations up to graph isomorphism, and reports
+divergence or stuckness through a bottom flag.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -101,26 +101,11 @@ class TraceEntry:
 # -- exhaustive exploration -------------------------------------------
 
 
-class _ConfigTable:
-    """Interning of unfinished configurations up to graph isomorphism."""
-
-    def __init__(self) -> None:
-        # per command, each graph's canonical certificate to its index
-        self._by_cmd: dict[Command, dict[tuple, int]] = {}
-        self.commands: list[Command] = []
-        self.graphs: list[HostGraph] = []
-
-    def intern(self, command: Command, graph: HostGraph) -> tuple[int, bool]:
-        index = len(self.commands)
-        existing = self._by_cmd.setdefault(command, {}).setdefault(graph.signature(), index)
-        if existing != index:
-            return existing, False
-        self.commands.append(command)
-        self.graphs.append(graph)
-        return index, True
-
-    def __len__(self) -> int:
-        return len(self.commands)
+def _flat(command: Command) -> tuple[Command, ...]:
+    """The continuation that runs command, its sequences spliced in."""
+    if isinstance(command, Seq):
+        return tuple(c for item in command.items for c in _flat(item))
+    return (command,)
 
 
 class Engine:
@@ -133,9 +118,6 @@ class Engine:
         self.warnings: list[str] = []
         # memo of sub-semantics per (command, graph up to iso)
         self._memo: dict[Command, IsoStore] = {}
-
-    def ruleset(self, names: tuple[str, ...]) -> list[ConditionalRuleSchema]:
-        return [self.rules[n] for n in names]
 
     def tick(self) -> bool:
         """Account for one transition; False once the budget is spent."""
@@ -157,136 +139,102 @@ class Engine:
         return result
 
     def _explore(self, command: Command, graph: HostGraph) -> ResultSet:
-        table = _ConfigTable()
-        root, _ = table.intern(command, graph)
-        edges: dict[int, list[int]] = {}
-        frontier = deque([root])
+        # unfinished configurations in breadth-first order, each interned
+        # by (continuation, certificate) to its position
+        configs = [(_flat(command), graph)]
+        index = {(configs[0][0], graph.signature()): 0}
+        children: list[list[int]] = []
         results = IsoStore()
         result_list: list[HostGraph] = []
-        can_fail = False
-        stuck = False
-        truncated = False
+        can_fail = stuck = truncated = False
 
-        while frontier:
-            index = frontier.popleft()
-            if not self.tick() or len(table) > self.budget.max_configs:
+        for rest, state in configs:  # also visits the ones appended below
+            if not self.tick() or len(configs) > self.budget.max_configs:
                 truncated = True
                 break
-            succs, premise_truncated = self._successors(
-                table.commands[index], table.graphs[index]
-            )
+            succs, premise_truncated = self._successors(rest, state)
             if premise_truncated:
                 truncated = True
-            edges[index] = []
-            if not succs and not premise_truncated:
+            elif not succs:
                 stuck = True
-            for succ in succs:
-                if isinstance(succ, Result):
-                    if results.put(succ.graph):
-                        result_list.append(succ.graph)
-                elif isinstance(succ, Failure):
+            children.append([])
+            for cont, h in succs:
+                if cont is None:
                     can_fail = True
+                elif not cont:
+                    if results.put(h):
+                        result_list.append(h)
                 else:
-                    child, fresh = table.intern(succ.rest, succ.state)
-                    edges[index].append(child)
-                    if fresh:
-                        frontier.append(child)
+                    child = index.setdefault((cont, h.signature()), len(configs))
+                    if child == len(configs):
+                        configs.append((cont, h))
+                    children[-1].append(child)
 
         # an incomplete exploration can only claim "possible"; proven
         # verdicts (stuckness, a closed cycle) need the full graph
         bottom = BOTTOM_NONE
         if truncated:
             bottom = BOTTOM_POSSIBLE
-        elif stuck or _has_cycle(edges, root):
+        elif stuck or _has_cycle(children):
             bottom = BOTTOM_PROVEN
         return ResultSet(result_list, can_fail, bottom)
 
     def _successors(
-        self, command: Command, graph: HostGraph
-    ) -> tuple[list[Configuration], bool]:
+        self, continuation: tuple[Command, ...], graph: HostGraph
+    ) -> tuple[list[tuple[Optional[tuple[Command, ...]], HostGraph]], bool]:
         """The exact successor set of one unfinished configuration.
 
-        The second component reports whether a premise discharge ran out
-        of budget, in which case successors may be missing.
+        The head command steps, and the rest of the continuation rides
+        along, which is all that [seq1]-[seq3] say.  The second component
+        reports whether a premise discharge ran out of budget, in which
+        case successors may be missing.
         """
-        if isinstance(command, Seq):
-            head, rest = command.items[0], seq(list(command.items[1:]))
-            inner, truncated = self._successors(head, graph)
-            out: list[Configuration] = []
-            for succ in inner:
-                if isinstance(succ, Unfinished):  # [seq1]
-                    out.append(Unfinished(seq([succ.rest, rest]), succ.state))
-                elif isinstance(succ, Result):  # [seq2]
-                    out.append(Unfinished(rest, succ.graph))
-                else:  # [seq3]
-                    out.append(Failure())
-            return out, truncated
-        if isinstance(command, RuleSetCall):
-            graphs = apply_ruleset(self.ruleset(command.names), graph, self.warnings)
+        head, rest = continuation[0], continuation[1:]
+        if isinstance(head, RuleSetCall):
+            rules = [self.rules[n] for n in head.names]
+            graphs = apply_ruleset(rules, graph, self.warnings)
             if graphs:
-                return [Result(h) for h in graphs], False  # [call1]
-            return [Failure()], False  # [call2]
-        if isinstance(command, Skip):
-            return [Result(graph)], False  # [skip]
-        if isinstance(command, Fail):
-            return [Failure()], False  # [fail]
-        if isinstance(command, Or):
-            return (
-                [Unfinished(command.left, graph), Unfinished(command.right, graph)],
-                False,
-            )  # [or1], [or2]
-        if isinstance(command, If):
-            sub = self.semantics(command.cond, graph)
-            out = []
-            if sub.graphs:  # [if1] / [if3]
-                out.append(Unfinished(command.then, graph))
-            if sub.can_fail:  # [if2] / [if4]
-                if command.els is None:
-                    out.append(Result(graph))
-                else:
-                    out.append(Unfinished(command.els, graph))
+                return [(rest, h) for h in graphs], False  # [call1]
+            return [(None, graph)], False  # [call2]
+        if isinstance(head, Skip):
+            return [(rest, graph)], False  # [skip]
+        if isinstance(head, Fail):
+            return [(None, graph)], False  # [fail]
+        if isinstance(head, Or):  # [or1], [or2]
+            return [(_flat(head.left) + rest, graph), (_flat(head.right) + rest, graph)], False
+        if isinstance(head, (If, Try)):
+            sub = self.semantics(head.cond, graph)
+            # [try1] / [try3] go on from each result, [if1] / [if3] from graph
+            starts = sub.graphs if isinstance(head, Try) else [graph] if sub.graphs else []
+            out = [(_flat(head.then) + rest, h) for h in starts]
+            if sub.can_fail:  # [if2] / [if4] / [try2] / [try4]
+                out.append((rest if head.els is None else _flat(head.els) + rest, graph))
             return out, sub.bottom == BOTTOM_POSSIBLE
-        if isinstance(command, Try):
-            sub = self.semantics(command.cond, graph)
-            out = []
-            for h in sub.graphs:  # [try1] / [try3]
-                out.append(Unfinished(command.then, h))
-            if sub.can_fail:  # [try2] / [try4]
-                if command.els is None:
-                    out.append(Result(graph))
-                else:
-                    out.append(Unfinished(command.els, graph))
-            return out, sub.bottom == BOTTOM_POSSIBLE
-        if isinstance(command, Loop):
-            sub = self.semantics(command.body, graph)
-            out = []
-            for h in sub.graphs:  # [alap1]
-                out.append(Unfinished(command, h))
+        if isinstance(head, Loop):
+            sub = self.semantics(head.body, graph)
+            out = [(continuation, h) for h in sub.graphs]  # [alap1]
             if sub.can_fail:  # [alap2]
-                out.append(Result(graph))
+                out.append((rest, graph))
             return out, sub.bottom == BOTTOM_POSSIBLE
-        raise TypeError(f"cannot execute {command!r}")
+        raise TypeError(f"cannot execute {head!r}")
 
 
-def _has_cycle(edges: dict[int, list[int]], root: int) -> bool:
+def _has_cycle(children: list[list[int]]) -> bool:
+    """Whether a cycle is reachable from configuration 0."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-
-    stack = [(root, iter(edges.get(root, ())))]
-    color[root] = GRAY
+    color = [WHITE] * len(children)
+    color[0] = GRAY
+    stack = [(0, iter(children[0]))]
     while stack:
         node, it = stack[-1]
-        advanced = False
         for child in it:
-            state = color.get(child, WHITE)
-            if state == GRAY:
+            if color[child] == GRAY:
                 return True
-            if state == WHITE:
+            if color[child] == WHITE:
                 color[child] = GRAY
-                stack.append((child, iter(edges.get(child, ()))))
-                advanced = True
+                stack.append((child, iter(children[child])))
                 break
-        if not advanced:
+        else:
             color[node] = BLACK
             stack.pop()
     return False
@@ -300,9 +248,11 @@ def successors(
     """The set of configurations one transition away from cfg."""
     if not isinstance(cfg, Unfinished):
         raise ValueError("terminal configurations have no successors")
-    engine = Engine(rules, budget or Budget())
-    succs, _ = engine._successors(cfg.rest, cfg.state)
-    return succs
+    succs, _ = Engine(rules, budget or Budget())._successors(_flat(cfg.rest), cfg.state)
+    return [
+        Failure() if rest is None else Unfinished(seq(list(rest)), h) if rest else Result(h)
+        for rest, h in succs
+    ]
 
 
 def semantics(
@@ -310,7 +260,6 @@ def semantics(
     host: HostGraph,
     budget: Optional[Budget] = None,
     rules: Optional[dict[str, ConditionalRuleSchema]] = None,
-    engine: Optional[Engine] = None,
 ) -> ResultSet:
     """Breadth-first exhaustive approximation of the result set."""
     if isinstance(program, CheckedProgram):
@@ -319,9 +268,7 @@ def semantics(
     else:
         command = program
         rules = rules or {}
-    if engine is None:
-        engine = Engine(rules, budget or Budget())
-    return engine.semantics(command, host)
+    return Engine(rules, budget or Budget()).semantics(command, host)
 
 
 # -- single seeded runs ------------------------------------------------
@@ -374,7 +321,7 @@ class _Runner:
             return "fail", graph
         if isinstance(command, RuleSetCall):
             matches = []
-            for schema in self.ruleset(command.names):
+            for schema in [self.rules[n] for n in command.names]:
                 for g, alpha in enumerate_matches(schema, graph, self.warnings):
                     matches.append((schema, g, alpha))
             if not matches:
@@ -388,21 +335,14 @@ class _Runner:
             pick_left = self.rng.random() < 0.5
             self.tick("or1" if pick_left else "or2", command, graph)
             return self.run(command.left if pick_left else command.right, graph)
-        if isinstance(command, If):
-            kind, _ = self.run(command.cond, graph)
-            if kind == "graph":
-                self.tick("if1" if command.els else "if3", command, graph)
-                return self.run(command.then, graph)
-            self.tick("if2" if command.els else "if4", command, graph)
-            if command.els is None:
-                return "graph", graph
-            return self.run(command.els, graph)
-        if isinstance(command, Try):
+        if isinstance(command, (If, Try)):
             kind, h = self.run(command.cond, graph)
+            name = "try" if isinstance(command, Try) else "if"
             if kind == "graph":
-                self.tick("try1" if command.els else "try3", command, h)
+                h = h if name == "try" else graph  # if discards the test's graph
+                self.tick(name + ("3" if command.els is None else "1"), command, h)
                 return self.run(command.then, h)
-            self.tick("try2" if command.els else "try4", command, graph)
+            self.tick(name + ("4" if command.els is None else "2"), command, graph)
             if command.els is None:
                 return "graph", graph
             return self.run(command.els, graph)
@@ -416,9 +356,6 @@ class _Runner:
                 self.tick("alap1", command, nxt)
                 current = nxt
         raise TypeError(f"cannot execute {command!r}")
-
-    def ruleset(self, names):
-        return [self.rules[n] for n in names]
 
 
 def _summary(command: Command) -> str:

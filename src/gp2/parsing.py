@@ -4,7 +4,7 @@ three operator grammars, and one reader for graph literals."""
 from __future__ import annotations
 
 import re
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import GraphError, HostGraph, HostLabel
@@ -151,6 +151,7 @@ COMMAND_OPS = {
     ("SYMBOL", ";"): (2, lambda start, items, ops: seq(items)),
 }
 _NO_OP = (0, None)
+COMPARISONS = {("SYMBOL", op) for op in ("=", "!=", ">=", "<=", ">", "<")}
 
 
 class Parser:
@@ -169,6 +170,17 @@ class Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    @cached_property
+    def closers(self) -> dict[int, int]:
+        """The position of each `(` token's matching `)`."""
+        closers, opened = {}, []
+        for i, tok in enumerate(self.tokens):
+            if tok.kind == "SYMBOL" and tok.value == "(":
+                opened.append(i)
+            elif tok.kind == "SYMBOL" and tok.value == ")" and opened:
+                closers[opened.pop()] = i
+        return closers
 
     def error(self, message: str) -> ParseError:
         tok = self.peek()
@@ -331,22 +343,23 @@ class Parser:
                 label = self.climb(EXPRESSION_OPS, self.parse_unary)
             self.expect("SYMBOL", ")")
             return EdgePred(src, tgt, label)
-        # comparison, falling back to a parenthesised condition
-        saved = self.pos
-        try:
-            return self.parse_comparison()
-        except ParseError:
-            self.pos = saved
-        if self.accept("SYMBOL", "("):
-            cond = self.climb(CONDITION_OPS, self.parse_cond_not)
-            self.expect("SYMBOL", ")")
-            return cond
-        raise self.error("expected a condition")
+        # a `(` opens a comparison exactly when an operator follows its `)`;
+        # an unmatched `(` counts as followed by the end of the input
+        if self.at("SYMBOL", "("):
+            close = self.closers.get(self.pos, len(self.tokens) - 2)
+            after = self.tokens[close + 1]
+            key = (after.kind, after.value)
+            if key not in EXPRESSION_OPS and key not in COMPARISONS:
+                self.next()
+                cond = self.climb(CONDITION_OPS, self.parse_cond_not)
+                self.expect("SYMBOL", ")")
+                return cond
+        return self.parse_comparison()
 
     def parse_comparison(self) -> Condition:
         left = self.climb(EXPRESSION_OPS, self.parse_unary)
         op = self.peek().value
-        if not self.at("SYMBOL") or op not in ("=", "!=", ">=", "<=", ">", "<"):
+        if (self.peek().kind, op) not in COMPARISONS:
             raise self.error("expected a comparison operator")
         self.next()
         right = self.climb(EXPRESSION_OPS, self.parse_unary)

@@ -8,8 +8,20 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from typing import Iterator, Optional
 
+from gp2.executor import (
+    BOTTOM_NONE,
+    BOTTOM_POSSIBLE,
+    BOTTOM_PROVEN,
+    Budget,
+    Configuration,
+    Failure,
+    Result,
+    ResultSet,
+    Unfinished,
+)
 from gp2.graphs import HostGraph, HostLabel, IsoStore, Premorphism
 from gp2.labels import (
     Assignment,
@@ -26,7 +38,14 @@ from gp2.labels import (
     is_simple,
 )
 from gp2.program import Command, Fail, If, Loop, Or, RuleSetCall, Seq, Skip, Try, seq
-from gp2.rules import ConditionalRuleSchema, RuleGraph, _bind, _is_ground, _unify_string
+from gp2.rules import (
+    ConditionalRuleSchema,
+    RuleGraph,
+    _bind,
+    _is_ground,
+    _unify_string,
+    apply_ruleset,
+)
 from gp2.labels import RuleLabel
 from gp2.parsing import KEYWORDS, SYMBOLS, ParseError, Token
 
@@ -754,3 +773,202 @@ def reference_tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {c!r}", line, col)
     tokens.append(Token("EOF", "", line, col))
     return tokens
+
+
+# -- exhaustive exploration --------------------------------------------
+
+
+# The explorer that `gp2.executor.Engine` replaced, kept verbatim as the
+# reference: configurations are (command, graph) pairs, and a sequence
+# steps by recursing on its head and rebuilding the rest with `seq`.
+
+
+class _ConfigTable:
+    """Interning of unfinished configurations up to graph isomorphism."""
+
+    def __init__(self) -> None:
+        # per command, each graph's canonical certificate to its index
+        self._by_cmd: dict[Command, dict[tuple, int]] = {}
+        self.commands: list[Command] = []
+        self.graphs: list[HostGraph] = []
+
+    def intern(self, command: Command, graph: HostGraph) -> tuple[int, bool]:
+        index = len(self.commands)
+        existing = self._by_cmd.setdefault(command, {}).setdefault(graph.signature(), index)
+        if existing != index:
+            return existing, False
+        self.commands.append(command)
+        self.graphs.append(graph)
+        return index, True
+
+    def __len__(self) -> int:
+        return len(self.commands)
+
+
+class ReferenceEngine:
+    """Shared state for one exhaustive-semantics computation."""
+
+    def __init__(self, rules: dict[str, ConditionalRuleSchema], budget: Budget):
+        self.rules = rules
+        self.budget = budget
+        self.steps = 0
+        self.warnings: list[str] = []
+        # memo of sub-semantics per (command, graph up to iso)
+        self._memo: dict[Command, IsoStore] = {}
+
+    def ruleset(self, names: tuple[str, ...]) -> list[ConditionalRuleSchema]:
+        return [self.rules[n] for n in names]
+
+    def tick(self) -> bool:
+        """Account for one transition; False once the budget is spent."""
+        if self.steps >= self.budget.max_steps:
+            return False
+        self.steps += 1
+        return True
+
+    def semantics(self, command: Command, graph: HostGraph) -> ResultSet:
+        store = self._memo.setdefault(command, IsoStore())
+        cached = store.get(graph)
+        if cached is not None:
+            return cached
+        result = self._explore(command, graph)
+        # do not cache truncated explorations; a later call may have
+        # budget left to finish them
+        if result.bottom != BOTTOM_POSSIBLE:
+            store.set(graph, result)
+        return result
+
+    def _explore(self, command: Command, graph: HostGraph) -> ResultSet:
+        table = _ConfigTable()
+        root, _ = table.intern(command, graph)
+        edges: dict[int, list[int]] = {}
+        frontier = deque([root])
+        results = IsoStore()
+        result_list: list[HostGraph] = []
+        can_fail = False
+        stuck = False
+        truncated = False
+
+        while frontier:
+            index = frontier.popleft()
+            if not self.tick() or len(table) > self.budget.max_configs:
+                truncated = True
+                break
+            succs, premise_truncated = self._successors(
+                table.commands[index], table.graphs[index]
+            )
+            if premise_truncated:
+                truncated = True
+            edges[index] = []
+            if not succs and not premise_truncated:
+                stuck = True
+            for succ in succs:
+                if isinstance(succ, Result):
+                    if results.put(succ.graph):
+                        result_list.append(succ.graph)
+                elif isinstance(succ, Failure):
+                    can_fail = True
+                else:
+                    child, fresh = table.intern(succ.rest, succ.state)
+                    edges[index].append(child)
+                    if fresh:
+                        frontier.append(child)
+
+        # an incomplete exploration can only claim "possible"; proven
+        # verdicts (stuckness, a closed cycle) need the full graph
+        bottom = BOTTOM_NONE
+        if truncated:
+            bottom = BOTTOM_POSSIBLE
+        elif stuck or _has_cycle(edges, root):
+            bottom = BOTTOM_PROVEN
+        return ResultSet(result_list, can_fail, bottom)
+
+    def _successors(
+        self, command: Command, graph: HostGraph
+    ) -> tuple[list[Configuration], bool]:
+        """The exact successor set of one unfinished configuration.
+
+        The second component reports whether a premise discharge ran out
+        of budget, in which case successors may be missing.
+        """
+        if isinstance(command, Seq):
+            head, rest = command.items[0], seq(list(command.items[1:]))
+            inner, truncated = self._successors(head, graph)
+            out: list[Configuration] = []
+            for succ in inner:
+                if isinstance(succ, Unfinished):  # [seq1]
+                    out.append(Unfinished(seq([succ.rest, rest]), succ.state))
+                elif isinstance(succ, Result):  # [seq2]
+                    out.append(Unfinished(rest, succ.graph))
+                else:  # [seq3]
+                    out.append(Failure())
+            return out, truncated
+        if isinstance(command, RuleSetCall):
+            graphs = apply_ruleset(self.ruleset(command.names), graph, self.warnings)
+            if graphs:
+                return [Result(h) for h in graphs], False  # [call1]
+            return [Failure()], False  # [call2]
+        if isinstance(command, Skip):
+            return [Result(graph)], False  # [skip]
+        if isinstance(command, Fail):
+            return [Failure()], False  # [fail]
+        if isinstance(command, Or):
+            return (
+                [Unfinished(command.left, graph), Unfinished(command.right, graph)],
+                False,
+            )  # [or1], [or2]
+        if isinstance(command, If):
+            sub = self.semantics(command.cond, graph)
+            out = []
+            if sub.graphs:  # [if1] / [if3]
+                out.append(Unfinished(command.then, graph))
+            if sub.can_fail:  # [if2] / [if4]
+                if command.els is None:
+                    out.append(Result(graph))
+                else:
+                    out.append(Unfinished(command.els, graph))
+            return out, sub.bottom == BOTTOM_POSSIBLE
+        if isinstance(command, Try):
+            sub = self.semantics(command.cond, graph)
+            out = []
+            for h in sub.graphs:  # [try1] / [try3]
+                out.append(Unfinished(command.then, h))
+            if sub.can_fail:  # [try2] / [try4]
+                if command.els is None:
+                    out.append(Result(graph))
+                else:
+                    out.append(Unfinished(command.els, graph))
+            return out, sub.bottom == BOTTOM_POSSIBLE
+        if isinstance(command, Loop):
+            sub = self.semantics(command.body, graph)
+            out = []
+            for h in sub.graphs:  # [alap1]
+                out.append(Unfinished(command, h))
+            if sub.can_fail:  # [alap2]
+                out.append(Result(graph))
+            return out, sub.bottom == BOTTOM_POSSIBLE
+        raise TypeError(f"cannot execute {command!r}")
+
+
+def _has_cycle(edges: dict[int, list[int]], root: int) -> bool:
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: dict[int, int] = {}
+
+    stack = [(root, iter(edges.get(root, ())))]
+    color[root] = GRAY
+    while stack:
+        node, it = stack[-1]
+        advanced = False
+        for child in it:
+            state = color.get(child, WHITE)
+            if state == GRAY:
+                return True
+            if state == WHITE:
+                color[child] = GRAY
+                stack.append((child, iter(edges.get(child, ()))))
+                advanced = True
+                break
+        if not advanced:
+            color[node] = BLACK
+            stack.pop()
+    return False

@@ -4,7 +4,8 @@ import pytest
 
 from genlib import random_body
 from gp2.labels import Arith, Cons, Dot, IntLit, StrLit, Var, VType
-from gp2.parsing import ParseError, parse_host_graph, parse_program
+from gp2.cli import main as cli_main
+from gp2.parsing import ParseError, Parser, parse_host_graph, parse_program
 from gp2.program import (
     CheckError,
     Fail,
@@ -194,6 +195,60 @@ class TestRuleDeclarations:
                 "rule r() [ | ] => [ | ] interface = {}\n"
                 "main = r"
             )
+
+
+def condition_of(text: str):
+    rule = "rule r(x: int) [ (n1, x) | ] => [ (n1, x) | ] interface = {n1} where "
+    return parse_program(rule + text + "\nmain = r").rules["r"].condition
+
+
+class TestConditions:
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            ("(x) = 1", "x = 1"),
+            ("((x)) + 1 > (2)", "x + 1 > 2"),
+            ("(x) : 1 != 2", "x : 1 != 2"),
+            ("(x = 1)", "x = 1"),
+            ("((x = 1) and (x) = 1)", "x = 1 and x = 1"),
+            ("not (x = 1 or x = 2)", "not (x = 1 or x = 2)"),
+            ("(not (x) < 1) or (edge(n1, n1))", "not x < 1 or edge(n1, n1)"),
+        ],
+    )
+    def test_parenthesised_condition_or_expression(self, text, plain):
+        assert condition_of(text) == condition_of(plain)
+
+    def test_nested_condition_reads_each_token_once(self, monkeypatch):
+        text = (
+            "rule r(x: int) [ (n1, x) | ] => [ (n1, x) | ] interface = {n1}\n"
+            "where " + "(" * 160 + "x = 1" + ")" * 160 + "\nmain = r"
+        )
+        calls = 0
+        read = Parser.next
+
+        def counting(parser):
+            nonlocal calls
+            calls += 1
+            return read(parser)
+
+        monkeypatch.setattr(Parser, "next", counting)
+        parser = Parser(text)
+        parser.parse_program()
+        assert calls <= len(parser.tokens)
+
+    def test_long_integer_in_condition_reports_the_limit(self, tmp_path, capsys):
+        text = (
+            "rule r(x: int) [ (n1, x) | ] => [ (n1, x) | ] interface = {n1} where x = "
+            + "7" * 5000
+            + "\nmain = r\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.col) == (1, 74)
+        assert "limit" in exc.value.message
+        (tmp_path / "p.gp2").write_text(text, encoding="utf-8")
+        assert cli_main(["check", str(tmp_path / "p.gp2")]) == 3
+        assert capsys.readouterr().err.startswith("error: 1:74: ")
 
 
 class TestChecking:
