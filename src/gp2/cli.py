@@ -135,7 +135,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # UnicodeDecodeError: an input file that is not UTF-8; RecursionError:
-    # nesting too deep for the recursive-descent parser and checker
+    # a program nested deeper than the recursive walks over commands and
+    # expressions allow, or a host with about 1,000 mutually symmetric
+    # nodes, which overflows the certificate search
     except (ParseError, CheckError, OSError, UnicodeDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

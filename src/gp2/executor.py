@@ -1,11 +1,13 @@
 """Small-step execution of programs: single seeded runs, bounded
 exhaustive result sets, and program equivalence checking.
 
-The explorer's configurations are pairs (continuation, graph), where a
-continuation is the tuple of commands still to run, sequences spliced in;
-() is a result and None failure.  It follows every transition up to a
-budget, deduplicates configurations up to graph isomorphism, and reports
-divergence or stuckness through a bottom flag.
+Configurations are pairs (continuation, graph), where a continuation is
+the tuple of commands still to run, sequences spliced in; () is a result
+and None failure.  Both modes step them through one transition function,
+`_step`.  A run follows one transition at a time, picked at random.  The
+explorer follows every transition up to a budget, deduplicates
+configurations up to graph isomorphism, and reports divergence or
+stuckness through a bottom flag.
 """
 
 from __future__ import annotations
@@ -98,14 +100,77 @@ class TraceEntry:
         return f"{self.step:5d} [{self.rule}] {self.command}  ({self.nodes} nodes, {self.edges} edges)"
 
 
-# -- exhaustive exploration -------------------------------------------
+# -- the transition relation -----------------------------------------
 
 
 def _flat(command: Command) -> tuple[Command, ...]:
     """The continuation that runs command, its sequences spliced in."""
-    if isinstance(command, Seq):
-        return tuple(c for item in command.items for c in _flat(item))
-    return (command,)
+    if not isinstance(command, Seq):
+        return (command,)
+    out: list[Command] = []
+    stack = [command]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Seq):
+            stack += reversed(c.items)
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+Transition = tuple[Optional[tuple[Command, ...]], HostGraph, str]
+
+
+def _step(
+    mode: Engine | _Runner, continuation: tuple[Command, ...], graph: HostGraph
+) -> tuple[list[Transition], bool]:
+    """The transitions of one unfinished configuration, by [call1]-[alap2].
+
+    Each is a (continuation, graph, rule) triple, the continuation None for
+    failure.  The head command steps, and the rest of the continuation
+    rides along, which is all that [seq1]-[seq3] say.  The mode, an
+    `Engine` or a `_Runner`, decides the two things the execution modes
+    differ in: what a rule-set call derives (`mode.call`) and the outcome
+    of a premise (`mode.semantics`).  The second component reports whether
+    a premise ran out of budget, in which case transitions may be missing.
+    """
+    head, rest = continuation[0], continuation[1:]
+    # rule-set calls and loops first: they take most steps of a run
+    if isinstance(head, RuleSetCall):
+        graphs = mode.call(head.names, graph)
+        if graphs:
+            return [(rest, h, "call1") for h in graphs], False
+        return [(None, graph, "call2")], False
+    if isinstance(head, Loop):
+        sub = mode.semantics(head.body, graph)
+        out = [(continuation, h, "alap1") for h in sub.graphs]
+        if sub.can_fail:
+            out.append((rest, graph, "alap2"))
+        return out, sub.bottom == BOTTOM_POSSIBLE
+    if isinstance(head, Skip):
+        return [(rest, graph, "skip")], False
+    if isinstance(head, Fail):
+        return [(None, graph, "fail")], False
+    if isinstance(head, Or):
+        return [
+            (_flat(head.left) + rest, graph, "or1"),
+            (_flat(head.right) + rest, graph, "or2"),
+        ], False
+    if isinstance(head, (If, Try)):
+        sub = mode.semantics(head.cond, graph)
+        name = "try" if isinstance(head, Try) else "if"
+        # [if1] / [if2] with an else branch, [if3] / [if4] without; so for try
+        passed, failed = (name + "3", name + "4") if head.els is None else (name + "1", name + "2")
+        # try goes on from each result of the test, if from graph
+        starts = sub.graphs if name == "try" else [graph] if sub.graphs else []
+        out = [(_flat(head.then) + rest, h, passed) for h in starts]
+        if sub.can_fail:
+            out.append((rest if head.els is None else _flat(head.els) + rest, graph, failed))
+        return out, sub.bottom == BOTTOM_POSSIBLE
+    raise TypeError(f"cannot execute {head!r}")
+
+
+# -- exhaustive exploration -------------------------------------------
 
 
 class Engine:
@@ -125,6 +190,10 @@ class Engine:
             return False
         self.steps += 1
         return True
+
+    def call(self, names: tuple[str, ...], graph: HostGraph) -> list[HostGraph]:
+        """Every graph one application of a named rule derives, up to iso."""
+        return apply_ruleset([self.rules[n] for n in names], graph, self.warnings)
 
     def semantics(self, command: Command, graph: HostGraph) -> ResultSet:
         store = self._memo.setdefault(command, IsoStore())
@@ -152,13 +221,13 @@ class Engine:
             if not self.tick() or len(configs) > self.budget.max_configs:
                 truncated = True
                 break
-            succs, premise_truncated = self._successors(rest, state)
+            succs, premise_truncated = _step(self, rest, state)
             if premise_truncated:
                 truncated = True
             elif not succs:
                 stuck = True
             children.append([])
-            for cont, h in succs:
+            for cont, h, _ in succs:
                 if cont is None:
                     can_fail = True
                 elif not cont:
@@ -178,45 +247,6 @@ class Engine:
         elif stuck or _has_cycle(children):
             bottom = BOTTOM_PROVEN
         return ResultSet(result_list, can_fail, bottom)
-
-    def _successors(
-        self, continuation: tuple[Command, ...], graph: HostGraph
-    ) -> tuple[list[tuple[Optional[tuple[Command, ...]], HostGraph]], bool]:
-        """The exact successor set of one unfinished configuration.
-
-        The head command steps, and the rest of the continuation rides
-        along, which is all that [seq1]-[seq3] say.  The second component
-        reports whether a premise discharge ran out of budget, in which
-        case successors may be missing.
-        """
-        head, rest = continuation[0], continuation[1:]
-        if isinstance(head, RuleSetCall):
-            rules = [self.rules[n] for n in head.names]
-            graphs = apply_ruleset(rules, graph, self.warnings)
-            if graphs:
-                return [(rest, h) for h in graphs], False  # [call1]
-            return [(None, graph)], False  # [call2]
-        if isinstance(head, Skip):
-            return [(rest, graph)], False  # [skip]
-        if isinstance(head, Fail):
-            return [(None, graph)], False  # [fail]
-        if isinstance(head, Or):  # [or1], [or2]
-            return [(_flat(head.left) + rest, graph), (_flat(head.right) + rest, graph)], False
-        if isinstance(head, (If, Try)):
-            sub = self.semantics(head.cond, graph)
-            # [try1] / [try3] go on from each result, [if1] / [if3] from graph
-            starts = sub.graphs if isinstance(head, Try) else [graph] if sub.graphs else []
-            out = [(_flat(head.then) + rest, h) for h in starts]
-            if sub.can_fail:  # [if2] / [if4] / [try2] / [try4]
-                out.append((rest if head.els is None else _flat(head.els) + rest, graph))
-            return out, sub.bottom == BOTTOM_POSSIBLE
-        if isinstance(head, Loop):
-            sub = self.semantics(head.body, graph)
-            out = [(continuation, h) for h in sub.graphs]  # [alap1]
-            if sub.can_fail:  # [alap2]
-                out.append((rest, graph))
-            return out, sub.bottom == BOTTOM_POSSIBLE
-        raise TypeError(f"cannot execute {head!r}")
 
 
 def _has_cycle(children: list[list[int]]) -> bool:
@@ -248,10 +278,10 @@ def successors(
     """The set of configurations one transition away from cfg."""
     if not isinstance(cfg, Unfinished):
         raise ValueError("terminal configurations have no successors")
-    succs, _ = Engine(rules, budget or Budget())._successors(_flat(cfg.rest), cfg.state)
+    succs, _ = _step(Engine(rules, budget or Budget()), _flat(cfg.rest), cfg.state)
     return [
         Failure() if rest is None else Unfinished(seq(list(rest)), h) if rest else Result(h)
-        for rest, h in succs
+        for rest, h, _ in succs
     ]
 
 
@@ -304,58 +334,33 @@ class _Runner:
                 )
             )
 
-    def run(self, command: Command, graph: HostGraph):
-        """Evaluate one derivation; returns ('graph', G) or ('fail', G)."""
-        if isinstance(command, Seq):
-            current = graph
-            for item in command.items:
-                kind, current = self.run(item, current)
-                if kind == "fail":
-                    return "fail", graph
-            return "graph", current
-        if isinstance(command, Skip):
-            self.tick("skip", command, graph)
-            return "graph", graph
-        if isinstance(command, Fail):
-            self.tick("fail", command, graph)
-            return "fail", graph
-        if isinstance(command, RuleSetCall):
-            matches = []
-            for schema in [self.rules[n] for n in command.names]:
-                for g, alpha in enumerate_matches(schema, graph, self.warnings):
-                    matches.append((schema, g, alpha))
-            if not matches:
-                self.tick("call2", command, graph)
-                return "fail", graph
-            schema, g, alpha = self.rng.choice(matches)
-            result = apply(schema, graph, g, alpha)
-            self.tick("call1", command, result)
-            return "graph", result
-        if isinstance(command, Or):
-            pick_left = self.rng.random() < 0.5
-            self.tick("or1" if pick_left else "or2", command, graph)
-            return self.run(command.left if pick_left else command.right, graph)
-        if isinstance(command, (If, Try)):
-            kind, h = self.run(command.cond, graph)
-            name = "try" if isinstance(command, Try) else "if"
-            if kind == "graph":
-                h = h if name == "try" else graph  # if discards the test's graph
-                self.tick(name + ("3" if command.els is None else "1"), command, h)
-                return self.run(command.then, h)
-            self.tick(name + ("4" if command.els is None else "2"), command, graph)
-            if command.els is None:
-                return "graph", graph
-            return self.run(command.els, graph)
-        if isinstance(command, Loop):
-            current = graph
-            while True:
-                kind, nxt = self.run(command.body, current)
-                if kind == "fail":
-                    self.tick("alap2", command, current)
-                    return "graph", current
-                self.tick("alap1", command, nxt)
-                current = nxt
-        raise TypeError(f"cannot execute {command!r}")
+    def call(self, names: tuple[str, ...], graph: HostGraph) -> list[HostGraph]:
+        """The graph that one match of a named rule, picked at random,
+        derives; none if no rule matches."""
+        matches = []
+        for name in names:
+            schema = self.rules[name]
+            for g, alpha in enumerate_matches(schema, graph, self.warnings):
+                matches.append((schema, g, alpha))
+        if not matches:
+            return []
+        schema, g, alpha = self.rng.choice(matches)
+        return [apply(schema, graph, g, alpha)]
+
+    def semantics(self, command: Command, graph: HostGraph) -> ResultSet:
+        """One run of command from graph, as a result set: the graph it
+        ends in, or failure."""
+        continuation: Optional[tuple[Command, ...]] = _flat(command)
+        while continuation:
+            head = continuation[0]
+            succs, _ = _step(self, continuation, graph)
+            # only an or has two transitions in a run
+            pick = self.rng.random() >= 0.5 if len(succs) > 1 else 0
+            continuation, graph, rule = succs[pick]
+            self.tick(rule, head, graph)
+        if continuation is None:
+            return ResultSet([], True, BOTTOM_NONE)
+        return ResultSet([graph], False, BOTTOM_NONE)
 
 
 def _summary(command: Command) -> str:
@@ -379,12 +384,12 @@ def run_one(
         rules = rules or {}
     runner = _Runner(rules, budget or Budget(), tracing)
     try:
-        kind, graph = runner.run(command, host)
+        result = runner.semantics(command, host)
     except BudgetExceeded:
         return RunOutcome("budget", None, runner.steps, runner.warnings, runner.trace)
-    if kind == "fail":
+    if result.can_fail:
         return RunOutcome("fail", None, runner.steps, runner.warnings, runner.trace)
-    return RunOutcome("graph", graph, runner.steps, runner.warnings, runner.trace)
+    return RunOutcome("graph", result.graphs[0], runner.steps, runner.warnings, runner.trace)
 
 
 # -- equivalence -------------------------------------------------------

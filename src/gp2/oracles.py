@@ -130,21 +130,20 @@ def _reductions(nodes: tuple, edges: tuple):
     return out
 
 
-def oracle_series_parallel(g: HostGraph, all_orders: Optional[bool] = None) -> bool:
+def oracle_series_parallel(g: HostGraph) -> bool:
     """True iff the graph reduces to a two-node, one-edge base graph.
 
-    Reduction order should not matter; for small graphs every order is
-    tried anyway, larger ones use a single greedy reduction sequence.
+    Reduction order should not matter; for small graphs (at most 8 edges)
+    every order is tried anyway, larger ones use a single greedy reduction
+    sequence.
     """
-    if all_orders is None:
-        all_orders = len(g.edges) <= 8
     start = _reduction_state(g)
 
     def is_base(state) -> bool:
         nodes, edges = state
         return len(nodes) == 2 and len(edges) == 1 and edges[0][0] != edges[0][1]
 
-    if not all_orders:
+    if len(g.edges) > 8:
         state = start
         while True:
             if is_base(state):

@@ -40,15 +40,6 @@ class RuleSetCall:
 
 
 @dataclass(frozen=True)
-class MacroCall:
-    name: str
-    span: Optional[Span] = field(default=None, compare=False)
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
 class Seq:
     items: tuple["Command", ...]
     span: Optional[Span] = field(default=None, compare=False)
@@ -110,7 +101,7 @@ class Or:
         return f"({left} or {right})"
 
 
-Command = Union[Skip, Fail, RuleSetCall, MacroCall, Seq, If, Try, Loop, Or]
+Command = Union[Skip, Fail, RuleSetCall, Seq, If, Try, Loop, Or]
 
 
 def subcommands(c: Command) -> tuple[Command, ...]:
@@ -196,11 +187,6 @@ def check_program(ast: ProgramAST) -> list[Violation]:
                 out.append(
                     Violation("program", where, f"unresolved {kind} identifier {name!r}")
                 )
-        elif isinstance(command, MacroCall):
-            if command.name not in ast.macros:
-                out.append(
-                    Violation("program", where, f"unresolved macro {command.name!r}")
-                )
         for c in subcommands(command):
             resolve(c, where)
 
@@ -241,8 +227,6 @@ def _macro_refs(command: Command, ast: ProgramAST) -> set[str]:
     refs: set[str] = set()
     if isinstance(command, RuleSetCall):
         refs = {n for n in command.names if command.bare and n in ast.macros}
-    elif isinstance(command, MacroCall):
-        refs = {command.name}
     for c in subcommands(command):
         refs |= _macro_refs(c, ast)
     return refs
@@ -252,8 +236,6 @@ def expand_macros(command: Command, ast: ProgramAST) -> Command:
     """Substitute macro bodies; assumes the reference graph is acyclic."""
     if isinstance(command, RuleSetCall) and command.bare and command.names[0] in ast.macros:
         return expand_macros(ast.macros[command.names[0]].body, ast)
-    if isinstance(command, MacroCall):
-        return expand_macros(ast.macros[command.name].body, ast)
     parts = [expand_macros(c, ast) for c in subcommands(command)]
     if isinstance(command, Seq):
         return seq(parts)

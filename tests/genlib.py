@@ -16,11 +16,15 @@ from gp2.executor import (
     BOTTOM_POSSIBLE,
     BOTTOM_PROVEN,
     Budget,
+    BudgetExceeded,
     Configuration,
     Failure,
     Result,
     ResultSet,
+    RunOutcome,
+    TraceEntry,
     Unfinished,
+    _summary,
 )
 from gp2.graphs import HostGraph, HostLabel, IsoStore, Premorphism
 from gp2.labels import (
@@ -37,14 +41,28 @@ from gp2.labels import (
     eval_list,
     is_simple,
 )
-from gp2.program import Command, Fail, If, Loop, Or, RuleSetCall, Seq, Skip, Try, seq
+from gp2.program import (
+    CheckedProgram,
+    Command,
+    Fail,
+    If,
+    Loop,
+    Or,
+    RuleSetCall,
+    Seq,
+    Skip,
+    Try,
+    seq,
+)
 from gp2.rules import (
     ConditionalRuleSchema,
     RuleGraph,
     _bind,
     _is_ground,
     _unify_string,
+    apply,
     apply_ruleset,
+    enumerate_matches,
 )
 from gp2.labels import RuleLabel
 from gp2.parsing import KEYWORDS, SYMBOLS, ParseError, Token
@@ -972,3 +990,110 @@ def _has_cycle(edges: dict[int, list[int]], root: int) -> bool:
             color[node] = BLACK
             stack.pop()
     return False
+
+
+# -- single seeded runs ------------------------------------------------
+
+
+# The big-step runner that `gp2.executor.run_one` replaced, kept verbatim
+# as the reference: it recurses on sequences, `or`, `if`/`try` and loops
+# rather than stepping flat continuations.
+
+
+class ReferenceRunner:
+    def __init__(self, rules, budget: Budget, tracing: bool):
+        self.rules = rules
+        self.budget = budget
+        self.rng = random.Random(budget.seed)
+        self.steps = 0
+        self.warnings: list[str] = []
+        self.trace: list[TraceEntry] = []
+        self.tracing = tracing
+
+    def tick(self, rule: str, command: Command, graph: HostGraph) -> None:
+        self.steps += 1
+        if self.steps > self.budget.max_steps:
+            raise BudgetExceeded()
+        if self.tracing:
+            self.trace.append(
+                TraceEntry(
+                    self.steps, rule, _summary(command), len(graph.nodes), len(graph.edges)
+                )
+            )
+
+    def run(self, command: Command, graph: HostGraph):
+        """Evaluate one derivation; returns ('graph', G) or ('fail', G)."""
+        if isinstance(command, Seq):
+            current = graph
+            for item in command.items:
+                kind, current = self.run(item, current)
+                if kind == "fail":
+                    return "fail", graph
+            return "graph", current
+        if isinstance(command, Skip):
+            self.tick("skip", command, graph)
+            return "graph", graph
+        if isinstance(command, Fail):
+            self.tick("fail", command, graph)
+            return "fail", graph
+        if isinstance(command, RuleSetCall):
+            matches = []
+            for schema in [self.rules[n] for n in command.names]:
+                for g, alpha in enumerate_matches(schema, graph, self.warnings):
+                    matches.append((schema, g, alpha))
+            if not matches:
+                self.tick("call2", command, graph)
+                return "fail", graph
+            schema, g, alpha = self.rng.choice(matches)
+            result = apply(schema, graph, g, alpha)
+            self.tick("call1", command, result)
+            return "graph", result
+        if isinstance(command, Or):
+            pick_left = self.rng.random() < 0.5
+            self.tick("or1" if pick_left else "or2", command, graph)
+            return self.run(command.left if pick_left else command.right, graph)
+        if isinstance(command, (If, Try)):
+            kind, h = self.run(command.cond, graph)
+            name = "try" if isinstance(command, Try) else "if"
+            if kind == "graph":
+                h = h if name == "try" else graph  # if discards the test's graph
+                self.tick(name + ("3" if command.els is None else "1"), command, h)
+                return self.run(command.then, h)
+            self.tick(name + ("4" if command.els is None else "2"), command, graph)
+            if command.els is None:
+                return "graph", graph
+            return self.run(command.els, graph)
+        if isinstance(command, Loop):
+            current = graph
+            while True:
+                kind, nxt = self.run(command.body, current)
+                if kind == "fail":
+                    self.tick("alap2", command, current)
+                    return "graph", current
+                self.tick("alap1", command, nxt)
+                current = nxt
+        raise TypeError(f"cannot execute {command!r}")
+
+
+def reference_run_one(
+    program: CheckedProgram | Command,
+    host: HostGraph,
+    budget: Optional[Budget] = None,
+    rules: Optional[dict[str, ConditionalRuleSchema]] = None,
+    tracing: bool = False,
+) -> RunOutcome:
+    """One seeded pseudo-random derivation to a terminal configuration."""
+    if isinstance(program, CheckedProgram):
+        command = program.main
+        rules = program.rules
+    else:
+        command = program
+        rules = rules or {}
+    runner = ReferenceRunner(rules, budget or Budget(), tracing)
+    try:
+        kind, graph = runner.run(command, host)
+    except BudgetExceeded:
+        return RunOutcome("budget", None, runner.steps, runner.warnings, runner.trace)
+    if kind == "fail":
+        return RunOutcome("fail", None, runner.steps, runner.warnings, runner.trace)
+    return RunOutcome("graph", graph, runner.steps, runner.warnings, runner.trace)

@@ -174,6 +174,43 @@ class TestRunOne:
         out = run_one(Seq((Skip(), Fail())), G0, rules=RULES, tracing=True)
         assert [t.rule for t in out.trace] == ["skip", "fail"]
 
+    @pytest.mark.parametrize(
+        "command, graph, seed, names",
+        [
+            (R, G0, 0, ["call1"]),
+            (R, G2, 0, ["call2"]),
+            (Skip(), G0, 0, ["skip"]),
+            (Fail(), G0, 0, ["fail"]),
+            # the first draw of seed 1 is below 0.5 and picks the left branch
+            (Or(Skip(), Fail()), G0, 1, ["or1", "skip"]),
+            (Or(Skip(), Fail()), G0, 0, ["or2", "fail"]),
+            (If(R, P, Q), G0, 0, ["call1", "if1", "call1"]),
+            (If(R, P, Q), G2, 0, ["call2", "if2", "skip"]),
+            (If(R, P), G0, 0, ["call1", "if3", "call1"]),
+            (If(R, P), G2, 0, ["call2", "if4"]),
+            (Try(R, Q, P), G0, 0, ["call1", "try1", "skip"]),
+            (Try(R, Q, P), G2, 0, ["call2", "try2", "call2"]),
+            (Try(R, Q), G0, 0, ["call1", "try3", "skip"]),
+            (Try(R, Q), G2, 0, ["call2", "try4"]),
+            (Loop(R), G0, 0, ["call1", "alap1", "call2", "alap2"]),
+            (Seq((If(Skip(), R), Loop(Fail()))), G0, 0, ["skip", "if3", "call1", "fail", "alap2"]),
+        ],
+    )
+    def test_trace_names_each_inference_rule(self, command, graph, seed, names):
+        out = run_one(command, graph, Budget(seed=seed), RULES, tracing=True)
+        assert [t.rule for t in out.trace] == names
+
+    def test_or_and_sequences_run_without_recursion(self):
+        # nested far past the recursion limit; each branch of an or goes
+        # one level deeper
+        deep_or = deep_seq = R
+        for _ in range(5_000):
+            deep_or = Or(deep_or, Seq((Skip(), deep_or)))
+            deep_seq = Seq((Skip(), deep_seq))
+        for command in (deep_or, deep_seq):
+            out = run_one(command, G0, Budget(max_steps=100_000), RULES)
+            assert out.kind == "graph" and isomorphic(out.graph, G1)
+
 
 class TestSemantics:
     def test_skip_or_fail(self):
