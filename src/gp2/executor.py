@@ -181,8 +181,8 @@ class Engine:
         self.budget = budget
         self.steps = 0
         self.warnings: list[str] = []
-        # memo of sub-semantics per (command, graph up to iso)
-        self._memo: dict[Command, IsoStore] = {}
+        # memo of sub-semantics per (command, certificate of the graph)
+        self._memo: dict[tuple[Command, tuple], ResultSet] = {}
 
     def tick(self) -> bool:
         """Account for one transition; False once the budget is spent."""
@@ -196,15 +196,15 @@ class Engine:
         return apply_ruleset([self.rules[n] for n in names], graph, self.warnings)
 
     def semantics(self, command: Command, graph: HostGraph) -> ResultSet:
-        store = self._memo.setdefault(command, IsoStore())
-        cached = store.get(graph)
+        key = (command, graph.signature())
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         result = self._explore(command, graph)
         # do not cache truncated explorations; a later call may have
         # budget left to finish them
         if result.bottom != BOTTOM_POSSIBLE:
-            store.set(graph, result)
+            self._memo[key] = result
         return result
 
     def _explore(self, command: Command, graph: HostGraph) -> ResultSet:
@@ -322,16 +322,20 @@ class _Runner:
         self.warnings: list[str] = []
         self.trace: list[TraceEntry] = []
         self.tracing = tracing
+        # the summary of each traced command, keyed by identity: commands
+        # that compare equal can print differently (`RuleSetCall.bare`)
+        self.summaries: dict[int, str] = {}
 
     def tick(self, rule: str, command: Command, graph: HostGraph) -> None:
         self.steps += 1
         if self.steps > self.budget.max_steps:
             raise BudgetExceeded()
         if self.tracing:
+            summary = self.summaries.get(id(command))
+            if summary is None:
+                summary = self.summaries[id(command)] = _summary(command)
             self.trace.append(
-                TraceEntry(
-                    self.steps, rule, _summary(command), len(graph.nodes), len(graph.edges)
-                )
+                TraceEntry(self.steps, rule, summary, len(graph.nodes), len(graph.edges))
             )
 
     def call(self, names: tuple[str, ...], graph: HostGraph) -> list[HostGraph]:

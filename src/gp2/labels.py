@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
-from .graphs import Atom, HostGraph, Premorphism
+from .graphs import Atom, HostGraph, Premorphism, format_atom
 
 
 class EvalError(Exception):
@@ -59,8 +59,7 @@ class StrLit:
     value: str
 
     def __str__(self) -> str:
-        escaped = self.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return format_atom(self.value)
 
 
 @dataclass(frozen=True)

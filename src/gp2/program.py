@@ -223,10 +223,11 @@ def check_program(ast: ProgramAST) -> list[Violation]:
     return out
 
 
-def _macro_refs(command: Command, ast: ProgramAST) -> set[str]:
-    refs: set[str] = set()
-    if isinstance(command, RuleSetCall):
-        refs = {n for n in command.names if command.bare and n in ast.macros}
+def _macro_refs(command: Command, ast: ProgramAST) -> dict[str, None]:
+    """The macros command calls, each once, in source order."""
+    refs: dict[str, None] = {}
+    if isinstance(command, RuleSetCall) and command.bare:
+        refs = dict.fromkeys(n for n in command.names if n in ast.macros)
     for c in subcommands(command):
         refs |= _macro_refs(c, ast)
     return refs

@@ -6,19 +6,25 @@ label-preserving, filters by the rule condition and the dangling
 condition, and applies the instantiated rule in place of the abstract
 one.  Rewriting never mutates the input graph.
 
-Premorphisms are found by a static search plan per left graph, cached on
-it: edge by edge, each later edge reached through the host's incidence
-index from a node already bound, checking injectivity and marks as each
-item is bound.  The matches are sorted into one fixed order, so a seeded
-run does not depend on the plan.
+Each rule graph is compiled once, on first use, into one record
+(`_Compiled`) that matching and rewriting only read; adding a node or
+an edge drops it.  The record fixes the slot order, the sorted nodes and
+then the sorted edges, and holds:
 
-Labels are compiled once per rule graph, on first use, and cached beside
-the plan.  Each left label becomes a unifier: its items are flattened
-once, each specialised to its kind (an int, string or atom variable, a
-negation chain over an int variable, a ground item, a concatenation),
-and tested against the host atoms from the front up to the list
-variable and from the back after it; the list variable takes the rest.
-Each right label becomes an evaluator (`labels.compile_list`).
+- the search plan: edge by edge, each later edge reached through the
+  host's incidence index from a node already bound, then the nodes no
+  edge touches, checking injectivity and marks as each item is bound.
+  The matches are sorted into one fixed order, so a seeded run does not
+  depend on the plan;
+- one unifier per left label: its items flattened, each specialised to
+  its kind (an int, string or atom variable, a negation chain over an int
+  variable, a ground item, a `.` pattern split into its literal prefix,
+  its string variable and its literal suffix), and tested against the
+  host atoms from the front up to the list variable and from the back
+  after it; the list variable takes the rest;
+- one evaluator per right label (`labels.compile_list`), in insertion
+  order for the check that every right label evaluates, and sorted with
+  its mark and ends for `apply`.
 """
 
 from __future__ import annotations
@@ -68,19 +74,15 @@ class RuleGraph:
     def __init__(self) -> None:
         self.nodes: dict[str, RuleLabel] = {}
         self.edges: dict[str, RuleEdge] = {}
-        # compiled on first use: the search plan and the label unifiers of
-        # a left graph, the label evaluators of a right graph
-        self._plan: Optional[tuple] = None
-        self._unifiers: Optional[tuple] = None
-        self._evaluators: Optional[tuple] = None
+        self._compiled: Optional[_Compiled] = None  # built on first use
 
     def add_node(self, node_id: str, label: RuleLabel) -> None:
         self.nodes[node_id] = label
-        self._plan = self._unifiers = self._evaluators = None
+        self._compiled = None
 
     def add_edge(self, edge_id: str, source: str, target: str, label: RuleLabel) -> None:
         self.edges[edge_id] = RuleEdge(source, target, label)
-        self._plan = self._unifiers = self._evaluators = None
+        self._compiled = None
 
 
 @dataclass
@@ -110,7 +112,7 @@ def validate(schema: ConditionalRuleSchema) -> list[Violation]:
     def bad(location: str, message: str) -> None:
         out.append(Violation(schema.name, location, message))
 
-    for nid in schema.interface:
+    for nid in sorted(schema.interface):
         if nid not in schema.left.nodes:
             bad(f"interface node {nid}", "not present in left graph")
         if nid not in schema.right.nodes:
@@ -130,7 +132,7 @@ def validate(schema: ConditionalRuleSchema) -> list[Violation]:
             return
         if left_side and not is_simple(label.expr):
             bad(location, f"left-hand expression {label.expr} is not simple")
-        for node in degree_nodes(label.expr):
+        for node in sorted(degree_nodes(label.expr)):
             if node not in schema.left.nodes:
                 bad(location, f"degree operand {node!r} is not a left-graph node")
 
@@ -159,7 +161,7 @@ def validate(schema: ConditionalRuleSchema) -> list[Violation]:
         extra = variables(schema.condition) - left_vars
         if extra:
             bad("condition", f"variables {sorted(extra)} do not occur on the left")
-        for node in _condition_nodes(schema.condition):
+        for node in sorted(_condition_nodes(schema.condition)):
             if node not in schema.left.nodes:
                 bad("condition", f"node {node!r} is not a left-graph node")
         try:
@@ -183,13 +185,7 @@ def _check_condition_types(c: Condition, decls: dict[str, VType]) -> None:
                     raise LabelTypeError(f"relational operands must be integers in {t}")
 
 
-# -- assignment inference ---------------------------------------------
-
-
-def _flatten_dot(e) -> list:
-    if isinstance(e, Dot):
-        return _flatten_dot(e.left) + _flatten_dot(e.right)
-    return [e]
+# -- the compiled record ----------------------------------------------
 
 
 def _is_ground(e) -> bool:
@@ -203,39 +199,31 @@ def _bind(bindings: Assignment, name: str, value) -> bool:
     return True
 
 
-def _unify_string(e, text: str, bindings: Assignment) -> bool:
-    """Match a string expression (at most one string variable) against text."""
-    pieces = _flatten_dot(e)
-    var_positions = [
-        i for i, p in enumerate(pieces) if isinstance(p, Var) and p.vtype is VType.STRING
-    ]
-    literal = []
-    for p in pieces:
-        if isinstance(p, StrLit):
-            literal.append(p.value)
-        elif isinstance(p, Var) and p.vtype is VType.STRING:
-            literal.append(None)
-        else:
-            return False
-    if len(var_positions) == 0:
-        return "".join(literal) == text  # type: ignore[arg-type]
-    if len(var_positions) > 1:
-        return False
-    i = var_positions[0]
-    prefix = "".join(literal[:i])  # type: ignore[arg-type]
-    suffix = "".join(literal[i + 1 :])  # type: ignore[arg-type]
-    if len(prefix) + len(suffix) > len(text):
-        return False
-    if not text.startswith(prefix):
-        return False
-    if suffix and not text.endswith(suffix):
-        return False
-    middle = text[len(prefix) : len(text) - len(suffix)]
-    return _bind(bindings, pieces[i].name, middle)
-
-
 def _never(*_) -> bool:
     return False
+
+
+def _compile_dot(item: Dot) -> Callable:
+    """A test of a `.` pattern: string literals around one string variable."""
+    pieces = [t for t in subterms(item) if not isinstance(t, Dot)]
+    at = [i for i, p in enumerate(pieces) if isinstance(p, Var) and p.vtype is VType.STRING]
+    if len(at) != 1 or sum(isinstance(p, StrLit) for p in pieces) != len(pieces) - 1:
+        return _never
+    name = pieces[at[0]].name
+    prefix = "".join(p.value for p in pieces[: at[0]])
+    suffix = "".join(p.value for p in pieces[at[0] + 1 :])
+    fixed = len(prefix) + len(suffix)
+
+    def dot(a, b, g, host) -> bool:
+        return (
+            isinstance(a, str)
+            and len(a) >= fixed
+            and a.startswith(prefix)
+            and a.endswith(suffix)
+            and _bind(b, name, a[len(prefix) : len(a) - len(suffix)])
+        )
+
+    return dot
 
 
 def _compile_item(item) -> Callable:
@@ -274,7 +262,7 @@ def _compile_item(item) -> Callable:
             return lambda a, b, g, host: _bind(b, name, a)
         return _never  # a bare list variable is handled positionally
     if isinstance(item, Dot):
-        return lambda a, b, g, host: isinstance(a, str) and _unify_string(item, a, b)
+        return _compile_dot(item)
     return _never
 
 
@@ -311,14 +299,55 @@ def _compile_label(label: RuleLabel) -> Callable:
     return unify
 
 
-def _unifiers(left: RuleGraph) -> tuple:
-    """The cached unifiers of a left graph: sorted nodes, then sorted edges."""
-    if left._unifiers is None:
-        left._unifiers = (
-            [(nid, _compile_label(left.nodes[nid])) for nid in sorted(left.nodes)],
-            [(eid, _compile_label(left.edges[eid].label)) for eid in sorted(left.edges)],
-        )
-    return left._unifiers
+class _Compiled:
+    """What matching and rewriting read of one rule graph.
+
+    The slots are the sorted nodes, then the sorted edges.  A plan step is
+    `(slot, source slot, target slot, marked)` for an edge and
+    `(slot, None, None, marked)` for a node no edge touches; each edge step
+    touches a node bound before it where the graph allows.  The label
+    evaluators come in insertion order, nodes then edges, and again with
+    their marks in slot order (`sorted_nodes`, `sorted_edges`)."""
+
+    __slots__ = (
+        "nodes", "edges", "node_marks", "steps",
+        "node_unifiers", "edge_unifiers", "evaluators", "sorted_nodes", "sorted_edges",
+    )
+
+    def __init__(self, graph: RuleGraph) -> None:
+        nodes, edges = sorted(graph.nodes), sorted(graph.edges)
+        slot = {nid: i for i, nid in enumerate(nodes)}
+        todo = {eid: i for i, eid in enumerate(edges, len(nodes))}  # edge slots
+        ends = {eid: (e.source, e.target) for eid, e in graph.edges.items()}
+        steps: list[tuple] = []
+        bound: set[str] = set()
+        while todo:
+            eid = next((e for e in todo if bound.intersection(ends[e])), next(iter(todo)))
+            source, target = ends[eid]
+            bound.update((source, target))
+            marked = graph.edges[eid].label.marked
+            steps.append((todo.pop(eid), slot[source], slot[target], marked))
+        steps += [(slot[n], None, None, graph.nodes[n].marked) for n in nodes if n not in bound]
+        self.nodes, self.edges, self.steps = nodes, edges, steps
+        self.node_marks = [graph.nodes[n].marked for n in nodes]
+        self.node_unifiers = [(nid, _compile_label(graph.nodes[nid])) for nid in nodes]
+        self.edge_unifiers = [(eid, _compile_label(graph.edges[eid].label)) for eid in edges]
+        node_evaluators = {nid: compile_list(lab.expr) for nid, lab in graph.nodes.items()}
+        edge_evaluators = {eid: compile_list(e.label.expr) for eid, e in graph.edges.items()}
+        self.evaluators = [*node_evaluators.values(), *edge_evaluators.values()]
+        self.sorted_nodes = [(n, node_evaluators[n], graph.nodes[n].marked) for n in nodes]
+        self.sorted_edges = [
+            (*ends[eid], edge_evaluators[eid], graph.edges[eid].label.marked) for eid in edges
+        ]
+
+
+def _compiled(graph: RuleGraph) -> _Compiled:
+    if graph._compiled is None:
+        graph._compiled = _Compiled(graph)
+    return graph._compiled
+
+
+# -- assignment inference ---------------------------------------------
 
 
 def infer_assignment(
@@ -330,14 +359,14 @@ def infer_assignment(
     must agree exactly, and repeated variable occurrences must bind
     consistently.
     """
-    nodes, edges = _unifiers(left)
+    compiled = _compiled(left)
     bindings: Assignment = {}
     node_map, host_nodes = g.node_map, host.nodes
-    for nid, unify in nodes:
+    for nid, unify in compiled.node_unifiers:
         if not unify(host_nodes[node_map[nid]], bindings, g, host):
             return None
     edge_map, host_edges = g.edge_map, host.edges
-    for eid, unify in edges:
+    for eid, unify in compiled.edge_unifiers:
         if not unify(host_edges[edge_map[eid]].label, bindings, g, host):
             return None
     return bindings
@@ -346,34 +375,14 @@ def infer_assignment(
 # -- match enumeration -------------------------------------------------
 
 
-def _search_plan(left: RuleGraph) -> tuple:
-    """The cached search plan of a left graph.  The slots are the sorted
-    nodes, then the sorted edges.  Each edge step touches a node bound
-    before it where the graph allows; the nodes no edge touches come last."""
-    if left._plan is None:
-        nodes, edges = sorted(left.nodes), sorted(left.edges)
-        slot = {nid: i for i, nid in enumerate(nodes)}
-        ends = {eid: (left.edges[eid].source, left.edges[eid].target) for eid in edges}
-        steps: list[tuple] = []
-        bound: set[str] = set()
-        todo = edges[:]
-        while todo:
-            eid = next((e for e in todo if bound.intersection(ends[e])), todo[0])
-            todo.remove(eid)
-            bound.update(ends[eid])
-            source, target = ends[eid]
-            marked = left.edges[eid].label.marked
-            steps.append((len(nodes) + edges.index(eid), slot[source], slot[target], marked))
-        steps += [(slot[n], None, None, left.nodes[n].marked) for n in nodes if n not in bound]
-        left._plan = (nodes, edges, [left.nodes[n].marked for n in nodes], steps)
-    return left._plan
-
-
 def _premorphisms(left: RuleGraph, host: HostGraph) -> Iterator[Premorphism]:
     """All injective structure-preserving maps that agree on marks, ordered
     by node images in sorted left-node order, then edge images in sorted
     left-edge order."""
-    nodes, edges, node_marks, steps = _search_plan(left)
+    compiled = _compiled(left)
+    nodes, edges, node_marks, steps = (
+        compiled.nodes, compiled.edges, compiled.node_marks, compiled.steps
+    )
     host_nodes, host_edges = host.nodes, host.edges
     image: list = [None] * (len(nodes) + len(edges))
     used_nodes: set[str] = set()
@@ -445,17 +454,6 @@ def _dangling_ok(
     return True
 
 
-def _evaluators(right: RuleGraph) -> tuple:
-    """The cached evaluators of a right graph's labels with their marks:
-    one dict for the nodes and one for the edges, in insertion order."""
-    if right._evaluators is None:
-        right._evaluators = (
-            {nid: (compile_list(lab.expr), lab.marked) for nid, lab in right.nodes.items()},
-            {eid: (compile_list(e.label.expr), e.label.marked) for eid, e in right.edges.items()},
-        )
-    return right._evaluators
-
-
 def enumerate_matches(
     schema: ConditionalRuleSchema,
     host: HostGraph,
@@ -468,25 +466,16 @@ def enumerate_matches(
     or a right-hand label raises an evaluation error (the latter with a
     warning).
     """
-    nodes, edges = _evaluators(schema.right)
-    right_labels = [evaluate for evaluate, _ in (*nodes.values(), *edges.values())]
+    condition, right_labels = schema.condition, _compiled(schema.right).evaluators
     for g in _premorphisms(schema.left, host):
         alpha = infer_assignment(schema.left, g, host)
         if alpha is None:
             continue
-        if schema.condition is not None:
-            try:
-                if not eval_condition(schema.condition, g, alpha, host):
-                    continue
-            except EvalError as exc:
-                if warnings is not None:
-                    warnings.append(
-                        f"rule {schema.name}: match discarded ({exc})"
-                    )
-                continue
-        if not _dangling_ok(schema, g, host):
-            continue
         try:
+            if condition is not None and not eval_condition(condition, g, alpha, host):
+                continue
+            if not _dangling_ok(schema, g, host):
+                continue
             for evaluate in right_labels:
                 evaluate(g, alpha, host)
         except EvalError as exc:
@@ -517,10 +506,9 @@ def apply(
         if nid not in schema.interface:
             result.remove_node(g.node_map[nid])
 
-    nodes, edges = _evaluators(schema.right)
+    right = _compiled(schema.right)
     new_nodes: dict[str, str] = {}
-    for nid in sorted(nodes):
-        evaluate, marked = nodes[nid]
+    for nid, evaluate, marked in right.sorted_nodes:
         label = HostLabel(evaluate(g, alpha, host), marked)
         if nid in schema.interface:
             result.relabel_node(g.node_map[nid], label)
@@ -530,11 +518,9 @@ def apply(
     def image(nid: str) -> str:
         return g.node_map[nid] if nid in schema.interface else new_nodes[nid]
 
-    for eid in sorted(edges):
-        edge = schema.right.edges[eid]
-        evaluate, marked = edges[eid]
+    for source, target, evaluate, marked in right.sorted_edges:
         label = HostLabel(evaluate(g, alpha, host), marked)
-        result.add_edge(image(edge.source), image(edge.target), label)
+        result.add_edge(image(source), image(target), label)
 
     return result
 

@@ -59,7 +59,6 @@ from gp2.rules import (
     RuleGraph,
     _bind,
     _is_ground,
-    _unify_string,
     apply,
     apply_ruleset,
     enumerate_matches,
@@ -438,6 +437,37 @@ def reference_premorphisms(left: RuleGraph, host: HostGraph) -> Iterator[Premorp
 #
 # The interpreter's unifier before labels were compiled: it flattens each
 # left label and dispatches on each item's kind for every candidate.
+
+
+def _unify_string(e, text: str, bindings: Assignment) -> bool:
+    """Match a string expression (at most one string variable) against text."""
+    pieces = _flatten_dot(e)
+    var_positions = [
+        i for i, p in enumerate(pieces) if isinstance(p, Var) and p.vtype is VType.STRING
+    ]
+    literal = []
+    for p in pieces:
+        if isinstance(p, StrLit):
+            literal.append(p.value)
+        elif isinstance(p, Var) and p.vtype is VType.STRING:
+            literal.append(None)
+        else:
+            return False
+    if len(var_positions) == 0:
+        return "".join(literal) == text  # type: ignore[arg-type]
+    if len(var_positions) > 1:
+        return False
+    i = var_positions[0]
+    prefix = "".join(literal[:i])  # type: ignore[arg-type]
+    suffix = "".join(literal[i + 1 :])  # type: ignore[arg-type]
+    if len(prefix) + len(suffix) > len(text):
+        return False
+    if not text.startswith(prefix):
+        return False
+    if suffix and not text.endswith(suffix):
+        return False
+    middle = text[len(prefix) : len(text) - len(suffix)]
+    return _bind(bindings, pieces[i].name, middle)
 
 
 def _unify_item(

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import gp2
 from gp2.cli import main
 from gp2.graphs import isomorphic
 from gp2.parsing import parse_host_graph
@@ -151,6 +156,44 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", p)
         assert code == 3
         assert "error" in err
+
+
+    def test_violations_print_in_one_order_under_every_hash_seed(self, files):
+        """Interface, degree and condition nodes are sets, and so were the
+        macro references; each `gp2 check` process must print them alike."""
+        p = files(
+            "p.gp2",
+            "rule r(x: int)\n"
+            "  [ (n1, x) | ] => [ (n1, x + indeg(q1) + outdeg(q2)) | ]\n"
+            "  interface = {n1, i1, i2, i3, i4}\n"
+            "  where edge(q3, q4)\n"
+            "a = b; c\nb = c\nc = b\nmain = a\n",
+        )
+        src = os.path.dirname(os.path.dirname(gp2.__file__))
+        outputs = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "gp2.cli", "check", p],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 3, done.stderr
+            outputs.add(done.stdout)
+        assert outputs == {
+            "r: interface node i1: not present in left graph\n"
+            "r: interface node i1: not present in right graph\n"
+            "r: interface node i2: not present in left graph\n"
+            "r: interface node i2: not present in right graph\n"
+            "r: interface node i3: not present in left graph\n"
+            "r: interface node i3: not present in right graph\n"
+            "r: interface node i4: not present in left graph\n"
+            "r: interface node i4: not present in right graph\n"
+            "r: right node n1: degree operand 'q1' is not a left-graph node\n"
+            "r: right node n1: degree operand 'q2' is not a left-graph node\n"
+            "r: condition: node 'q3' is not a left-graph node\n"
+            "r: condition: node 'q4' is not a left-graph node\n"
+            "program: macro b: recursive macro reference: a -> b -> c -> b\n"
+        }
 
 
 class TestErrors:
