@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute one run of a program on a host graph")
     run_p.add_argument("program")
     run_p.add_argument("graph")
-    run_p.add_argument("--mode", choices=["run", "all"], default="run")
     run_p.add_argument("--trace", action="store_true")
     common(run_p)
     run_p.set_defaults(func=cmd_run)
@@ -123,15 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # argparse's own error path exits 2, which means an exhausted budget
+    # argparse exits 2 on a usage error, which means an exhausted budget
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # 0 after --help
+        return EXIT_ERROR if exc.code else EXIT_GRAPH
     for flag in ("--max-steps", "--max-configs"):
         if getattr(args, flag[2:].replace("-", "_"), 0) < 0:
             print(f"error: {flag} must not be negative", file=sys.stderr)
             return EXIT_ERROR
-    if args.command == "run" and args.mode == "all":
-        args.func = cmd_semantics
     try:
         return args.func(args)
     # UnicodeDecodeError: an input file that is not UTF-8; RecursionError:

@@ -116,39 +116,36 @@ def tokenize(text: str) -> list[Token]:
 # Operator tables map an operator's (token kind, value) to (precedence,
 # build); a higher precedence binds tighter. `Parser.climb` reads a run of
 # operands joined by operators of one precedence and makes its tree with
-# build(first token, operands, operator values).
+# build(operands, operator values).
 
 
 def _left(make: Callable) -> Callable:
-    """A build that folds a run to the left with make(start, op, left, right)."""
-    return lambda start, items, ops: reduce(
-        lambda left, step: make(start, step[0], left, step[1]), zip(ops, items[1:]), items[0]
+    """A build that folds a run to the left with make(op, left, right)."""
+    return lambda items, ops: reduce(
+        lambda left, step: make(step[0], left, step[1]), zip(ops, items[1:]), items[0]
     )
 
 
-def _cons(start: Token, items: list, ops: list):
+def _cons(items: list, ops: list):
     return reduce(lambda tail, item: Cons(item, tail), reversed(items))
 
 
-_arith = _left(lambda start, op, left, right: Arith(op, left, right))
+_arith = _left(Arith)
 EXPRESSION_OPS = {
     ("SYMBOL", ":"): (1, _cons),
-    ("SYMBOL", "."): (2, _left(lambda start, op, left, right: Dot(left, right))),
+    ("SYMBOL", "."): (2, _left(lambda op, left, right: Dot(left, right))),
     ("SYMBOL", "+"): (3, _arith),
     ("SYMBOL", "-"): (3, _arith),
     ("SYMBOL", "*"): (4, _arith),
     ("SYMBOL", "/"): (4, _arith),
 }
 CONDITION_OPS = {
-    ("KEYWORD", "or"): (1, _left(lambda start, op, left, right: CondOr(left, right))),
-    ("KEYWORD", "and"): (2, _left(lambda start, op, left, right: CondAnd(left, right))),
+    ("KEYWORD", "or"): (1, _left(lambda op, left, right: CondOr(left, right))),
+    ("KEYWORD", "and"): (2, _left(lambda op, left, right: CondAnd(left, right))),
 }
 COMMAND_OPS = {
-    # every `or` of a chain carries the chain's start
-    ("KEYWORD", "or"): (
-        1, _left(lambda start, op, left, right: Or(left, right, span=(start.line, start.col)))
-    ),
-    ("SYMBOL", ";"): (2, lambda start, items, ops: seq(items)),
+    ("KEYWORD", "or"): (1, _left(lambda op, left, right: Or(left, right))),
+    ("SYMBOL", ";"): (2, lambda items, ops: seq(items)),
 }
 _NO_OP = (0, None)
 COMPARISONS = {("SYMBOL", op) for op in ("=", "!=", ">=", "<=", ">", "<")}
@@ -217,7 +214,6 @@ class Parser:
 
         A run of operators of one precedence is read in one loop, so only a
         tighter operator or a nested operand costs a stack frame."""
-        start = self.peek()
         left = operand()
         while True:
             tok = self.peek()
@@ -229,7 +225,7 @@ class Parser:
                 signs.append(self.next().value)
                 items.append(self.climb(ops, operand, prec + 1))
                 tok = self.peek()
-            left = build(start, items, signs)
+            left = build(items, signs)
 
     # -- graph literals --------------------------------------------------
 
@@ -422,19 +418,17 @@ class Parser:
     # -- commands --------------------------------------------------------
 
     def parse_postfix(self) -> Command:
-        start = self.peek()
         cmd = self.parse_command_primary()
         while self.accept("SYMBOL", "!"):
-            cmd = Loop(cmd, span=(start.line, start.col))
+            cmd = Loop(cmd)
         return cmd
 
     def parse_command_primary(self) -> Command:
         tok = self.peek()
-        span = (tok.line, tok.col)
         if self.accept("KEYWORD", "skip"):
-            return Skip(span=span)
+            return Skip()
         if self.accept("KEYWORD", "fail"):
-            return Fail(span=span)
+            return Fail()
         if self.accept("KEYWORD", "if") or self.accept("KEYWORD", "try"):
             cond = self.climb(COMMAND_OPS, self.parse_postfix)
             self.expect("KEYWORD", "then")
@@ -442,12 +436,11 @@ class Parser:
             els = None
             if self.accept("KEYWORD", "else"):
                 els = self.climb(COMMAND_OPS, self.parse_postfix)
-            return (If if tok.value == "if" else Try)(cond, then, els, span=span)
+            return (If if tok.value == "if" else Try)(cond, then, els)
         if self.at("SYMBOL", "{"):
-            return RuleSetCall(tuple(self.parse_names()), bare=False, span=span)
+            return RuleSetCall(tuple(self.parse_names()))
         if self.at("IDENT"):
-            name = self.next().value
-            return RuleSetCall((name,), bare=True, span=span)
+            return RuleSetCall((self.next().value,), bare=True)
         if self.accept("SYMBOL", "("):
             cmd = self.climb(COMMAND_OPS, self.parse_postfix)
             self.expect("SYMBOL", ")")
@@ -471,7 +464,7 @@ class Parser:
             elif self.accept("IDENT"):
                 self.expect("SYMBOL", "=")
                 body = self.climb(COMMAND_OPS, self.parse_postfix)
-                decl, table = MacroDecl(tok.value, body, span=(tok.line, tok.col)), macros
+                decl, table = MacroDecl(tok.value, body), macros
             else:
                 raise self.error("expected a declaration")
             if decl.name in rules or decl.name in macros:

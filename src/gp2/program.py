@@ -3,25 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .rules import ConditionalRuleSchema, Violation, validate
-
-Span = tuple[int, int]  # line, column
 
 
 @dataclass(frozen=True)
 class Skip:
-    span: Optional[Span] = field(default=None, compare=False)
-
     def __str__(self) -> str:
         return "skip"
 
 
 @dataclass(frozen=True)
 class Fail:
-    span: Optional[Span] = field(default=None, compare=False)
-
     def __str__(self) -> str:
         return "fail"
 
@@ -31,7 +25,6 @@ class RuleSetCall:
     names: tuple[str, ...]
     # a bare identifier prints without braces
     bare: bool = field(default=False, compare=False)
-    span: Optional[Span] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         if self.bare and len(self.names) == 1:
@@ -42,7 +35,6 @@ class RuleSetCall:
 @dataclass(frozen=True)
 class Seq:
     items: tuple["Command", ...]
-    span: Optional[Span] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         # bare, an if or try would take the items after it into its last branch
@@ -56,7 +48,6 @@ class If:
     cond: "Command"
     then: "Command"
     els: Optional["Command"] = None
-    span: Optional[Span] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         text = f"if {self.cond} then ({self.then})"
@@ -70,7 +61,6 @@ class Try:
     cond: "Command"
     then: "Command"
     els: Optional["Command"] = None
-    span: Optional[Span] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         text = f"try {self.cond} then ({self.then})"
@@ -82,7 +72,6 @@ class Try:
 @dataclass(frozen=True)
 class Loop:
     body: "Command"
-    span: Optional[Span] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"({self.body})!"
@@ -92,7 +81,6 @@ class Loop:
 class Or:
     left: "Command"
     right: "Command"
-    span: Optional[Span] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         left, right = (
@@ -117,6 +105,16 @@ def subcommands(c: Command) -> tuple[Command, ...]:
     return ()
 
 
+def commands(c: Command) -> Iterator[Command]:
+    """Yield c and every command nested in it, each command before the
+    ones nested in it, in source order."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        yield c
+        stack.extend(reversed(subcommands(c)))
+
+
 def seq(items: list[Command]) -> Command:
     """Build a flattened sequence; a singleton collapses to the command."""
     flat: list[Command] = []
@@ -134,7 +132,6 @@ def seq(items: list[Command]) -> Command:
 class MacroDecl:
     name: str
     body: Command
-    span: Optional[Span] = None
 
 
 @dataclass
@@ -154,7 +151,6 @@ class CheckedProgram:
 
     rules: dict[str, ConditionalRuleSchema]
     main: Command
-    ast: ProgramAST
 
 
 class CheckError(Exception):
@@ -176,24 +172,18 @@ def check_program(ast: ProgramAST) -> list[Violation]:
     for schema in ast.rules.values():
         out.extend(validate(schema))
 
-    def resolve(command: Command, where: str) -> None:
-        if isinstance(command, RuleSetCall):
+    bodies = [(f"macro {m.name}", m.body) for m in ast.macros.values()]
+    for where, body in bodies + [("main", main) for main in ast.mains]:
+        for command in commands(body):
+            if not isinstance(command, RuleSetCall):
+                continue
             for name in command.names:
-                if name in ast.rules:
-                    continue
-                if command.bare and name in ast.macros:
+                if name in ast.rules or (command.bare and name in ast.macros):
                     continue
                 kind = "rule or macro" if command.bare else "rule"
                 out.append(
                     Violation("program", where, f"unresolved {kind} identifier {name!r}")
                 )
-        for c in subcommands(command):
-            resolve(c, where)
-
-    for macro in ast.macros.values():
-        resolve(macro.body, f"macro {macro.name}")
-    for main in ast.mains:
-        resolve(main, "main")
 
     # macro recursion check over the reference graph
     state: dict[str, int] = {}  # 0 = visiting, 1 = done
@@ -212,8 +202,7 @@ def check_program(ast: ProgramAST) -> list[Violation]:
             return
         state[name] = 0
         for ref in _macro_refs(ast.macros[name].body, ast):
-            if ref in ast.macros:
-                visit(ref, trail + [name])
+            visit(ref, trail + [name])
         state[name] = 1
 
     for name in ast.macros:
@@ -225,12 +214,13 @@ def check_program(ast: ProgramAST) -> list[Violation]:
 
 def _macro_refs(command: Command, ast: ProgramAST) -> dict[str, None]:
     """The macros command calls, each once, in source order."""
-    refs: dict[str, None] = {}
-    if isinstance(command, RuleSetCall) and command.bare:
-        refs = dict.fromkeys(n for n in command.names if n in ast.macros)
-    for c in subcommands(command):
-        refs |= _macro_refs(c, ast)
-    return refs
+    return dict.fromkeys(
+        name
+        for c in commands(command)
+        if isinstance(c, RuleSetCall) and c.bare
+        for name in c.names
+        if name in ast.macros
+    )
 
 
 def expand_macros(command: Command, ast: ProgramAST) -> Command:
@@ -248,4 +238,4 @@ def checked(ast: ProgramAST) -> CheckedProgram:
     violations = check_program(ast)
     if violations:
         raise CheckError(violations)
-    return CheckedProgram(ast.rules, expand_macros(ast.main, ast), ast)
+    return CheckedProgram(ast.rules, expand_macros(ast.main, ast))

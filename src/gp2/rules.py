@@ -118,44 +118,35 @@ def validate(schema: ConditionalRuleSchema) -> list[Violation]:
         if nid not in schema.right.nodes:
             bad(f"interface node {nid}", "not present in right graph")
 
-    left_vars: set[str] = set()
-    for nid, label in schema.left.nodes.items():
-        left_vars |= variables(label.expr)
-    for eid, edge in schema.left.edges.items():
-        left_vars |= variables(edge.label.expr)
+    def items():
+        """(side, location, label, unknown endpoints) of left nodes, left
+        edges, right nodes and right edges, in that order."""
+        for side, graph in (("left", schema.left), ("right", schema.right)):
+            for nid, label in graph.nodes.items():
+                yield side, f"{side} node {nid}", label, ()
+            for eid, e in graph.edges.items():
+                ends = [n for n in (e.source, e.target) if n not in graph.nodes]
+                yield side, f"{side} edge {eid}", e.label, ends
 
-    def check_expr(location: str, label: RuleLabel, left_side: bool) -> None:
+    left_vars = {
+        v for side, _, label, _ in items() if side == "left" for v in variables(label.expr)
+    }
+    for side, location, label, unknown in items():
         try:
             infer_type(label.expr, schema.variables)
         except LabelTypeError as exc:
             bad(location, str(exc))
-            return
-        if left_side and not is_simple(label.expr):
-            bad(location, f"left-hand expression {label.expr} is not simple")
-        for node in sorted(degree_nodes(label.expr)):
-            if node not in schema.left.nodes:
-                bad(location, f"degree operand {node!r} is not a left-graph node")
-
-    for nid, label in schema.left.nodes.items():
-        check_expr(f"left node {nid}", label, True)
-    for eid, edge in schema.left.edges.items():
-        check_expr(f"left edge {eid}", edge.label, True)
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in schema.left.nodes:
-                bad(f"left edge {eid}", f"unknown endpoint {endpoint!r}")
-    for nid, label in schema.right.nodes.items():
-        check_expr(f"right node {nid}", label, False)
-        extra = variables(label.expr) - left_vars
+        else:
+            if side == "left" and not is_simple(label.expr):
+                bad(location, f"left-hand expression {label.expr} is not simple")
+            for node in sorted(degree_nodes(label.expr)):
+                if node not in schema.left.nodes:
+                    bad(location, f"degree operand {node!r} is not a left-graph node")
+        extra = variables(label.expr) - left_vars  # empty on the left
         if extra:
-            bad(f"right node {nid}", f"variables {sorted(extra)} do not occur on the left")
-    for eid, edge in schema.right.edges.items():
-        check_expr(f"right edge {eid}", edge.label, False)
-        extra = variables(edge.label.expr) - left_vars
-        if extra:
-            bad(f"right edge {eid}", f"variables {sorted(extra)} do not occur on the left")
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in schema.right.nodes:
-                bad(f"right edge {eid}", f"unknown endpoint {endpoint!r}")
+            bad(location, f"variables {sorted(extra)} do not occur on the left")
+        for endpoint in unknown:
+            bad(location, f"unknown endpoint {endpoint!r}")
 
     if schema.condition is not None:
         extra = variables(schema.condition) - left_vars

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -88,15 +89,6 @@ class TestRun:
         assert code == 0
         assert any(line.startswith("#") and "skip" in line for line in out.splitlines())
 
-    def test_mode_all_prints_result_set(self, files, capsys):
-        p = files("p.gp2", "main = skip or fail\n")
-        g = files("g.host", "[ (n1, 0) | ]\n")
-        code, out, _ = run_cli(capsys, "run", p, g, "--mode", "all")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert "fail" in lines
-        assert any(line.startswith("[") for line in lines)
-
 
 class TestSemantics:
     def test_skip_or_fail(self, files, capsys):
@@ -121,7 +113,7 @@ class TestSemantics:
         assert code == 0
         assert out.strip() == "bottom: proven"
 
-    @pytest.mark.parametrize("mode", [["semantics"], ["run", "--mode", "all"]])
+    @pytest.mark.parametrize("mode", [["semantics"]])
     def test_truncated_exploration_exits_two(self, files, capsys, mode):
         p = files("p.gp2", GROW)
         g = files("g.host", "[ | ]\n")
@@ -157,6 +149,13 @@ class TestCheck:
         assert code == 3
         assert "error" in err
 
+    def test_long_or_chain_checks(self, files, capsys):
+        # the walk over commands keeps its own stack; a fresh thread starts
+        # with an empty one, as the command line does
+        p = files("p.gp2", "main = " + " or ".join(["skip"] * 5001) + "\n")
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            code, out, err = pool.submit(run_cli, capsys, "check", p).result()
+        assert (code, out, err) == (0, "ok\n", "")
 
     def test_violations_print_in_one_order_under_every_hash_seed(self, files):
         """Interface, degree and condition nodes are sets, and so were the
@@ -232,3 +231,15 @@ class TestErrors:
         assert code == 3
         assert out == ""
         assert err == f"error: {flag} must not be negative\n"
+
+    @pytest.mark.parametrize("argv", [["run"], ["run", "a", "b", "--bogus"]])
+    def test_usage_error_exits_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("usage: gp2") and "error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--help")
+        assert code == 0
+        assert out.startswith("usage: gp2 run")

@@ -276,6 +276,31 @@ class TestChecking:
             Seq((RuleSetCall(("r",), bare=True), RuleSetCall(("r",), bare=True)))
         )
 
+    def test_unresolved_names_in_source_order(self):
+        """Macros in declaration order, then main; within each, calls in
+        source order however deeply nested; macro cycles come last."""
+        program = parse_program(
+            "rule r() [ | ] => [ | ] interface = {}\n"
+            "m1 = u1; if (u2 or r) then {r, u3} else try m2 then (u4!)\n"
+            "m2 = (r; (skip or {m1, u5}))!; if skip then (m1 or u6)\n"
+            "main = m1; if u7 then (r or (u8; {u9, r})); m2; (u1)!\n"
+        )
+        rule_or_macro = "unresolved rule or macro identifier"
+        assert [(v.rule, v.location, v.message) for v in check_program(program)] == [
+            ("program", "macro m1", f"{rule_or_macro} 'u1'"),
+            ("program", "macro m1", f"{rule_or_macro} 'u2'"),
+            ("program", "macro m1", "unresolved rule identifier 'u3'"),
+            ("program", "macro m1", f"{rule_or_macro} 'u4'"),
+            ("program", "macro m2", "unresolved rule identifier 'm1'"),
+            ("program", "macro m2", "unresolved rule identifier 'u5'"),
+            ("program", "macro m2", f"{rule_or_macro} 'u6'"),
+            ("program", "main", f"{rule_or_macro} 'u7'"),
+            ("program", "main", f"{rule_or_macro} 'u8'"),
+            ("program", "main", "unresolved rule identifier 'u9'"),
+            ("program", "main", f"{rule_or_macro} 'u1'"),
+            ("program", "macro m1", "recursive macro reference: m1 -> m2 -> m1"),
+        ]
+
     def test_check_error_lists_all_violations(self):
         with pytest.raises(CheckError) as exc:
             checked(parse_program("main = a; b"))

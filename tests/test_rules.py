@@ -25,6 +25,7 @@ from gp2.labels import (
     Deg,
     Dot,
     Empty,
+    Eq,
     EvalError,
     IntLit,
     Neg,
@@ -133,6 +134,62 @@ class TestValidate:
             "bad", {}, left, frozenset({"n1"}), RuleGraph(), None
         )
         assert validate(schema)
+
+    def test_every_item_violation_in_one_order(self):
+        """One fault in each per-item branch of both sides, reported
+        interface first, then left nodes, left edges, right nodes, right
+        edges and the condition, each item's faults in check order."""
+        i, s = Var("i", VType.INT), Var("s", VType.STRING)
+        x, y = Var("x", VType.LIST), Var("y", VType.LIST)
+        w, v = Var("w", VType.INT), Var("v", VType.INT)
+
+        def label(e):
+            return RuleLabel(e, False)
+
+        left, right = RuleGraph(), RuleGraph()
+        left.add_node("n1", label(Cons(i, x)))
+        left.add_node("n2", label(Cons(x, y)))
+        left.add_node("n3", label(Arith("+", s, IntLit(1))))
+        left.add_node("n4", label(Deg("out", "q5")))
+        left.add_edge("e1", "n1", "q1", label(Arith("-", s, i)))
+        left.add_edge("e2", "q6", "n1", label(Cons(y, x)))
+        right.add_node("n1", label(Cons(i, x)))
+        right.add_node("n4", label(Arith("*", s, i)))
+        right.add_node("n5", label(Deg("in", "q2")))
+        right.add_node("n6", label(Cons(w, x)))
+        right.add_edge("e1", "n1", "q3", label(v))
+        right.add_edge("e2", "n4", "n1", label(Arith("+", i, Deg("out", "q4"))))
+        right.add_edge("e3", "n1", "n1", label(Arith("/", s, IntLit(2))))
+        schema = ConditionalRuleSchema(
+            "bad",
+            {"i": VType.INT, "s": VType.STRING, "x": VType.LIST, "y": VType.LIST,
+             "w": VType.INT, "v": VType.INT},
+            left,
+            frozenset({"n1", "n2", "i1"}),
+            right,
+            Eq(w, IntLit(0)),
+        )
+        assert [(f.location, f.message) for f in validate(schema)] == [
+            ("interface node i1", "not present in left graph"),
+            ("interface node i1", "not present in right graph"),
+            ("interface node n2", "not present in right graph"),
+            ("left node n2", "left-hand expression x:y is not simple"),
+            ("left node n3", "arithmetic needs integers in (s + 1)"),
+            ("left node n4", "degree operand 'q5' is not a left-graph node"),
+            ("left edge e1", "arithmetic needs integers in (s - i)"),
+            ("left edge e1", "unknown endpoint 'q1'"),
+            ("left edge e2", "left-hand expression y:x is not simple"),
+            ("left edge e2", "unknown endpoint 'q6'"),
+            ("right node n4", "arithmetic needs integers in (s * i)"),
+            ("right node n5", "degree operand 'q2' is not a left-graph node"),
+            ("right node n6", "variables ['w'] do not occur on the left"),
+            ("right edge e1", "variables ['v'] do not occur on the left"),
+            ("right edge e1", "unknown endpoint 'q3'"),
+            ("right edge e2", "degree operand 'q4' is not a left-graph node"),
+            ("right edge e3", "arithmetic needs integers in (s / 2)"),
+            ("condition", "variables ['w'] do not occur on the left"),
+        ]
+        assert {f.rule for f in validate(schema)} == {"bad"}
 
 
 class TestInferAssignment:
