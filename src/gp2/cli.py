@@ -14,6 +14,22 @@ EXIT_BUDGET = 2
 EXIT_ERROR = 3
 
 
+class OutputError(Exception):
+    """A result that cannot be printed."""
+
+
+def _printed(render) -> str:
+    """`render()`, whose one ValueError is an integer with more digits than
+    int-to-str conversion allows."""
+    try:
+        return render()
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise OutputError(
+            f"cannot print the result: it holds an integer of more than {limit} digits"
+        ) from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         print(text)
@@ -51,7 +67,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         lines.extend(f"# {entry}" for entry in outcome.trace)
     if outcome.kind == "graph":
-        lines.append(outcome.graph.to_text())
+        lines.append(_printed(outcome.graph.to_text))
         code = EXIT_GRAPH
     elif outcome.kind == "fail":
         lines.append("fail")
@@ -70,7 +86,7 @@ def cmd_semantics(args: argparse.Namespace) -> int:
     results = engine.semantics(program.main, graph)
     for warning in engine.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _emit(results.describe(), args.output)
+    _emit(_printed(results.describe), args.output)
     # a truncated exploration may have missed results
     return EXIT_BUDGET if results.bottom == BOTTOM_POSSIBLE else EXIT_GRAPH
 
@@ -134,10 +150,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # UnicodeDecodeError: an input file that is not UTF-8; RecursionError:
-    # a program nested deeper than the recursive walks over commands and
-    # expressions allow, or a host with about 1,000 mutually symmetric
-    # nodes, which overflows the certificate search
-    except (ParseError, CheckError, OSError, UnicodeDecodeError, RecursionError) as exc:
+    # a program nested deeper than the recursive parser and the walks over
+    # expressions allow
+    except (
+        ParseError, CheckError, OutputError, OSError, UnicodeDecodeError, RecursionError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -7,7 +7,6 @@ partial variant where node labels may be absent.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -216,98 +215,195 @@ class HostGraph:
         return f"HostGraph({self.to_text()})"
 
 
-def _ranks(keys: list) -> list[int]:
-    """Each key's rank among the distinct keys: a canonical colouring."""
-    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-    return [rank[k] for k in keys]
-
-
 def _certificate(g: HostGraph) -> tuple:
     """Canonical form by colour refinement and individualisation.
 
-    Node colours start as ranks of (label, in-degree, out-degree) and are
-    refined by the sorted multisets of (neighbour colour, edge label) over
-    out- and in-edges.  While a colour class has several nodes, each of
-    them is individualised in turn and the colouring refined again; every
-    discrete colouring reached gives a leaf, the sorted edge list over
-    colours, and the least leaf is the certificate.  A branch that is the
-    image of an explored one under an automorphism is skipped: a swap of
-    two nodes that preserves the edges, or a node in the orbit of a tried
-    one under the automorphisms that equal leaves reveal.
+    An ordered partition of the nodes gives each node the position of its
+    cell as its colour.  The first partition sorts the nodes by (label,
+    in-degree, out-degree); when it is already discrete, its sorted edge
+    list over colours is the certificate.  Otherwise the partition is
+    refined from a queue of splitter cells: each splitter re-keys only the
+    nodes it has edges to, by the sorted multiset of its edges' labels and
+    directions, and splits their cells in key order.  A split cell queues
+    its parts but the largest, which the other parts and the old cell
+    determine (Hopcroft), unless the old cell is still queued.
+
+    While a cell has several nodes, the search branches on it: each branch
+    individualises a node, and with it all its twins (nodes of the same
+    label and the same labelled neighbourhood, which any permutation maps
+    onto one leaf), in one step.  Every discrete partition reached is a
+    leaf, its sorted edge list, and the least leaf is the certificate.  The
+    search keeps its branches on an explicit stack and skips a branch that
+    an automorphism maps onto an explored one: an equal leaf gives an
+    automorphism that fixes the common prefix of the two paths, so the
+    search jumps back to where they part, and later siblings in the orbit
+    of a tried one under the automorphisms that fix their path are skipped.
     """
-
     labels = [lab.sort_key for lab in g.nodes.values()]
-    index = {n: i for i, n in enumerate(g.nodes)}
-    edges = [(index[e.source], index[e.target], e.label.sort_key) for e in g.edges.values()]
-    out: list[list] = [[] for _ in index]
-    into: list[list] = [[] for _ in index]
+    index = {v: i for i, v in enumerate(g.nodes)}
+    n = len(labels)
+    into = [0] * n
+    out = [0] * n
+    edges = []
+    for e in g.edges.values():
+        s = index[e.source]
+        t = index[e.target]
+        out[s] += 1
+        into[t] += 1
+        edges.append((s, t, e.label.sort_key))
+    keys = list(zip(labels, into, out))
+    order = sorted(range(n), key=keys.__getitem__)
+    colour = [0] * n
+    cells: dict[int, list[int]] = {}
+    last = None
+    for p, v in enumerate(order):
+        if keys[v] == last:
+            cells[start].append(v)
+            colour[v] = start
+        else:
+            start = colour[v] = p
+            cells[p] = [v]
+            last = keys[v]
+    head = tuple([labels[v] for v in order])
+
+    def leaf(colour: list[int]) -> tuple:
+        return tuple(sorted([(colour[s], colour[t], lab) for s, t, lab in edges]))
+
+    if len(cells) == n:
+        return head, leaf(colour)
+
+    # each node's edges as (other end, code): codes rank edge labels, and
+    # their parity gives the direction
+    rank = {lab: 2 * r for r, lab in enumerate(sorted({lab for _, _, lab in edges}))}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s, t, lab in edges:
-        out[s].append((t, lab))
-        into[t].append((s, lab))
-    nodes = range(len(index))
+        adj[t].append((s, rank[lab]))
+        adj[s].append((t, rank[lab] + 1))
+    _refine(adj, colour, cells, sorted(cells))
+    if len(cells) == n:
+        return head, leaf(colour)
 
-    def refine(colours: list[int]) -> list[int]:
-        while len(set(colours)) < len(colours):
-            refined = _ranks([
-                (
-                    colours[v],
-                    tuple(sorted((colours[w], lab) for w, lab in out[v])),
-                    tuple(sorted((colours[w], lab) for w, lab in into[v])),
-                )
-                for v in nodes
-            ])
-            if refined == colours:
-                break
-            colours = refined
-        return colours
+    # twins share a cell, and a transposition of two is an automorphism; a
+    # loop's other end is written -1, so that twins' loops match
+    classes: dict[tuple, list[int]] = {}
+    for c, members in cells.items():
+        if len(members) > 1:
+            for v in members:
+                key = c, tuple(sorted([(w if w != v else -1, code) for w, code in adj[v]]))
+                classes.setdefault(key, []).append(v)
+    twins = {v: block for block in classes.values() for v in block}
 
-    def automorphic_swap(u: int, v: int) -> bool:
-        swap = {u: v, v: u}
-        moved = [(s, t, lab) for s, t, lab in edges if s in swap or t in swap]
-        image = [(swap.get(s, s), swap.get(t, t), lab) for s, t, lab in moved]
-        return sorted(moved) == sorted(image)
+    def branch(colour: list[int], cells: dict, path: tuple, target: int) -> tuple:
+        while len(cells[target]) == 1:  # the cells before the parent's target are singletons
+            target += 1
+        # the orbits of the target cell's twin classes, as a union-find forest
+        orbit = {v: twins[v][0] for v in cells[target]}
+        return colour, cells, path, target, iter(dict.fromkeys(orbit.values())), [], orbit
+
+    def find(orbit: dict, v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
 
     leaves: dict[tuple, tuple] = {}
-    automorphisms: list[list[int]] = []
+    stack = [branch(colour, cells, (), 0)]
+    while stack:
+        colour, cells, path, target, firsts, tried, orbit = stack[-1]
+        roots = {find(orbit, u) for u in tried}
+        v = next((v for v in firsts if find(orbit, v) not in roots), None)
+        if v is None:
+            stack.pop()
+            continue
+        tried.append(v)
+        colour = list(colour)
+        cells = dict(cells)
+        block = twins[v]
+        members = cells[target]
+        for p, x in enumerate(block, target):
+            cells[p] = [x]
+            colour[x] = p
+        if len(block) < len(members):
+            p = target + len(block)
+            cells[p] = [x for x in members if twins[x] is not block]
+            for x in cells[p]:
+                colour[x] = p
+        # one twin suffices as splitter: the others have the same edges
+        _refine(adj, colour, cells, [target])
+        path += (v,)
+        if len(cells) < n:
+            stack.append(branch(colour, cells, path, target))
+            continue
+        found = leaf(colour)
+        if found not in leaves:
+            leaves[found] = path, colour
+            continue
+        # the automorphism that maps the earlier leaf onto this one fixes
+        # their common prefix and maps the rest of this branch onto an
+        # explored one; its moved nodes merge orbits along that prefix
+        earlier_path, earlier = leaves[found]
+        node_at = [0] * n
+        for x, c in enumerate(colour):
+            node_at[c] = x
+        del stack[next(i for i, (a, b) in enumerate(zip(earlier_path, path)) if a != b) + 1:]
+        for *_, orbit in stack:
+            for x, c in enumerate(earlier):
+                if node_at[c] != x and x in orbit:
+                    r, s = find(orbit, x), find(orbit, node_at[c])
+                    orbit[max(r, s)] = min(r, s)
+    return head, min(leaves)
 
-    def search(colours: list[int], path: tuple) -> int:
-        """Collect the leaves below `path`; return the depth to resume at."""
-        if len(set(colours)) == len(colours):
-            leaf = tuple(sorted((colours[s], colours[t], lab) for s, t, lab in edges))
-            if leaf not in leaves:
-                leaves[leaf] = path, colours
-                return len(path)
-            # the automorphism that maps the earlier leaf onto this one fixes
-            # their common prefix and maps the rest of this subtree onto an
-            # explored one; it is kept to prune siblings in the same orbit
-            earlier_path, earlier = leaves[leaf]
-            node_at = sorted(nodes, key=colours.__getitem__)
-            automorphisms.append([node_at[c] for c in earlier])
-            return next(i for i, (a, b) in enumerate(zip(earlier_path, path)) if a != b)
-        cell = min(c for c, k in Counter(colours).items() if k > 1)
-        members = [v for v in nodes if colours[v] == cell]
-        orbit = {v: {v} for v in members}  # under the automorphisms that fix `path`
-        tried: list[int] = []
-        known = 0
-        for v in members:
-            for a in automorphisms[known:]:
-                if all(a[x] == x for x in path):
-                    for x in members:
-                        if a[x] not in orbit[x]:
-                            merged = orbit[x] | orbit[a[x]]
-                            orbit.update(dict.fromkeys(merged, merged))
-            known = len(automorphisms)
-            if not orbit[v].isdisjoint(tried) or any(automorphic_swap(u, v) for u in tried):
+
+def _refine(adj: list, colour: list[int], cells: dict, queue: list[int]) -> None:
+    """Split `cells` in place until no queued splitter splits a cell.
+
+    Only the nodes with an edge to the splitter are re-keyed; the others of
+    their cells keep the empty key, the least.  Every choice depends on cell
+    positions and keys alone, so isomorphic inputs are split alike.
+    """
+    n = len(colour)
+    queued = set(queue)
+    for splitter in queue:  # also visits the splitters appended below
+        if len(cells) == n:
+            return
+        queued.discard(splitter)
+        hits: dict[int, list[int]] = {}
+        for w in cells[splitter]:
+            for v, code in adj[w]:
+                if v in hits:
+                    hits[v].append(code)
+                else:
+                    hits[v] = [code]
+        touched: dict[int, list[int]] = {}
+        for v in hits:
+            c = colour[v]
+            if c in touched:
+                touched[c].append(v)
+            elif len(cells[c]) > 1:
+                touched[c] = [v]
+        for c in sorted(touched) if len(touched) > 1 else touched:
+            members = cells[c]
+            parts: dict[tuple, list[int]] = {}
+            if len(touched[c]) < len(members):
+                parts[()] = [v for v in members if v not in hits]
+            for v in touched[c]:
+                codes = hits[v]
+                codes.sort()
+                parts.setdefault(tuple(codes), []).append(v)
+            if len(parts) == 1:
                 continue
-            tried.append(v)
-            child = [c + (c > cell or (c == cell and w != v)) for w, c in enumerate(colours)]
-            back = search(refine(child), path + (v,))
-            if back < len(path):
-                return back
-        return len(path)
-
-    search(refine(_ranks([(labels[v], len(into[v]), len(out[v])) for v in nodes])), ())
-    return tuple(sorted(labels)), min(leaves)
+            split = [parts[k] for k in sorted(parts)]
+            sizes = [len(part) for part in split]
+            keep = 0 if c in queued else sizes.index(max(sizes))
+            p = c
+            for i, part in enumerate(split):
+                cells[p] = part
+                for v in part:
+                    colour[v] = p
+                if i != keep:
+                    queue.append(p)
+                    queued.add(p)
+                p += sizes[i]
 
 
 @dataclass

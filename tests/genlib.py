@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 from typing import Iterator, Optional
 
 from gp2.executor import (
@@ -558,6 +558,109 @@ def reference_infer_assignment(
 
 
 # -- reference isomorphism test ----------------------------------------
+
+
+def _ranks(keys: list) -> list[int]:
+    """Each key's rank among the distinct keys: a canonical colouring."""
+    rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys]
+
+
+def _label_key(label: HostLabel) -> tuple:
+    """A total order on labels: atoms of one kind compare."""
+    return tuple([isinstance(a, str) for a in label.items]), label.items, label.marked
+
+
+def reference_certificate(g: HostGraph) -> tuple:
+    """Canonical form by colour refinement and individualisation.
+
+    The recursive certificate that `HostGraph.signature` computed before
+    the iterative one in `gp2.graphs`; tests require the two to split
+    hosts into the same isomorphism classes.
+
+    Node colours start as ranks of (label, in-degree, out-degree) and are
+    refined by the sorted multisets of (neighbour colour, edge label) over
+    out- and in-edges.  While a colour class has several nodes, each of
+    them is individualised in turn and the colouring refined again; every
+    discrete colouring reached gives a leaf, the sorted edge list over
+    colours, and the least leaf is the certificate.  A branch that is the
+    image of an explored one under an automorphism is skipped: a swap of
+    two nodes that preserves the edges, or a node in the orbit of a tried
+    one under the automorphisms that equal leaves reveal.
+    """
+
+    labels = [_label_key(lab) for lab in g.nodes.values()]
+    index = {n: i for i, n in enumerate(g.nodes)}
+    edges = [(index[e.source], index[e.target], _label_key(e.label)) for e in g.edges.values()]
+    out: list[list] = [[] for _ in index]
+    into: list[list] = [[] for _ in index]
+    for s, t, lab in edges:
+        out[s].append((t, lab))
+        into[t].append((s, lab))
+    nodes = range(len(index))
+
+    def refine(colours: list[int]) -> list[int]:
+        while len(set(colours)) < len(colours):
+            refined = _ranks([
+                (
+                    colours[v],
+                    tuple(sorted((colours[w], lab) for w, lab in out[v])),
+                    tuple(sorted((colours[w], lab) for w, lab in into[v])),
+                )
+                for v in nodes
+            ])
+            if refined == colours:
+                break
+            colours = refined
+        return colours
+
+    def automorphic_swap(u: int, v: int) -> bool:
+        swap = {u: v, v: u}
+        moved = [(s, t, lab) for s, t, lab in edges if s in swap or t in swap]
+        image = [(swap.get(s, s), swap.get(t, t), lab) for s, t, lab in moved]
+        return sorted(moved) == sorted(image)
+
+    leaves: dict[tuple, tuple] = {}
+    automorphisms: list[list[int]] = []
+
+    def search(colours: list[int], path: tuple) -> int:
+        """Collect the leaves below `path`; return the depth to resume at."""
+        if len(set(colours)) == len(colours):
+            leaf = tuple(sorted((colours[s], colours[t], lab) for s, t, lab in edges))
+            if leaf not in leaves:
+                leaves[leaf] = path, colours
+                return len(path)
+            # the automorphism that maps the earlier leaf onto this one fixes
+            # their common prefix and maps the rest of this subtree onto an
+            # explored one; it is kept to prune siblings in the same orbit
+            earlier_path, earlier = leaves[leaf]
+            node_at = sorted(nodes, key=colours.__getitem__)
+            automorphisms.append([node_at[c] for c in earlier])
+            return next(i for i, (a, b) in enumerate(zip(earlier_path, path)) if a != b)
+        cell = min(c for c, k in Counter(colours).items() if k > 1)
+        members = [v for v in nodes if colours[v] == cell]
+        orbit = {v: {v} for v in members}  # under the automorphisms that fix `path`
+        tried: list[int] = []
+        known = 0
+        for v in members:
+            for a in automorphisms[known:]:
+                if all(a[x] == x for x in path):
+                    for x in members:
+                        if a[x] not in orbit[x]:
+                            merged = orbit[x] | orbit[a[x]]
+                            orbit.update(dict.fromkeys(merged, merged))
+            known = len(automorphisms)
+            if not orbit[v].isdisjoint(tried) or any(automorphic_swap(u, v) for u in tried):
+                continue
+            tried.append(v)
+            child = [c + (c > cell or (c == cell and w != v)) for w, c in enumerate(colours)]
+            back = search(refine(child), path + (v,))
+            if back < len(path):
+                return back
+        return len(path)
+
+    search(refine(_ranks([(labels[v], len(into[v]), len(out[v])) for v in nodes])), ())
+    return tuple(sorted(labels)), min(leaves)
 
 
 def _items_key(items: tuple) -> tuple:

@@ -121,6 +121,14 @@ class TestSemantics:
         assert code == 2
         assert out.strip() == "bottom: possible"
 
+    def test_edgeless_host_of_2000_nodes(self, files, capsys):
+        p = files("p.gp2", "main = skip\n")
+        text = "[ " + " ".join(f"(n{i}, 0)" for i in range(2000)) + " | ]"
+        g = files("g.host", text + "\n")
+        code, out, _ = run_cli(capsys, "semantics", p, g)
+        assert code == 0
+        assert out.strip() == text
+
 
 class TestCheck:
     def test_valid_program(self, files, capsys):
@@ -221,6 +229,23 @@ class TestErrors:
         code, _, err = run_cli(capsys, "check", p)
         assert code == 3
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "semantics"])
+    def test_integer_too_long_to_print_exits_three(self, files, capsys, command):
+        # 3 squared fifteen times has 15,635 digits, past the default limit
+        p = files(
+            "p.gp2",
+            "rule sq(x: int) [ (n1, x) | ] => [ (n1, x * x) | ] interface = {n1}\n"
+            "main = " + "; ".join(["sq"] * 15) + "\n",
+        )
+        g = files("g.host", "[ (n1, 3) | ]\n")
+        code, out, err = run_cli(capsys, command, p, g)
+        assert code == 3
+        assert out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == (
+            f"error: cannot print the result: it holds an integer of more than {limit} digits\n"
+        )
 
     @pytest.mark.parametrize("command", ["run", "semantics"])
     @pytest.mark.parametrize("flag", ["--max-steps", "--max-configs"])

@@ -10,6 +10,7 @@ from genlib import (
     is_label_preserving_morphism,
     preserves_structure,
     random_host,
+    reference_certificate,
     reference_isomorphic,
 )
 from gp2.graphs import (
@@ -377,6 +378,99 @@ class TestSymmetricHosts:
             assert shuffled_copy(rng, g).signature() == g.signature()
             r = shuffled_copy(rng, g, reverse=True)
             assert (r.signature() == g.signature()) == reference_isomorphic(g, r)
+
+
+def host(node_labels: list, edges: list) -> HostGraph:
+    """Nodes 0.. with the given labels; edges as (source, target, label)."""
+    g = HostGraph()
+    ids = [g.add_node(lab) for lab in node_labels]
+    for s, t, lab in edges:
+        g.add_edge(ids[s], ids[t], lab)
+    return g
+
+
+A, B, ZERO = HostLabel(("a",)), HostLabel(("b",)), HostLabel((0,))
+
+
+def twin_heavy_pairs():
+    """Pairs of hosts full of twins: nodes of one label and one labelled
+    neighbourhood, which the certificate individualises in one step."""
+    rng = random.Random(11)
+    for k in range(1, 6):
+        edges = [(2 * i, 2 * i + 1, A) for i in range(k)]
+        g = host([ZERO] * (2 * k), edges)
+        yield g, shuffled_copy(rng, g)
+        yield g, host([ZERO] * (2 * k), edges[1:] + [(0, 1, B)])
+        yield g, host([ZERO] * (2 * k), edges[1:] + [(1, 0, A)])
+    for k in range(1, 7):
+        into = host([ZERO] * (k + 1), [(i, 0, A) for i in range(1, k + 1)])
+        out = host([ZERO] * (k + 1), [(0, i, A) for i in range(1, k + 1)])
+        yield into, shuffled_copy(rng, into)
+        yield out, shuffled_copy(rng, out)
+        yield into, out
+        leaf = host([ZERO] * k + [HostLabel((0,), True)], [(0, i, A) for i in range(1, k + 1)])
+        yield out, leaf
+        yield leaf, shuffled_copy(rng, leaf)
+    for k in range(2, 7):
+        for marked in range(k + 1):
+            g = host([HostLabel((0,), i < marked) for i in range(k)], [])
+            yield g, shuffled_copy(rng, g)
+            yield g, host([HostLabel((0,), i < min(marked + 1, k - 1)) for i in range(k)], [])
+    # u and v share a hub and carry loops; their twinship depends on the
+    # multisets of loop and parallel-edge labels
+    for u_loops, v_loops in [([A], [A]), ([A], [B]), ([A, A], [A]), ([A, B], [B, A])]:
+        for u_par, v_par in [([A, A], [A, A]), ([A, B], [B, A]), ([A, A], [A, B])]:
+            edges = [(0, 0, lab) for lab in u_loops] + [(1, 1, lab) for lab in v_loops]
+            edges += [(0, 2, lab) for lab in u_par] + [(1, 2, lab) for lab in v_par]
+            g = host([ZERO] * 3, edges)
+            yield g, shuffled_copy(rng, g)
+            yield g, host([ZERO] * 3, [(t, s, lab) if s == 2 or t == 2 else (s, t, lab)
+                                       for s, t, lab in edges])
+            yield g, host([ZERO] * 3, [(0, 0, A), (1, 1, A), (0, 2, A), (0, 2, A),
+                                       (1, 2, A), (1, 2, A)])
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        g = host([ZERO] * n, [])
+        for _ in range(rng.randint(n, 2 * n)):
+            g.add_edge(f"n{rng.randint(1, n)}", f"n{rng.randint(1, n)}", rng.choice((A, B)))
+        twin = rng.choice(list(g.nodes))
+        for _ in range(rng.randint(1, 4)):
+            copy = g.add_node(g.nodes[twin])
+            for e in list(g.edges.values()):
+                if e.source == e.target == twin:
+                    g.add_edge(copy, copy, e.label)
+                elif e.source == twin:
+                    g.add_edge(copy, e.target, e.label)
+                elif e.target == twin:
+                    g.add_edge(e.source, copy, e.label)
+        yield g, shuffled_copy(rng, g)
+        yield g, shuffled_copy(rng, g, reverse=True)
+
+
+class TestTwins:
+    """The certificate against the reference search on hosts whose twins it
+    individualises in one step, and on hosts too symmetric for recursion."""
+
+    def test_twin_heavy_hosts(self):
+        outcomes = set()
+        for a, b in twin_heavy_pairs():
+            same = reference_isomorphic(a, b)
+            assert (a.signature() == b.signature()) == same
+            outcomes.add(same)
+        assert outcomes == {True, False}
+
+    def test_same_classes_as_reference_certificate(self):
+        classes: dict = {}
+        reference_classes: dict = {}
+        for g in host_universe(3, 3):
+            assert classes.setdefault(g.signature(), len(classes)) == reference_classes.setdefault(
+                reference_certificate(g), len(reference_classes)
+            )
+        assert len(classes) == 20_705
+
+    def test_edgeless_hosts_of_1200_nodes(self):
+        g = uniform_host(1200, [])
+        assert isomorphic(g, shuffled_copy(random.Random(0), g))
 
 
 class TestSerialization:
