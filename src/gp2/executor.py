@@ -286,19 +286,10 @@ def successors(
 
 
 def semantics(
-    program: CheckedProgram | Command,
-    host: HostGraph,
-    budget: Optional[Budget] = None,
-    rules: Optional[dict[str, ConditionalRuleSchema]] = None,
+    program: CheckedProgram, host: HostGraph, budget: Optional[Budget] = None
 ) -> ResultSet:
     """Breadth-first exhaustive approximation of the result set."""
-    if isinstance(program, CheckedProgram):
-        command = program.main
-        rules = program.rules
-    else:
-        command = program
-        rules = rules or {}
-    return Engine(rules, budget or Budget()).semantics(command, host)
+    return Engine(program.rules, budget or Budget()).semantics(program.main, host)
 
 
 # -- single seeded runs ------------------------------------------------
@@ -373,22 +364,15 @@ def _summary(command: Command) -> str:
 
 
 def run_one(
-    program: CheckedProgram | Command,
+    program: CheckedProgram,
     host: HostGraph,
     budget: Optional[Budget] = None,
-    rules: Optional[dict[str, ConditionalRuleSchema]] = None,
     tracing: bool = False,
 ) -> RunOutcome:
     """One seeded pseudo-random derivation to a terminal configuration."""
-    if isinstance(program, CheckedProgram):
-        command = program.main
-        rules = program.rules
-    else:
-        command = program
-        rules = rules or {}
-    runner = _Runner(rules, budget or Budget(), tracing)
+    runner = _Runner(program.rules, budget or Budget(), tracing)
     try:
-        result = runner.semantics(command, host)
+        result = runner.semantics(program.main, host)
     except BudgetExceeded:
         return RunOutcome("budget", None, runner.steps, runner.warnings, runner.trace)
     if result.can_fail:
@@ -436,18 +420,17 @@ def _same_result_set(a: ResultSet, b: ResultSet) -> tuple[bool, str]:
 
 
 def equivalent(
-    p: CheckedProgram | Command,
-    q: CheckedProgram | Command,
+    p: CheckedProgram,
+    q: CheckedProgram,
     hosts: list[HostGraph],
     budget: Optional[Budget] = None,
-    rules: Optional[dict[str, ConditionalRuleSchema]] = None,
 ) -> EquivalenceVerdict:
     """Compare bounded result sets of two programs over the given hosts."""
     per_host: list[HostVerdict] = []
     overall = "equal"
     for host in hosts:
-        sa = semantics(p, host, budget, rules)
-        sb = semantics(q, host, budget, rules)
+        sa = semantics(p, host, budget)
+        sb = semantics(q, host, budget)
         if BOTTOM_POSSIBLE in (sa.bottom, sb.bottom):
             per_host.append(HostVerdict(host, "inconclusive", "budget exhausted"))
             if overall == "equal":

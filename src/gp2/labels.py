@@ -24,19 +24,6 @@ class VType(Enum):
     LIST = "list"
 
 
-# subtype order: int, string < atom < list
-_SUBTYPE = {
-    VType.INT: {VType.INT, VType.ATOM, VType.LIST},
-    VType.STRING: {VType.STRING, VType.ATOM, VType.LIST},
-    VType.ATOM: {VType.ATOM, VType.LIST},
-    VType.LIST: {VType.LIST},
-}
-
-
-def is_subtype(t: VType, of: VType) -> bool:
-    return of in _SUBTYPE[t]
-
-
 # -- expression AST ----------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from gp2.executor import (
 )
 from gp2.graphs import isomorphic
 from gp2.parsing import parse_host_graph, parse_program
-from gp2.program import Fail, If, Loop, Or, RuleSetCall, Seq, Skip, Try, checked
+from gp2.program import CheckedProgram, Fail, If, Loop, Or, RuleSetCall, Seq, Skip, Try, checked
 
 RULES_SRC = """
 rule r() [ (n1, 0) | ] => [ (n1, 1) | ] interface = {n1}
@@ -37,6 +38,10 @@ G2 = parse_host_graph("[ (n1, 2) | ]")
 R = RuleSetCall(("r",))
 NULL = RuleSetCall(("null",))
 P, Q = RuleSetCall(("r",)), Skip()
+
+
+def as_program(command, rules=RULES):
+    return CheckedProgram(rules, command)
 
 
 def step(command, graph):
@@ -146,32 +151,32 @@ class TestNondeterministicBranching:
 
 class TestRunOne:
     def test_skip(self):
-        out = run_one(Skip(), G0, rules=RULES)
+        out = run_one(as_program(Skip()), G0)
         assert out.kind == "graph"
         assert isomorphic(out.graph, G0)
 
     def test_fail(self):
-        assert run_one(Fail(), G0, rules=RULES).kind == "fail"
+        assert run_one(as_program(Fail()), G0).kind == "fail"
 
     def test_empty_ruleset_loop_terminates(self):
-        out = run_one(Loop(RuleSetCall(())), G0, rules=RULES)
+        out = run_one(as_program(Loop(RuleSetCall(()))), G0)
         assert out.kind == "graph"
         assert isomorphic(out.graph, G0)
 
     def test_divergent_loop_exhausts_budget(self):
-        out = run_one(Loop(NULL), G0, rules=RULES, budget=Budget(max_steps=100))
+        out = run_one(as_program(Loop(NULL)), G0, budget=Budget(max_steps=100))
         assert out.kind == "budget"
 
     def test_same_seed_same_outcome(self):
         body = Or(Seq((R, Skip())), Fail())
-        a = run_one(body, G0, rules=RULES, budget=Budget(seed=5))
-        b = run_one(body, G0, rules=RULES, budget=Budget(seed=5))
+        a = run_one(as_program(body), G0, budget=Budget(seed=5))
+        b = run_one(as_program(body), G0, budget=Budget(seed=5))
         assert a.kind == b.kind
         if a.kind == "graph":
             assert a.graph.to_text() == b.graph.to_text()
 
     def test_trace_records_rule_names(self):
-        out = run_one(Seq((Skip(), Fail())), G0, rules=RULES, tracing=True)
+        out = run_one(as_program(Seq((Skip(), Fail()))), G0, tracing=True)
         assert [t.rule for t in out.trace] == ["skip", "fail"]
 
     @pytest.mark.parametrize(
@@ -197,7 +202,7 @@ class TestRunOne:
         ],
     )
     def test_trace_names_each_inference_rule(self, command, graph, seed, names):
-        out = run_one(command, graph, Budget(seed=seed), RULES, tracing=True)
+        out = run_one(as_program(command), graph, Budget(seed=seed), tracing=True)
         assert [t.rule for t in out.trace] == names
 
     def test_or_and_sequences_run_without_recursion(self):
@@ -208,13 +213,13 @@ class TestRunOne:
             deep_or = Or(deep_or, Seq((Skip(), deep_or)))
             deep_seq = Seq((Skip(), deep_seq))
         for command in (deep_or, deep_seq):
-            out = run_one(command, G0, Budget(max_steps=100_000), RULES)
+            out = run_one(as_program(command), G0, Budget(max_steps=100_000))
             assert out.kind == "graph" and isomorphic(out.graph, G1)
 
 
 class TestSemantics:
     def test_skip_or_fail(self):
-        rs = semantics(Or(Skip(), Fail()), G0, rules=RULES)
+        rs = semantics(as_program(Or(Skip(), Fail())), G0)
         assert len(rs.graphs) == 1
         assert isomorphic(rs.graphs[0], G0)
         assert rs.can_fail
@@ -222,16 +227,16 @@ class TestSemantics:
 
     def test_try_form_of_the_non_equivalence_cannot_fail(self):
         c = Or(Skip(), Fail())
-        rs = semantics(Try(c, Skip(), Skip()), G0, rules=RULES)
+        rs = semantics(as_program(Try(c, Skip(), Skip())), G0)
         assert len(rs.graphs) == 1 and not rs.can_fail
 
     def test_if_form_of_the_non_equivalence_can_fail(self):
         c = Or(Skip(), Fail())
-        rs = semantics(If(c, Seq((c, Skip())), Skip()), G0, rules=RULES)
+        rs = semantics(as_program(If(c, Seq((c, Skip())), Skip())), G0)
         assert len(rs.graphs) == 1 and rs.can_fail
 
     def test_divergent_loop_is_proven_bottom(self):
-        rs = semantics(Loop(NULL), G0, rules=RULES)
+        rs = semantics(as_program(Loop(NULL)), G0)
         assert rs.graphs == [] and not rs.can_fail
         assert rs.bottom == BOTTOM_PROVEN
 
@@ -247,17 +252,17 @@ class TestSemantics:
 
     def test_stuck_configuration_is_proven_bottom(self):
         # if-command whose test diverges: no inference rule applies
-        rs = semantics(If(Loop(NULL), Skip(), Skip()), G0, rules=RULES)
+        rs = semantics(as_program(If(Loop(NULL), Skip(), Skip())), G0)
         assert rs.bottom == BOTTOM_PROVEN
         assert rs.graphs == [] and not rs.can_fail
 
     def test_if_discards_test_graph(self):
-        rs = semantics(If(R, Skip(), Skip()), G0, rules=RULES)
+        rs = semantics(as_program(If(R, Skip(), Skip())), G0)
         assert len(rs.graphs) == 1
         assert isomorphic(rs.graphs[0], G0)
 
     def test_try_passes_test_graph(self):
-        rs = semantics(Try(R, Skip(), Skip()), G0, rules=RULES)
+        rs = semantics(as_program(Try(R, Skip(), Skip())), G0)
         assert len(rs.graphs) == 1
         assert isomorphic(rs.graphs[0], G1)
 
@@ -267,9 +272,7 @@ class TestSemantics:
         rng = random.Random(seed)
         body = random_body(rng, ("r", "null"), depth=2)
         host = random_host(rng, max_nodes=3, max_edges=2, labels=((), (0,)))
-        rs = semantics(
-            Loop(body), host, rules=RULES, budget=Budget(max_steps=3000)
-        )
+        rs = semantics(as_program(Loop(body)), host, budget=Budget(max_steps=3000))
         if rs.bottom != BOTTOM_POSSIBLE:
             assert not rs.can_fail
 
@@ -286,6 +289,12 @@ class TestSemantics:
         assert (not small.can_fail) or large.can_fail
 
 
+def test_entry_points_take_a_checked_program_and_no_rules():
+    # one calling form: a hand-built command is run as a CheckedProgram
+    for entry in (run_one, semantics, equivalent):
+        assert "rules" not in inspect.signature(entry).parameters, entry.__name__
+
+
 class TestEquivalence:
     HOSTS = [
         parse_host_graph("[ | ]"),
@@ -295,15 +304,15 @@ class TestEquivalence:
     ]
 
     def test_skip_equals_null_call(self):
-        v = equivalent(Skip(), NULL, self.HOSTS, rules=RULES)
+        v = equivalent(as_program(Skip()), as_program(NULL), self.HOSTS)
         assert v.status == "equal"
 
     def test_fail_equals_empty_ruleset(self):
-        v = equivalent(Fail(), RuleSetCall(()), self.HOSTS, rules=RULES)
+        v = equivalent(as_program(Fail()), as_program(RuleSetCall(())), self.HOSTS)
         assert v.status == "equal"
 
     def test_counterexample_reported(self):
-        v = equivalent(Skip(), Fail(), self.HOSTS, rules=RULES)
+        v = equivalent(as_program(Skip()), as_program(Fail()), self.HOSTS)
         assert v.status == "counterexample"
         assert v.counterexample is not None
 
@@ -314,10 +323,9 @@ class TestEquivalence:
             )
         ).rules
         v = equivalent(
-            Loop(RuleSetCall(("grow",))),
-            Loop(RuleSetCall(("grow",))),
+            as_program(Loop(RuleSetCall(("grow",))), grow_rules),
+            as_program(Loop(RuleSetCall(("grow",))), grow_rules),
             [G0],
-            rules=grow_rules,
             budget=Budget(max_steps=30),
         )
         assert v.status == "inconclusive"

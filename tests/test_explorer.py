@@ -28,7 +28,7 @@ from gp2.executor import (
 )
 from gp2.graphs import isomorphic
 from gp2.parsing import parse_host_graph, parse_program
-from gp2.program import checked
+from gp2.program import CheckedProgram, checked
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -55,6 +55,10 @@ main = skip
 # limit that cuts them too
 BUDGETS = [Budget(max_steps=n, max_configs=50) for n in (3, 7, 25, 10_000)]
 BUDGETS.append(Budget(max_configs=4))
+
+
+def as_program(command):
+    return CheckedProgram(RULES, command)
 
 
 def outcome(engine, result):
@@ -164,11 +168,11 @@ def test_single_runs_agree_with_the_result_set():
     for _ in range(1_200):
         body = random_body(rng, names, depth=3)
         host = random_host(rng, max_nodes=3, max_edges=3)
-        results = semantics(body, host, Budget(max_steps=20_000), RULES)
+        results = semantics(as_program(body), host, Budget(max_steps=20_000))
         if results.bottom == BOTTOM_POSSIBLE:
             continue
         for seed in range(8):
-            run = run_one(body, host, Budget(max_steps=200, seed=seed), RULES)
+            run = run_one(as_program(body), host, Budget(max_steps=200, seed=seed))
             if run.kind == "graph":
                 assert any(isomorphic(run.graph, g) for g in results.graphs), (
                     str(body), host.to_text(), seed
@@ -182,7 +186,7 @@ def test_single_runs_agree_with_the_result_set():
 def test_a_divergent_premise_branch_is_outside_bottom():
     body = checked(parse_program("main = if (skip or (skip)!) then skip")).main
     host = parse_host_graph("[ | ]")
-    results = semantics(body, host, Budget(max_steps=1_000))
+    results = semantics(as_program(body), host, Budget(max_steps=1_000))
     assert results.bottom == BOTTOM_NONE and len(results.graphs) == 1
-    kinds = {run_one(body, host, Budget(max_steps=100, seed=s)).kind for s in range(8)}
+    kinds = {run_one(as_program(body), host, Budget(max_steps=100, seed=s)).kind for s in range(8)}
     assert kinds == {"graph", "budget"}

@@ -27,7 +27,6 @@ from gp2.labels import (
     eval_condition,
     eval_list,
     is_simple,
-    is_subtype,
 )
 
 NO_MAP = Premorphism({}, {})
@@ -142,16 +141,6 @@ class TestEvalCondition:
         c1, c2 = atom(), atom()
         assert cond(Not(And(c1, c2))) == cond(Or(Not(c1), Not(c2)))
         assert cond(Not(Or(c1, c2))) == cond(And(Not(c1), Not(c2)))
-
-
-class TestSubtyping:
-    def test_int_and_string_below_atom_below_list(self):
-        assert is_subtype(VType.INT, VType.ATOM)
-        assert is_subtype(VType.STRING, VType.ATOM)
-        assert is_subtype(VType.ATOM, VType.LIST)
-        assert is_subtype(VType.INT, VType.LIST)
-        assert not is_subtype(VType.ATOM, VType.INT)
-        assert not is_subtype(VType.LIST, VType.ATOM)
 
 
 class TestSimplicity:

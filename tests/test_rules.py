@@ -220,6 +220,21 @@ class TestInferAssignment:
         expr = Cons(Var("a", VType.ATOM), Var("x", VType.LIST))
         assert self.single_label_match(expr, (0, 1, 2)) == {"a": 0, "x": (1, 2)}
 
+    def test_variables_match_by_the_subtype_order(self):
+        # int, string <= atom <= list: a variable matches a host label
+        # exactly when the label's value has its type or a type below it
+        labels = [(1,), ("a",), (), (1, "a")]
+        table = {
+            VType.INT: [(1,)],
+            VType.STRING: [("a",)],
+            VType.ATOM: [(1,), ("a",)],
+            VType.LIST: labels,
+        }
+        for vtype, matched in table.items():
+            expr = Var("x", vtype)
+            got = [l for l in labels if self.single_label_match(expr, l) is not None]
+            assert got == matched, vtype
+
     def test_mark_must_agree(self):
         left = RuleGraph()
         left.add_node("n1", RuleLabel(Var("x", VType.LIST), False))

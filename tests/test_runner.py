@@ -12,7 +12,12 @@ from collections import Counter
 
 from genlib import random_body, reference_run_one, small_hosts
 from gp2.executor import Budget, run_one
+from gp2.program import CheckedProgram
 from test_explorer import RULES
+
+
+def as_program(command):
+    return CheckedProgram(RULES, command)
 
 
 def outcome(out):
@@ -34,7 +39,7 @@ def test_random_runs_match_the_reference_runner():
         for max_steps in (5, 40, 10_000):
             for seed in range(3):
                 budget = Budget(max_steps=max_steps, seed=seed)
-                got = outcome(run_one(body, host, budget, RULES, tracing=True))
+                got = outcome(run_one(as_program(body), host, budget, tracing=True))
                 want = outcome(reference_run_one(body, host, budget, RULES, tracing=True))
                 assert got == want, (str(body), host.to_text(), budget)
                 kinds[got[0]] += 1
