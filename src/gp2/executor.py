@@ -1,11 +1,12 @@
 """Small-step execution of programs: single seeded runs, bounded
 exhaustive result sets, and program equivalence checking.
 
-Configurations are pairs (continuation, graph), where a continuation is
-the tuple of commands still to run, sequences spliced in; () is a result
-and None failure.  Both modes step them through one transition function,
-`_step`.  A run follows one transition at a time, picked at random.  The
-explorer follows every transition up to a budget, deduplicates
+Configurations pair a continuation, the commands still to run, with a
+graph.  Both modes step its head command through one transition
+function, `_step`, and the rest rides along.  A run keeps a stack,
+enters a sequence when it reaches it, and follows one transition at a
+time, picked at random.  The explorer keeps tuples with sequences
+spliced in, follows every transition up to a budget, deduplicates
 configurations up to graph isomorphism, and reports divergence or
 stuckness through a bottom flag.
 """
@@ -28,6 +29,7 @@ from .program import (
     Seq,
     Skip,
     Try,
+    flatten,
     seq,
 )
 from .rules import ConditionalRuleSchema, apply, apply_ruleset, enumerate_matches
@@ -103,59 +105,38 @@ class TraceEntry:
 # -- the transition relation -----------------------------------------
 
 
-def _flat(command: Command) -> tuple[Command, ...]:
-    """The continuation that runs command, its sequences spliced in."""
-    if not isinstance(command, Seq):
-        return (command,)
-    out: list[Command] = []
-    stack = [command]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, Seq):
-            stack += reversed(c.items)
-        else:
-            out.append(c)
-    return tuple(out)
-
-
 Transition = tuple[Optional[tuple[Command, ...]], HostGraph, str]
 
 
-def _step(
-    mode: Engine | _Runner, continuation: tuple[Command, ...], graph: HostGraph
-) -> tuple[list[Transition], bool]:
-    """The transitions of one unfinished configuration, by [call1]-[alap2].
+def _step(mode: Engine | _Runner, head: Command, graph: HostGraph) -> tuple[list[Transition], bool]:
+    """The transitions of the head command of a continuation, by [call1]-[alap2].
 
-    Each is a (continuation, graph, rule) triple, the continuation None for
-    failure.  The head command steps, and the rest of the continuation
-    rides along, which is all that [seq1]-[seq3] say.  The mode, an
-    `Engine` or a `_Runner`, decides the two things the execution modes
-    differ in: what a rule-set call derives (`mode.call`) and the outcome
-    of a premise (`mode.semantics`).  The second component reports whether
-    a premise ran out of budget, in which case transitions may be missing.
+    Each is a (pushed, graph, rule) triple: pushed holds the commands that
+    run before the rest of the continuation, which rides along unchanged
+    as [seq1]-[seq3] say, and is None for failure.  The mode, an `Engine`
+    or a `_Runner`, decides the two things the execution modes differ in:
+    what a rule-set call derives (`mode.call`) and the outcome of a
+    premise (`mode.semantics`).  The second component reports whether a
+    premise ran out of budget, in which case transitions may be missing.
     """
-    head, rest = continuation[0], continuation[1:]
     # rule-set calls and loops first: they take most steps of a run
     if isinstance(head, RuleSetCall):
         graphs = mode.call(head.names, graph)
         if graphs:
-            return [(rest, h, "call1") for h in graphs], False
+            return [((), h, "call1") for h in graphs], False
         return [(None, graph, "call2")], False
     if isinstance(head, Loop):
         sub = mode.semantics(head.body, graph)
-        out = [(continuation, h, "alap1") for h in sub.graphs]
+        out = [((head,), h, "alap1") for h in sub.graphs]
         if sub.can_fail:
-            out.append((rest, graph, "alap2"))
+            out.append(((), graph, "alap2"))
         return out, sub.bottom == BOTTOM_POSSIBLE
     if isinstance(head, Skip):
-        return [(rest, graph, "skip")], False
+        return [((), graph, "skip")], False
     if isinstance(head, Fail):
         return [(None, graph, "fail")], False
     if isinstance(head, Or):
-        return [
-            (_flat(head.left) + rest, graph, "or1"),
-            (_flat(head.right) + rest, graph, "or2"),
-        ], False
+        return [((head.left,), graph, "or1"), ((head.right,), graph, "or2")], False
     if isinstance(head, (If, Try)):
         sub = mode.semantics(head.cond, graph)
         name = "try" if isinstance(head, Try) else "if"
@@ -163,9 +144,9 @@ def _step(
         passed, failed = (name + "3", name + "4") if head.els is None else (name + "1", name + "2")
         # try goes on from each result of the test, if from graph
         starts = sub.graphs if name == "try" else [graph] if sub.graphs else []
-        out = [(_flat(head.then) + rest, h, passed) for h in starts]
+        out = [((head.then,), h, passed) for h in starts]
         if sub.can_fail:
-            out.append((rest if head.els is None else _flat(head.els) + rest, graph, failed))
+            out.append((() if head.els is None else (head.els,), graph, failed))
         return out, sub.bottom == BOTTOM_POSSIBLE
     raise TypeError(f"cannot execute {head!r}")
 
@@ -210,34 +191,35 @@ class Engine:
     def _explore(self, command: Command, graph: HostGraph) -> ResultSet:
         # unfinished configurations in breadth-first order, each interned
         # by (continuation, certificate) to its position
-        configs = [(_flat(command), graph)]
+        configs = [(flatten(command), graph)]
         index = {(configs[0][0], graph.signature()): 0}
         children: list[list[int]] = []
         results = IsoStore()
         result_list: list[HostGraph] = []
         can_fail = stuck = truncated = False
 
-        for rest, state in configs:  # also visits the ones appended below
+        for cont, state in configs:  # also visits the ones appended below
             if not self.tick() or len(configs) > self.budget.max_configs:
                 truncated = True
                 break
-            succs, premise_truncated = _step(self, rest, state)
+            succs, premise_truncated = _step(self, cont[0], state)
             if premise_truncated:
                 truncated = True
             elif not succs:
                 stuck = True
             children.append([])
-            for cont, h, _ in succs:
-                if cont is None:
+            rest = cont[1:]
+            for pushed, h, _ in succs:
+                if pushed is None:
                     can_fail = True
-                elif not cont:
-                    if results.put(h):
-                        result_list.append(h)
-                else:
-                    child = index.setdefault((cont, h.signature()), len(configs))
+                elif pushed or rest:
+                    after = flatten(pushed[0]) + rest if pushed else rest
+                    child = index.setdefault((after, h.signature()), len(configs))
                     if child == len(configs):
-                        configs.append((cont, h))
+                        configs.append((after, h))
                     children[-1].append(child)
+                elif results.put(h):
+                    result_list.append(h)
 
         # an incomplete exploration can only claim "possible"; proven
         # verdicts (stuckness, a closed cycle) need the full graph
@@ -278,10 +260,11 @@ def successors(
     """The set of configurations one transition away from cfg."""
     if not isinstance(cfg, Unfinished):
         raise ValueError("terminal configurations have no successors")
-    succs, _ = _step(Engine(rules, budget or Budget()), _flat(cfg.rest), cfg.state)
+    head, *rest = flatten(cfg.rest)
+    succs, _ = _step(Engine(rules, budget or Budget()), head, cfg.state)
     return [
-        Failure() if rest is None else Unfinished(seq(list(rest)), h) if rest else Result(h)
-        for rest, h, _ in succs
+        Failure() if p is None else Unfinished(seq([*p, *rest]), h) if p or rest else Result(h)
+        for p, h, _ in succs
     ]
 
 
@@ -345,16 +328,20 @@ class _Runner:
     def semantics(self, command: Command, graph: HostGraph) -> ResultSet:
         """One run of command from graph, as a result set: the graph it
         ends in, or failure."""
-        continuation: Optional[tuple[Command, ...]] = _flat(command)
-        while continuation:
-            head = continuation[0]
-            succs, _ = _step(self, continuation, graph)
+        stack = [command]  # the continuation, its head last
+        while stack:
+            head = stack.pop()
+            if isinstance(head, Seq):
+                stack += reversed(head.items)
+                continue
+            succs, _ = _step(self, head, graph)
             # only an or has two transitions in a run
             pick = self.rng.random() >= 0.5 if len(succs) > 1 else 0
-            continuation, graph, rule = succs[pick]
+            pushed, graph, rule = succs[pick]
             self.tick(rule, head, graph)
-        if continuation is None:
-            return ResultSet([], True, BOTTOM_NONE)
+            if pushed is None:
+                return ResultSet([], True, BOTTOM_NONE)
+            stack += pushed
         return ResultSet([graph], False, BOTTOM_NONE)
 
 
@@ -410,11 +397,9 @@ def _same_result_set(a: ResultSet, b: ResultSet) -> tuple[bool, str]:
         return False, f"bottom differs: {a.bottom} vs {b.bottom}"
     if len(a.graphs) != len(b.graphs):
         return False, f"{len(a.graphs)} vs {len(b.graphs)} result graphs"
-    store = IsoStore()
-    for g in a.graphs:
-        store.put(g)
+    signatures = {g.signature() for g in a.graphs}
     for g in b.graphs:
-        if not store.contains(g):
+        if g.signature() not in signatures:
             return False, f"graph {g.to_text()} only on one side"
     return True, ""
 

@@ -434,10 +434,6 @@ class IsoStore:
     def get(self, g: HostGraph, default=None):
         return self._values.get(g.signature(), default)
 
-    def contains(self, g: HostGraph) -> bool:
-        sentinel = object()
-        return self.get(g, sentinel) is not sentinel
-
     def put(self, g: HostGraph, value=None) -> bool:
         """Insert unless an isomorphic graph is present; True if inserted."""
         key = g.signature()

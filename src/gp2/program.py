@@ -115,17 +115,25 @@ def commands(c: Command) -> Iterator[Command]:
         stack.extend(reversed(subcommands(c)))
 
 
+def flatten(command: Command) -> tuple[Command, ...]:
+    """The commands that command runs in turn, its sequences spliced in."""
+    if not isinstance(command, Seq):
+        return (command,)
+    out: list[Command] = []
+    stack = [command]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Seq):
+            stack += reversed(c.items)
+        else:
+            out.append(c)
+    return tuple(out)
+
+
 def seq(items: list[Command]) -> Command:
     """Build a flattened sequence; a singleton collapses to the command."""
-    flat: list[Command] = []
-    for c in items:
-        if isinstance(c, Seq):
-            flat.extend(c.items)
-        else:
-            flat.append(c)
-    if len(flat) == 1:
-        return flat[0]
-    return Seq(tuple(flat))
+    flat = [c for item in items for c in flatten(item)]
+    return flat[0] if len(flat) == 1 else Seq(tuple(flat))
 
 
 @dataclass
@@ -224,14 +232,25 @@ def _macro_refs(command: Command, ast: ProgramAST) -> dict[str, None]:
 
 
 def expand_macros(command: Command, ast: ProgramAST) -> Command:
-    """Substitute macro bodies; assumes the reference graph is acyclic."""
-    if isinstance(command, RuleSetCall) and command.bare and command.names[0] in ast.macros:
-        return expand_macros(ast.macros[command.names[0]].body, ast)
-    parts = [expand_macros(c, ast) for c in subcommands(command)]
-    if isinstance(command, Seq):
-        return seq(parts)
-    # If, Try, Loop and Or take their subcommands positionally
-    return type(command)(*parts) if parts else command
+    """Substitute macro bodies, each expanded once and shared by its calls,
+    so the result is a DAG no larger than the program; assumes the
+    reference graph is acyclic."""
+    done: dict[int, Command] = {}  # the expansion of each command, by identity
+    stack = [command]
+    while stack:
+        c = stack[-1]
+        call = isinstance(c, RuleSetCall) and c.bare and c.names[0] in ast.macros
+        subs = (ast.macros[c.names[0]].body,) if call else subcommands(c)
+        todo = [s for s in subs if id(s) not in done]
+        stack += todo
+        if not todo:
+            stack.pop()
+            parts = tuple(done[id(s)] for s in subs)
+            if call or isinstance(c, Seq):
+                done[id(c)] = parts[0] if call else Seq(parts)
+            else:  # If, Try, Loop and Or take their subcommands positionally
+                done[id(c)] = type(c)(*parts) if parts else c
+    return done[id(command)]
 
 
 def checked(ast: ProgramAST) -> CheckedProgram:

@@ -12,7 +12,7 @@ from gp2 import corpus
 from gp2.cli import main as cli_main
 from gp2.executor import Budget, run_one, semantics
 from gp2.parsing import ParseError, parse_host_graph, parse_program, tokenize
-from gp2.program import checked
+from gp2.program import CheckedProgram, checked
 
 LONG_INT = "7" * 5000
 
@@ -198,3 +198,58 @@ def test_deep_nesting(construct):
     # so the depth reached does not depend on the test runner's frames
     with ThreadPoolExecutor(max_workers=1) as pool:
         pool.submit(parse_check_print_run, NESTED[construct]).result()
+
+
+# -- macro expansion ---------------------------------------------------------
+
+INC = "rule inc(x: int) [ (n1, x) | ] => [ (n1, x + 1) | ] interface = {n1} where x < 3\n"
+
+
+def doubling_chain(k: int, leaf: str = "inc") -> str:
+    """Macros m0 ... mk, each but the last calling the next one twice."""
+    return "".join(f"m{i} = m{i + 1}; m{i + 1}\n" for i in range(k)) + f"m{k} = {leaf}\n"
+
+
+def test_each_macro_expands_once_and_its_calls_share_it():
+    main = checked(parse_program(INC + doubling_chain(3) + "main = m0\n")).main
+    assert len(main.items) == 2 and main.items[0] is main.items[1]
+
+
+def test_a_long_doubling_chain_checks_and_runs_to_its_budget():
+    # 2^60 calls once expanded: only sharing makes this feasible
+    null = "rule r() [ | ] => [ | ] interface = {}\n"
+    host = parse_host_graph("[ | ]")
+    steps = set()
+    for k in (14, 60):
+        prog = checked(parse_program(null + doubling_chain(k, "r") + "main = m0\n"))
+        out = run_one(prog, host, budget=Budget(max_steps=10_000))
+        assert out.kind == "budget"
+        steps.add(out.steps)
+    assert steps == {10_001}
+
+
+# each main uses m0 once: after ;, inside or, in try ... then, under !
+MACRO_USES = ["inc; m0", "m0 or (inc; m0)", "try m0 then (m0; inc) else inc", "(inc; m0)!"]
+
+
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("use", MACRO_USES)
+def test_shared_expansion_runs_like_the_text_written_out(use, k):
+    leaf = "inc or skip"
+    shared = checked(parse_program(INC + doubling_chain(k, leaf) + f"main = {use}\n"))
+    body = leaf
+    for _ in range(k):
+        body = f"({body}); ({body})"
+    # the text written out has no macros; its parsed main runs unexpanded
+    ast = parse_program(INC + f"main = {use.replace('m0', f'({body})')}\n")
+    flat = CheckedProgram(ast.rules, ast.main)
+    host = parse_host_graph("[ (n1, 0) (n2, 1) | ]")
+    for seed in range(4):
+        a, b = (run_one(p, host, Budget(seed=seed), tracing=True) for p in (shared, flat))
+        assert a.trace == b.trace and (a.kind, a.steps) == (b.kind, b.steps)
+        if a.kind == "graph":
+            assert a.graph.to_text() == b.graph.to_text()
+    budget = Budget(max_steps=100_000)
+    rs = semantics(shared, host, budget)
+    assert rs.bottom != "possible"
+    assert rs.describe() == semantics(flat, host, budget).describe()
