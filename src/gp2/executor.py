@@ -31,6 +31,7 @@ from .program import (
     Try,
     flatten,
     seq,
+    show,
 )
 from .rules import ConditionalRuleSchema, apply, apply_ruleset, enumerate_matches
 
@@ -346,7 +347,7 @@ class _Runner:
 
 
 def _summary(command: Command) -> str:
-    text = str(command)
+    text = show(command, limit=60)
     return text if len(text) <= 60 else text[:57] + "..."
 
 

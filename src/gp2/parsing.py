@@ -1,10 +1,15 @@
 """Concrete syntax: one tokenizer, one precedence-climbing routine for the
-three operator grammars, and one reader for graph literals."""
+three operator grammars, and one reader for graph literals.
+
+Host graphs have a reader of their own, `_read_host`, which reads host text
+item by item with compiled patterns and builds no tokens.  It accepts
+exactly the texts the Parser accepts; on any other text `parse_host_graph`
+runs the Parser, which raises the error at its line and column."""
 
 from __future__ import annotations
 
 import re
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import GraphError, HostGraph, HostLabel
@@ -62,10 +67,11 @@ SYMBOLS = [
 # `[^\W\d]` also admits non-decimal numerals such as `²`, which `tokenize`
 # refuses. Inside a string, `\"` and `\\` are escapes and any other
 # backslash stands for itself.
+_IDENT = r"[^\W\d]\w*"
+_STRING_BODY = r'[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*'
 _TOKEN = re.compile(
     r"(?P<space>[ \t\r\n]+)|(?P<comment>//[^\n]*)|(?P<INT>[0-9]+)"
-    r"|(?P<IDENT>[^\W\d]\w*)"
-    r'|"(?P<STRING>[^"\\\n]*(?:\\(?:["\\]|(?!["\\]))[^"\\\n]*)*)"'
+    rf'|(?P<IDENT>{_IDENT})|"(?P<STRING>{_STRING_BODY})"'
     "|(?P<SYMBOL>" + "|".join(map(re.escape, SYMBOLS)) + ")"
 )
 _ESCAPE = re.compile(r'\\(["\\])')
@@ -478,8 +484,88 @@ def parse_program(text: str) -> ProgramAST:
     return parser.parse_program()
 
 
+# -- host graphs ---------------------------------------------------------------
+
+# One pattern per host item, each ending in a skip.  A skip is whitespace and
+# `//` comments, and a comment runs to the end of its line, so a text splits
+# into skips and tokens in only one way and a refused text is refused in
+# linear time.  Identifiers and strings are the tokenizer's.
+_SKIP = r"[ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*"
+_ATOM = rf'(?:-{_SKIP})?[0-9]+|"{_STRING_BODY}"'
+# a label's text, then its mark
+_LABEL = rf"(empty(?!\w)|(?:{_ATOM})(?:{_SKIP}:{_SKIP}(?:{_ATOM}))*)(?:{_SKIP}(#))?"
+_ID = rf"({_IDENT})"
+
+
+@cache
+def _host_patterns() -> tuple[re.Pattern, ...]:
+    """The reader's patterns: `[`, a node, `|`, an edge, `]`, and the atoms
+    of a label's text as (sign, digits, quoted string) or a comment.  They
+    are compiled on the first host read, so a use that reads no host, such
+    as `gp2 check`, does not pay for them."""
+    return tuple(
+        re.compile(pattern)
+        for pattern in (
+            rf"{_SKIP}\[{_SKIP}",
+            rf"\({_SKIP}{_ID}{_SKIP},{_SKIP}{_LABEL}{_SKIP}\){_SKIP}",
+            rf"\|{_SKIP}",
+            rf"\({_SKIP}{_ID}{_SKIP},{_SKIP}{_ID}{_SKIP},{_SKIP}{_ID}{_SKIP},"
+            rf"{_SKIP}{_LABEL}{_SKIP}\){_SKIP}",
+            rf"\]{_SKIP}",
+            rf'//[^\n]*|(?:(-){_SKIP})?([0-9]+)|("{_STRING_BODY}")',
+        )
+    )
+
+
+def _read_host(text: str) -> Optional[HostGraph]:
+    """The host graph that text denotes, read in one pass, or None where
+    the text has an error for the Parser to report."""
+    opening, node, bar, edge, closing, atoms = _host_patterns()
+    m = opening.match(text)
+    if m is None:
+        return None
+    graph, labels = HostGraph(), {}
+
+    def label(key: tuple) -> HostLabel:
+        found = labels.get(key)
+        if found is None:
+            items = []
+            for sign, digits, string in atoms.findall(key[0]):
+                if digits:
+                    items.append(-int(digits) if sign else int(digits))
+                elif string:
+                    items.append(_ESCAPE.sub(r"\1", string[1:-1]))
+            found = labels[key] = HostLabel(tuple(items), key[1] is not None)
+        return found
+
+    try:
+        pos = m.end()
+        while m := node.match(text, pos):
+            nid = m[1]
+            if nid in KEYWORDS or not (nid[0].isalpha() or nid[0] == "_"):
+                return None
+            graph.add_node(label(m.group(2, 3)), nid)
+            pos = m.end()
+        if not (m := bar.match(text, pos)):
+            return None
+        pos = m.end()
+        while m := edge.match(text, pos):
+            eid = m[1]
+            if eid in KEYWORDS or not (eid[0].isalpha() or eid[0] == "_"):
+                return None
+            graph.add_edge(m[2], m[3], label(m.group(4, 5)), eid)
+            pos = m.end()
+    except (GraphError, ValueError):  # a duplicate id, unknown endpoint or over-long integer
+        return None
+    return graph if closing.fullmatch(text, pos) else None
+
+
 def parse_host_graph(text: str) -> HostGraph:
-    parser = Parser(text)
-    graph = parser.parse_graph(HostGraph(), parser.parse_host_label)
-    parser.expect("EOF")
+    """The host graph that text denotes; a text with an error raises the
+    Parser's ParseError at its line and column."""
+    graph = _read_host(text)
+    if graph is None:
+        parser = Parser(text)
+        graph = parser.parse_graph(HostGraph(), parser.parse_host_label)
+        parser.expect("EOF")
     return graph

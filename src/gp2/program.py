@@ -8,85 +8,58 @@ from typing import Iterator, Optional, Union
 from .rules import ConditionalRuleSchema, Violation, validate
 
 
-@dataclass(frozen=True)
-class Skip:
+class _Printed:
+    """Commands print through `show`."""
+
     def __str__(self) -> str:
-        return "skip"
+        return show(self)
 
 
 @dataclass(frozen=True)
-class Fail:
-    def __str__(self) -> str:
-        return "fail"
+class Skip(_Printed):
+    pass
 
 
 @dataclass(frozen=True)
-class RuleSetCall:
+class Fail(_Printed):
+    pass
+
+
+@dataclass(frozen=True)
+class RuleSetCall(_Printed):
     names: tuple[str, ...]
     # a bare identifier prints without braces
     bare: bool = field(default=False, compare=False)
 
-    def __str__(self) -> str:
-        if self.bare and len(self.names) == 1:
-            return self.names[0]
-        return "{" + ", ".join(self.names) + "}"
-
 
 @dataclass(frozen=True)
-class Seq:
+class Seq(_Printed):
     items: tuple["Command", ...]
 
-    def __str__(self) -> str:
-        # bare, an if or try would take the items after it into its last branch
-        return "; ".join(
-            f"({c})" if isinstance(c, (If, Try, Or)) else str(c) for c in self.items
-        )
-
 
 @dataclass(frozen=True)
-class If:
+class If(_Printed):
     cond: "Command"
     then: "Command"
     els: Optional["Command"] = None
 
-    def __str__(self) -> str:
-        text = f"if {self.cond} then ({self.then})"
-        if self.els is not None:
-            text += f" else ({self.els})"
-        return text
-
 
 @dataclass(frozen=True)
-class Try:
+class Try(_Printed):
     cond: "Command"
     then: "Command"
     els: Optional["Command"] = None
 
-    def __str__(self) -> str:
-        text = f"try {self.cond} then ({self.then})"
-        if self.els is not None:
-            text += f" else ({self.els})"
-        return text
-
 
 @dataclass(frozen=True)
-class Loop:
+class Loop(_Printed):
     body: "Command"
 
-    def __str__(self) -> str:
-        return f"({self.body})!"
-
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Printed):
     left: "Command"
     right: "Command"
-
-    def __str__(self) -> str:
-        left, right = (
-            f"({c})" if isinstance(c, (If, Try)) else str(c) for c in (self.left, self.right)
-        )
-        return f"({left} or {right})"
 
 
 Command = Union[Skip, Fail, RuleSetCall, Seq, If, Try, Loop, Or]
@@ -128,6 +101,51 @@ def flatten(command: Command) -> tuple[Command, ...]:
         else:
             out.append(c)
     return tuple(out)
+
+
+def _bracketed(c: Command, kinds: tuple) -> list:
+    return ["(", c, ")"] if isinstance(c, kinds) else [c]
+
+
+def _pieces(c: Command) -> list:
+    """The text of c as strings and the commands nested in it, in order."""
+    if isinstance(c, RuleSetCall):
+        if c.bare and len(c.names) == 1:
+            return [c.names[0]]
+        return ["{" + ", ".join(c.names) + "}"]
+    if isinstance(c, Seq):
+        # bare, an if or try would take the items after it into its last branch
+        out = [p for item in c.items for p in ("; ", *_bracketed(item, (If, Try, Or)))]
+        return out[1:]
+    if isinstance(c, (If, Try)):
+        out = ["if " if isinstance(c, If) else "try ", c.cond, " then (", c.then, ")"]
+        return out if c.els is None else out + [" else (", c.els, ")"]
+    if isinstance(c, Loop):
+        return ["(", c.body, ")!"]
+    if isinstance(c, Or):
+        return ["(", *_bracketed(c.left, (If, Try)), " or ", *_bracketed(c.right, (If, Try)), ")"]
+    return ["skip" if isinstance(c, Skip) else "fail"]
+
+
+def show(command: Command, limit: Optional[int] = None) -> str:
+    """The text of command, which parses back to it.  With a limit, printing
+    stops once the text is longer than limit, so only a prefix is built.
+
+    Iterative, so a deep command prints without recursion, and with a
+    limit a shared macro expansion is never printed whole."""
+    out: list[str] = []
+    size = 0
+    stack = [command]
+    while stack:
+        c = stack.pop()
+        if not isinstance(c, str):
+            stack += reversed(_pieces(c))
+            continue
+        out.append(c)
+        size += len(c)
+        if limit is not None and size > limit:
+            break
+    return "".join(out)
 
 
 def seq(items: list[Command]) -> Command:
@@ -193,29 +211,31 @@ def check_program(ast: ProgramAST) -> list[Violation]:
                     Violation("program", where, f"unresolved {kind} identifier {name!r}")
                 )
 
-    # macro recursion check over the reference graph
-    state: dict[str, int] = {}  # 0 = visiting, 1 = done
-
-    def visit(name: str, trail: list[str]) -> None:
-        if state.get(name) == 1:
-            return
-        if state.get(name) == 0:
-            out.append(
-                Violation(
-                    "program",
-                    f"macro {name}",
-                    "recursive macro reference: " + " -> ".join(trail + [name]),
+    # macro recursion check over the reference graph: a depth-first search
+    # on an explicit stack, trail holding the macros from its root
+    done: dict[str, bool] = {}  # False while on the trail
+    for root in ast.macros:
+        if root in done:
+            continue
+        done[root] = False
+        trail, stack = [root], [iter(_macro_refs(ast.macros[root].body, ast))]
+        while stack:
+            ref = next(stack[-1], None)
+            if ref is None:
+                done[trail.pop()] = True
+                stack.pop()
+            elif ref not in done:
+                done[ref] = False
+                trail.append(ref)
+                stack.append(iter(_macro_refs(ast.macros[ref].body, ast)))
+            elif not done[ref]:
+                out.append(
+                    Violation(
+                        "program",
+                        f"macro {ref}",
+                        "recursive macro reference: " + " -> ".join(trail + [ref]),
+                    )
                 )
-            )
-            return
-        state[name] = 0
-        for ref in _macro_refs(ast.macros[name].body, ast):
-            visit(ref, trail + [name])
-        state[name] = 1
-
-    for name in ast.macros:
-        if name not in state:
-            visit(name, [])
 
     return out
 

@@ -165,6 +165,14 @@ class TestCheck:
             code, out, err = pool.submit(run_cli, capsys, "check", p).result()
         assert (code, out, err) == (0, "ok\n", "")
 
+    def test_long_macro_chain_declared_callers_first_checks(self, files, capsys):
+        # the search for macro cycles keeps its own stack
+        chain = "".join(f"m{i} = m{i - 1}\n" for i in range(1500, 0, -1))
+        p = files("p.gp2", "main = m1500\n" + chain + "m0 = skip\n")
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            code, out, err = pool.submit(run_cli, capsys, "check", p).result()
+        assert (code, out, err) == (0, "ok\n", "")
+
     def test_violations_print_in_one_order_under_every_hash_seed(self, files):
         """Interface, degree and condition nodes are sets, and so were the
         macro references; each `gp2 check` process must print them alike."""

@@ -1,5 +1,6 @@
 """The front end's lexical rules, its cost on long labels, its agreement
-with the character-loop tokenizer it replaced, and deep nesting."""
+with the character-loop tokenizer it replaced, the host reader's agreement
+with the Parser, and deep nesting."""
 
 import random
 import time
@@ -11,7 +12,8 @@ from genlib import random_body, random_host, reference_tokenize
 from gp2 import corpus
 from gp2.cli import main as cli_main
 from gp2.executor import Budget, run_one, semantics
-from gp2.parsing import ParseError, parse_host_graph, parse_program, tokenize
+from gp2.graphs import HostGraph, HostLabel
+from gp2.parsing import Parser, ParseError, _read_host, parse_host_graph, parse_program, tokenize
 from gp2.program import CheckedProgram, checked
 
 LONG_INT = "7" * 5000
@@ -137,6 +139,125 @@ class TestTokenizerAgainstReference:
         assert_same_tokens(text)
 
 
+# -- the host reader against the Parser --------------------------------------
+
+
+def parser_host(text: str) -> HostGraph:
+    """The host graph the token-list Parser reads from text."""
+    parser = Parser(text)
+    graph = parser.parse_graph(HostGraph(), parser.parse_host_label)
+    parser.expect("EOF")
+    return graph
+
+
+def compare_with_parser(text: str) -> bool:
+    """Check that the reader and parse_host_graph agree with the Parser on
+    text, and say whether the Parser accepted it."""
+    try:
+        want = parser_host(text)
+    except ParseError as exc:
+        assert _read_host(text) is None, text
+        with pytest.raises(ParseError) as got:
+            parse_host_graph(text)
+        assert (got.value.line, got.value.col, got.value.message) == (
+            exc.line,
+            exc.col,
+            exc.message,
+        ), text
+        return False
+    for graph in (_read_host(text), parse_host_graph(text)):
+        assert graph is not None, text
+        assert list(graph.nodes.items()) == list(want.nodes.items()), text
+        assert list(graph.edges.items()) == list(want.edges.items()), text
+        # the fresh-id counters agree too
+        ids = []
+        for g in (graph, want.copy()):
+            node = g.add_node(HostLabel())
+            ids.append((node, g.add_edge(node, node, HostLabel())))
+        assert ids[0] == ids[1], text
+    return True
+
+
+HOST_TOKENS = ["empty", "if", "//", "n1", "-", "#"]
+# each rewrites a printed host into one the Parser reads alike
+HOST_VARIANTS = [
+    lambda t: t.replace(" ", " // a comment (n9, 1) \"\n"),
+    lambda t: t.replace(" ", "\r\n"),
+    lambda t: t.replace(", ", ",\t"),
+    lambda t: t.replace("-", "- // minus\n "),
+    lambda t: t.replace("-1", "- 5"),
+    lambda t: t.replace('"a"', '"a\\"\\\\b\\c"'),
+    lambda t: t.replace(")", " #)"),
+    lambda t: t.replace("empty", "empty#"),
+    lambda t: t.replace("(", "(\t").replace("]", "] // end"),
+]
+
+
+def host_texts(count: int, max_nodes: int = 8) -> list[str]:
+    return [random_host(random.Random(seed), max_nodes).to_text() for seed in range(count)]
+
+
+class TestHostReaderAgainstParser:
+    def test_printed_random_hosts(self):
+        assert all(compare_with_parser(text) for text in host_texts(300))
+
+    @pytest.mark.parametrize("variant", range(len(HOST_VARIANTS)))
+    def test_variants(self, variant):
+        for text in host_texts(100):
+            assert compare_with_parser(HOST_VARIANTS[variant](text))
+
+    def test_random_mutations(self):
+        rng = random.Random(14)
+        texts = host_texts(100, max_nodes=3)
+        accepted = 0
+        for _ in range(20_000):
+            text = list(rng.choice(texts))
+            for _ in range(rng.randint(1, 2)):
+                k = rng.randrange(len(text) + 1)
+                if rng.random() < 0.3 and k < len(text):
+                    del text[k]
+                else:
+                    text.insert(k, rng.choice(HOST_TOKENS + list(ALPHABET)))
+            accepted += compare_with_parser("".join(text))
+        # both outcomes are well represented
+        assert 1_000 < accepted < 19_000
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[ (n1, 0) (n1, 1) | ]",
+            "[ (n1, 0) | (e1, n1, n2, 0) ]",
+            "[ (n1, 0) | (e1, n1, n1, 0) (e1, n1, n1, 0) ]",
+            "[ (if, 0) | ]",
+            "[ (n1, 0) | (empty, n1, n1, 0) ]",
+            "[ (²1, 0) | ]",
+            f"[ (n1, -{LONG_INT}) | ]",
+            "[ (n1, 1 // comment) | ]",
+            "[ (n1, 1) | ] x",
+            "[ (n1, 1:) | ]",
+            "[ (n1, emptyx) | ]",
+            "[ (n1, --1) | ]",
+            "[ (n1, 1 # #) | ]",
+        ],
+    )
+    def test_refused_as_the_parser_refuses(self, text):
+        assert not compare_with_parser(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[ (n1, " + "//" * 10_000,
+            "[ (n1, " + ":".join(["1"] * 10_000) + " junk",
+        ],
+        ids=["slashes", "long-label"],
+    )
+    def test_hostile_input_refused_in_linear_time(self, text):
+        began = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_host_graph(text)
+        assert time.perf_counter() - began < 1.0
+
+
 # -- nesting ---------------------------------------------------------------
 
 DEPTH = 120
@@ -226,6 +347,27 @@ def test_a_long_doubling_chain_checks_and_runs_to_its_budget():
         assert out.kind == "budget"
         steps.add(out.steps)
     assert steps == {10_001}
+
+
+def test_a_traced_run_prints_only_the_start_of_a_shared_expansion():
+    # the head `skip or m0` stands for 2^18 calls once expanded
+    null = "rule r() [ | ] => [ | ] interface = {}\n"
+    prog = checked(parse_program(null + doubling_chain(18, "r") + "main = skip or m0\n"))
+    host = parse_host_graph("[ | ]")
+
+    def best_of_three(tracing):
+        times = []
+        for _ in range(3):
+            began = time.perf_counter()
+            out = run_one(prog, host, Budget(max_steps=100), tracing=tracing)
+            times.append(time.perf_counter() - began)
+        return min(times), out
+
+    (untraced, plain), (traced, out) = best_of_three(False), best_of_three(True)
+    assert (out.kind, out.steps) == (plain.kind, plain.steps)
+    first = out.trace[0].command
+    assert first.startswith("(skip or r; r; ") and first.endswith("...") and len(first) == 60
+    assert traced - untraced < 0.1
 
 
 # each main uses m0 once: after ;, inside or, in try ... then, under !
