@@ -150,8 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # UnicodeDecodeError: an input file that is not UTF-8; RecursionError:
-    # a program nested deeper than the recursive parser and the walks over
-    # expressions allow
+    # a program nested deeper than the recursive parser, type checks,
+    # label evaluation and nested premises allow (walking, printing and
+    # hashing syntax trees do not recurse)
     except (
         ParseError, CheckError, OutputError, OSError, UnicodeDecodeError, RecursionError
     ) as exc:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .graphs import HostGraph, IsoStore, isomorphic
+from .labels import show
 from .program import (
     CheckedProgram,
     Command,
@@ -31,7 +32,6 @@ from .program import (
     Try,
     flatten,
     seq,
-    show,
 )
 from .rules import ConditionalRuleSchema, apply, apply_ruleset, enumerate_matches
 

@@ -1,14 +1,18 @@
-"""Rule-schema label expressions and conditions, and their evaluation.
+"""Rule-schema label expressions and conditions, their evaluation, and
+the one walker and printer of every syntax tree.
 
 Expressions are evaluated relative to a premorphism (for degree lookups),
-an assignment of values to typed variables, and a host graph.
+an assignment of values to typed variables, and a host graph.  One table
+gives each node's text as strings and the nodes nested in it; the walker
+(`operands`, `subterms`) and the printer (`show`, which `str()` calls)
+read it, and `gp2.program` adds the commands to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .graphs import Atom, HostGraph, Premorphism, format_atom
 
@@ -29,24 +33,17 @@ class VType(Enum):
 
 @dataclass(frozen=True)
 class Empty:
-    def __str__(self) -> str:
-        return "empty"
+    pass
 
 
 @dataclass(frozen=True)
 class IntLit:
     value: int
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class StrLit:
     value: str
-
-    def __str__(self) -> str:
-        return format_atom(self.value)
 
 
 @dataclass(frozen=True)
@@ -54,16 +51,10 @@ class Var:
     name: str
     vtype: VType
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Neg:
     expr: "ListExpr"
-
-    def __str__(self) -> str:
-        return f"(-{self.expr})"
 
 
 @dataclass(frozen=True)
@@ -72,18 +63,11 @@ class Arith:
     left: "ListExpr"
     right: "ListExpr"
 
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
-
 
 @dataclass(frozen=True)
 class Deg:
     direction: str  # "in" or "out"
     node: str
-
-    def __str__(self) -> str:
-        kw = "indeg" if self.direction == "in" else "outdeg"
-        return f"{kw}({self.node})"
 
 
 @dataclass(frozen=True)
@@ -91,17 +75,11 @@ class Dot:
     left: "ListExpr"
     right: "ListExpr"
 
-    def __str__(self) -> str:
-        return f"{self.left}.{self.right}"
-
 
 @dataclass(frozen=True)
 class Cons:
     left: "ListExpr"
     right: "ListExpr"
-
-    def __str__(self) -> str:
-        return f"{self.left}:{self.right}"
 
 
 ListExpr = Union[Empty, IntLit, StrLit, Var, Neg, Arith, Deg, Dot, Cons]
@@ -112,9 +90,6 @@ class RuleLabel:
     expr: ListExpr
     marked: bool = False
 
-    def __str__(self) -> str:
-        return f"{self.expr} #" if self.marked else str(self.expr)
-
 
 # -- condition AST -----------------------------------------------------
 
@@ -124,19 +99,12 @@ class TypeCheck:
     tname: str  # int | string | atom
     expr: ListExpr
 
-    def __str__(self) -> str:
-        return f"{self.tname}({self.expr})"
-
 
 @dataclass(frozen=True)
 class Eq:
     left: ListExpr
     right: ListExpr
     negated: bool = False
-
-    def __str__(self) -> str:
-        op = "!=" if self.negated else "="
-        return f"{self.left} {op} {self.right}"
 
 
 @dataclass(frozen=True)
@@ -145,9 +113,6 @@ class Rel:
     left: ListExpr
     right: ListExpr
 
-    def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
-
 
 @dataclass(frozen=True)
 class EdgePred:
@@ -155,18 +120,10 @@ class EdgePred:
     target: str
     label: Optional[ListExpr] = None
 
-    def __str__(self) -> str:
-        if self.label is None:
-            return f"edge({self.source}, {self.target})"
-        return f"edge({self.source}, {self.target}, {self.label})"
-
 
 @dataclass(frozen=True)
 class Not:
     cond: "Condition"
-
-    def __str__(self) -> str:
-        return f"not ({self.cond})"
 
 
 @dataclass(frozen=True)
@@ -174,20 +131,87 @@ class And:
     left: "Condition"
     right: "Condition"
 
-    def __str__(self) -> str:
-        return f"({self.left} and {self.right})"
-
 
 @dataclass(frozen=True)
 class Or:
     left: "Condition"
     right: "Condition"
 
-    def __str__(self) -> str:
-        return f"({self.left} or {self.right})"
-
 
 Condition = Union[TypeCheck, Eq, Rel, EdgePred, Not, And, Or]
+
+
+# -- walking and printing --------------------------------------------
+
+# each node's text, as strings and the nodes nested in it, left to right;
+# gp2.program adds the commands
+_PIECES: dict[type, Callable[[Any], list]] = {
+    Empty: lambda e: ["empty"],
+    IntLit: lambda e: [str(e.value)],
+    StrLit: lambda e: [format_atom(e.value)],
+    Var: lambda e: [e.name],
+    Neg: lambda e: ["(-", e.expr, ")"],
+    Arith: lambda e: ["(", e.left, f" {e.op} ", e.right, ")"],
+    Deg: lambda e: [("indeg(" if e.direction == "in" else "outdeg(") + e.node + ")"],
+    Dot: lambda e: [e.left, ".", e.right],
+    Cons: lambda e: [e.left, ":", e.right],
+    RuleLabel: lambda e: [e.expr, " #"] if e.marked else [e.expr],
+    TypeCheck: lambda e: [e.tname + "(", e.expr, ")"],
+    Eq: lambda e: [e.left, " != " if e.negated else " = ", e.right],
+    Rel: lambda e: [e.left, f" {e.op} ", e.right],
+    EdgePred: lambda e: (
+        [f"edge({e.source}, {e.target})"]
+        if e.label is None
+        else [f"edge({e.source}, {e.target}, ", e.label, ")"]
+    ),
+    Not: lambda e: ["not (", e.cond, ")"],
+    And: lambda e: ["(", e.left, " and ", e.right, ")"],
+    Or: lambda e: ["(", e.left, " or ", e.right, ")"],
+}
+
+
+def operands(e) -> list:
+    """The nodes directly nested in e, left to right."""
+    pieces = _PIECES.get(type(e))
+    if pieces is None:
+        raise TypeError(f"not a syntax node: {e!r}")
+    return [p for p in pieces(e) if type(p) is not str]
+
+
+def subterms(e):
+    """Yield e and every node nested in it, each node before its operands
+    and left operands before right ones."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(operands(e)))
+
+
+def show(node, limit: Optional[int] = None) -> str:
+    """The text of a command, rule label, expression or condition, which
+    parses back to it.  With a limit, printing stops once the text is
+    longer than limit, so only a prefix is built.
+
+    Iterative, so a deep node prints without recursion, and with a limit a
+    shared macro expansion is never printed whole."""
+    out: list[str] = []
+    size = 0
+    stack = [node]
+    while stack:
+        p = stack.pop()
+        if type(p) is not str:
+            stack += reversed(_PIECES[type(p)](p))
+            continue
+        out.append(p)
+        size += len(p)
+        if limit is not None and size > limit:
+            break
+    return "".join(out)
+
+
+for _node in _PIECES:  # every node prints through show
+    _node.__str__ = show
 
 
 # -- typing ------------------------------------------------------------
@@ -236,39 +260,6 @@ def infer_type(e: ListExpr, decls: dict[str, VType]) -> VType:
         infer_type(e.right, decls)
         return VType.LIST
     raise LabelTypeError(f"unknown expression {e!r}")
-
-
-# the fields of each node that hold nested expressions or conditions
-_NESTED = {
-    Empty: (),
-    IntLit: (),
-    StrLit: (),
-    Var: (),
-    Deg: (),
-    Neg: ("expr",),
-    TypeCheck: ("expr",),
-    Not: ("cond",),
-    EdgePred: ("label",),
-    **dict.fromkeys((Arith, Dot, Cons, Eq, Rel, And, Or), ("left", "right")),
-}
-
-
-def operands(e) -> list:
-    """The expressions and conditions directly nested in e, left to right."""
-    fields = _NESTED.get(type(e))
-    if fields is None:
-        raise TypeError(f"not an expression or condition: {e!r}")
-    return [getattr(e, f) for f in fields if getattr(e, f) is not None]
-
-
-def subterms(e):
-    """Yield e and every expression or condition nested in it, each node
-    before its operands and left operands before right ones."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        yield e
-        stack.extend(reversed(operands(e)))
 
 
 def variables(e) -> set[str]:

@@ -150,7 +150,7 @@ CONDITION_OPS = {
     ("KEYWORD", "and"): (2, _left(lambda op, left, right: CondAnd(left, right))),
 }
 COMMAND_OPS = {
-    ("KEYWORD", "or"): (1, _left(lambda op, left, right: Or(left, right))),
+    ("KEYWORD", "or"): (1, lambda items, ops: reduce(Or, items)),
     ("SYMBOL", ";"): (2, lambda items, ops: seq(items)),
 }
 _NO_OP = (0, None)

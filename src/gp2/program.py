@@ -1,91 +1,94 @@
-"""Program abstract syntax: commands, declarations, and static checking."""
+"""Program abstract syntax: commands, declarations, and static checking.
+
+Commands join the syntax table of `gp2.labels`, so they are walked and
+printed as labels and conditions are.  Each command stores its hash,
+computed when it is built from the stored hashes of its subcommands.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
+from .labels import _PIECES, operands, show, subterms
 from .rules import ConditionalRuleSchema, Violation, validate
 
 
-class _Printed:
-    """Commands print through `show`."""
+class _Command:
+    """A command hashes once, when built, from the stored hashes of the
+    commands nested in it, so no lookup walks a command tree."""
 
-    def __str__(self) -> str:
-        return show(self)
+    # in place of the dataclass __init__, and in its one stack frame: a
+    # __post_init__ would lower the nesting the parser can read by a level
+    def __init__(self, *fields, **named) -> None:
+        if len(fields) > len(self.__match_args__) or named.keys() - self.__dataclass_fields__:
+            raise TypeError(f"unexpected arguments for {type(self).__name__}: {fields} {named}")
+        state = vars(self)
+        state.update(zip(self.__match_args__, fields), **named)
+        # keyword-only fields, such as a call's bare flag, change only the text
+        key = (type(self), *map(self.__getattribute__, self.__match_args__))
+        state["_key"] = key
+        state["_hash"] = hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, _Command) and self._hash == other._hash and self._key == other._key
+        )
+
+    __str__ = show
 
 
-@dataclass(frozen=True)
-class Skip(_Printed):
+@dataclass(frozen=True, eq=False, init=False)
+class Skip(_Command):
     pass
 
 
-@dataclass(frozen=True)
-class Fail(_Printed):
+@dataclass(frozen=True, eq=False, init=False)
+class Fail(_Command):
     pass
 
 
-@dataclass(frozen=True)
-class RuleSetCall(_Printed):
+@dataclass(frozen=True, eq=False, init=False)
+class RuleSetCall(_Command):
     names: tuple[str, ...]
     # a bare identifier prints without braces
-    bare: bool = field(default=False, compare=False)
+    bare: bool = field(default=False, kw_only=True)
 
 
-@dataclass(frozen=True)
-class Seq(_Printed):
+@dataclass(frozen=True, eq=False, init=False)
+class Seq(_Command):
     items: tuple["Command", ...]
 
 
-@dataclass(frozen=True)
-class If(_Printed):
+@dataclass(frozen=True, eq=False, init=False)
+class If(_Command):
     cond: "Command"
     then: "Command"
     els: Optional["Command"] = None
 
 
-@dataclass(frozen=True)
-class Try(_Printed):
+@dataclass(frozen=True, eq=False, init=False)
+class Try(_Command):
     cond: "Command"
     then: "Command"
     els: Optional["Command"] = None
 
 
-@dataclass(frozen=True)
-class Loop(_Printed):
+@dataclass(frozen=True, eq=False, init=False)
+class Loop(_Command):
     body: "Command"
 
 
-@dataclass(frozen=True)
-class Or(_Printed):
+@dataclass(frozen=True, eq=False, init=False)
+class Or(_Command):
     left: "Command"
     right: "Command"
 
 
 Command = Union[Skip, Fail, RuleSetCall, Seq, If, Try, Loop, Or]
-
-
-def subcommands(c: Command) -> tuple[Command, ...]:
-    """The commands directly nested in c, in source order."""
-    if isinstance(c, Seq):
-        return c.items
-    if isinstance(c, (If, Try)):
-        return (c.cond, c.then) if c.els is None else (c.cond, c.then, c.els)
-    if isinstance(c, Loop):
-        return (c.body,)
-    if isinstance(c, Or):
-        return (c.left, c.right)
-    return ()
-
-
-def commands(c: Command) -> Iterator[Command]:
-    """Yield c and every command nested in it, each command before the
-    ones nested in it, in source order."""
-    stack = [c]
-    while stack:
-        c = stack.pop()
-        yield c
-        stack.extend(reversed(subcommands(c)))
 
 
 def flatten(command: Command) -> tuple[Command, ...]:
@@ -107,45 +110,30 @@ def _bracketed(c: Command, kinds: tuple) -> list:
     return ["(", c, ")"] if isinstance(c, kinds) else [c]
 
 
-def _pieces(c: Command) -> list:
-    """The text of c as strings and the commands nested in it, in order."""
-    if isinstance(c, RuleSetCall):
-        if c.bare and len(c.names) == 1:
-            return [c.names[0]]
-        return ["{" + ", ".join(c.names) + "}"]
-    if isinstance(c, Seq):
+def _branches(keyword: str, c: If | Try) -> list:
+    out = [keyword, c.cond, " then (", c.then, ")"]
+    return out if c.els is None else out + [" else (", c.els, ")"]
+
+
+_PIECES.update(
+    {
+        Skip: lambda c: ["skip"],
+        Fail: lambda c: ["fail"],
+        RuleSetCall: lambda c: [
+            c.names[0] if c.bare and len(c.names) == 1 else "{" + ", ".join(c.names) + "}"
+        ],
         # bare, an if or try would take the items after it into its last branch
-        out = [p for item in c.items for p in ("; ", *_bracketed(item, (If, Try, Or)))]
-        return out[1:]
-    if isinstance(c, (If, Try)):
-        out = ["if " if isinstance(c, If) else "try ", c.cond, " then (", c.then, ")"]
-        return out if c.els is None else out + [" else (", c.els, ")"]
-    if isinstance(c, Loop):
-        return ["(", c.body, ")!"]
-    if isinstance(c, Or):
-        return ["(", *_bracketed(c.left, (If, Try)), " or ", *_bracketed(c.right, (If, Try)), ")"]
-    return ["skip" if isinstance(c, Skip) else "fail"]
-
-
-def show(command: Command, limit: Optional[int] = None) -> str:
-    """The text of command, which parses back to it.  With a limit, printing
-    stops once the text is longer than limit, so only a prefix is built.
-
-    Iterative, so a deep command prints without recursion, and with a
-    limit a shared macro expansion is never printed whole."""
-    out: list[str] = []
-    size = 0
-    stack = [command]
-    while stack:
-        c = stack.pop()
-        if not isinstance(c, str):
-            stack += reversed(_pieces(c))
-            continue
-        out.append(c)
-        size += len(c)
-        if limit is not None and size > limit:
-            break
-    return "".join(out)
+        Seq: lambda c: [
+            p for item in c.items for p in ("; ", *_bracketed(item, (If, Try, Or)))
+        ][1:],
+        If: lambda c: _branches("if ", c),
+        Try: lambda c: _branches("try ", c),
+        Loop: lambda c: ["(", c.body, ")!"],
+        Or: lambda c: [
+            "(", *_bracketed(c.left, (If, Try)), " or ", *_bracketed(c.right, (If, Try)), ")"
+        ],
+    }
+)
 
 
 def seq(items: list[Command]) -> Command:
@@ -200,7 +188,7 @@ def check_program(ast: ProgramAST) -> list[Violation]:
 
     bodies = [(f"macro {m.name}", m.body) for m in ast.macros.values()]
     for where, body in bodies + [("main", main) for main in ast.mains]:
-        for command in commands(body):
+        for command in subterms(body):
             if not isinstance(command, RuleSetCall):
                 continue
             for name in command.names:
@@ -244,7 +232,7 @@ def _macro_refs(command: Command, ast: ProgramAST) -> dict[str, None]:
     """The macros command calls, each once, in source order."""
     return dict.fromkeys(
         name
-        for c in commands(command)
+        for c in subterms(command)
         if isinstance(c, RuleSetCall) and c.bare
         for name in c.names
         if name in ast.macros
@@ -260,7 +248,7 @@ def expand_macros(command: Command, ast: ProgramAST) -> Command:
     while stack:
         c = stack[-1]
         call = isinstance(c, RuleSetCall) and c.bare and c.names[0] in ast.macros
-        subs = (ast.macros[c.names[0]].body,) if call else subcommands(c)
+        subs = (ast.macros[c.names[0]].body,) if call else operands(c)
         todo = [s for s in subs if id(s) not in done]
         stack += todo
         if not todo:

@@ -24,23 +24,31 @@ from gp2.executor import (
     RunOutcome,
     TraceEntry,
     Unfinished,
-    _summary,
 )
-from gp2.graphs import HostGraph, HostLabel, IsoStore, Premorphism
+from gp2.graphs import HostGraph, HostLabel, IsoStore, Premorphism, format_atom
 from gp2.labels import (
+    And,
+    Arith,
     Assignment,
     Cons,
+    Deg,
     Dot,
+    EdgePred,
     Empty,
+    Eq,
     EvalError,
     IntLit,
     Neg,
+    Not,
+    Rel,
     StrLit,
+    TypeCheck,
     Var,
     VType,
     eval_list,
     is_simple,
 )
+from gp2.labels import Or as CondOr
 from gp2.program import (
     CheckedProgram,
     Command,
@@ -376,6 +384,27 @@ def random_schema(rng: random.Random, name: str = "r") -> ConditionalRuleSchema:
                 RuleLabel(IntLit(rng.choice(INT_POOL)), False),
             )
     return ConditionalRuleSchema(name, decls, left, interface, right, None)
+
+
+def random_condition(rng: random.Random, depth: int = 2):
+    """A random condition with every predicate and connective, over
+    `random_simple_label` expressions, degrees and arithmetic."""
+    if depth > 0 and rng.random() < 0.5:
+        if rng.random() < 0.3:
+            return Not(random_condition(rng, depth - 1))
+        kind = rng.choice([And, CondOr])
+        return kind(random_condition(rng, depth - 1), random_condition(rng, depth - 1))
+    expr = lambda: random_simple_label(rng)[0]
+    kind = rng.choice(["type", "eq", "rel", "edge"])
+    if kind == "type":
+        return TypeCheck(rng.choice(["int", "string", "atom"]), expr())
+    if kind == "eq":
+        return Eq(expr(), expr(), rng.random() < 0.5)
+    if kind == "rel":
+        degree = Deg(rng.choice(["in", "out"]), rng.choice(["n1", "n2"]))
+        total = Arith(rng.choice("+-*/"), degree, Neg(IntLit(rng.choice(INT_POOL))))
+        return Rel(rng.choice([">", ">=", "<", "<="]), total, expr())
+    return EdgePred("n1", "n2", expr() if rng.random() < 0.5 else None)
 
 
 # -- reference matcher -------------------------------------------------
@@ -857,6 +886,90 @@ def random_body(
     return Loop(sub())
 
 
+# -- printing ----------------------------------------------------------
+
+# The recursive `__str__` methods that `gp2.labels.show` replaced, kept as
+# the reference printer: the command methods from before commands printed
+# iteratively, and the label and condition methods from before they joined
+# the command printer.
+
+
+def reference_show(node) -> str:
+    """The text of a command, rule label, expression or condition."""
+    s = reference_show
+    if isinstance(node, Skip):
+        return "skip"
+    if isinstance(node, Fail):
+        return "fail"
+    if isinstance(node, RuleSetCall):
+        if node.bare and len(node.names) == 1:
+            return node.names[0]
+        return "{" + ", ".join(node.names) + "}"
+    if isinstance(node, Seq):
+        # bare, an if or try would take the items after it into its last branch
+        return "; ".join(
+            f"({s(c)})" if isinstance(c, (If, Try, Or)) else s(c) for c in node.items
+        )
+    if isinstance(node, (If, Try)):
+        keyword = "if" if isinstance(node, If) else "try"
+        text = f"{keyword} {s(node.cond)} then ({s(node.then)})"
+        if node.els is not None:
+            text += f" else ({s(node.els)})"
+        return text
+    if isinstance(node, Loop):
+        return f"({s(node.body)})!"
+    if isinstance(node, Or):
+        left, right = (
+            f"({s(c)})" if isinstance(c, (If, Try)) else s(c) for c in (node.left, node.right)
+        )
+        return f"({left} or {right})"
+    if isinstance(node, Empty):
+        return "empty"
+    if isinstance(node, IntLit):
+        return str(node.value)
+    if isinstance(node, StrLit):
+        return format_atom(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{s(node.expr)})"
+    if isinstance(node, Arith):
+        return f"({s(node.left)} {node.op} {s(node.right)})"
+    if isinstance(node, Deg):
+        kw = "indeg" if node.direction == "in" else "outdeg"
+        return f"{kw}({node.node})"
+    if isinstance(node, Dot):
+        return f"{s(node.left)}.{s(node.right)}"
+    if isinstance(node, Cons):
+        return f"{s(node.left)}:{s(node.right)}"
+    if isinstance(node, RuleLabel):
+        return f"{s(node.expr)} #" if node.marked else s(node.expr)
+    if isinstance(node, TypeCheck):
+        return f"{node.tname}({s(node.expr)})"
+    if isinstance(node, Eq):
+        op = "!=" if node.negated else "="
+        return f"{s(node.left)} {op} {s(node.right)}"
+    if isinstance(node, Rel):
+        return f"{s(node.left)} {node.op} {s(node.right)}"
+    if isinstance(node, EdgePred):
+        if node.label is None:
+            return f"edge({node.source}, {node.target})"
+        return f"edge({node.source}, {node.target}, {s(node.label)})"
+    if isinstance(node, Not):
+        return f"not ({s(node.cond)})"
+    if isinstance(node, And):
+        return f"({s(node.left)} and {s(node.right)})"
+    if isinstance(node, CondOr):
+        return f"({s(node.left)} or {s(node.right)})"
+    raise TypeError(f"not a syntax node: {node!r}")
+
+
+def reference_summary(command: Command) -> str:
+    """A traced command's text, cut to 60 characters."""
+    text = reference_show(command)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 # -- tokenizer ---------------------------------------------------------
 
 
@@ -1150,7 +1263,11 @@ class ReferenceRunner:
         if self.tracing:
             self.trace.append(
                 TraceEntry(
-                    self.steps, rule, _summary(command), len(graph.nodes), len(graph.edges)
+                    self.steps,
+                    rule,
+                    reference_summary(command),
+                    len(graph.nodes),
+                    len(graph.edges),
                 )
             )
 

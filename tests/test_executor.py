@@ -149,6 +149,16 @@ class TestNondeterministicBranching:
             successors(Failure(), RULES)
 
 
+def deep_commands() -> tuple:
+    """An or and a sequence nested far past the recursion limit; each
+    branch of the or goes one level deeper."""
+    deep_or = deep_seq = R
+    for _ in range(5_000):
+        deep_or = Or(deep_or, Seq((Skip(), deep_or)))
+        deep_seq = Seq((Skip(), deep_seq))
+    return deep_or, deep_seq
+
+
 class TestRunOne:
     def test_skip(self):
         out = run_one(as_program(Skip()), G0)
@@ -206,18 +216,19 @@ class TestRunOne:
         assert [t.rule for t in out.trace] == names
 
     def test_or_and_sequences_run_without_recursion(self):
-        # nested far past the recursion limit; each branch of an or goes
-        # one level deeper
-        deep_or = deep_seq = R
-        for _ in range(5_000):
-            deep_or = Or(deep_or, Seq((Skip(), deep_or)))
-            deep_seq = Seq((Skip(), deep_seq))
-        for command in (deep_or, deep_seq):
+        for command in deep_commands():
             out = run_one(as_program(command), G0, Budget(max_steps=100_000))
             assert out.kind == "graph" and isomorphic(out.graph, G1)
 
 
 class TestSemantics:
+    def test_or_and_sequences_explore_without_recursion(self):
+        # each command hashes once, when built, so no memo or interning
+        # lookup walks the command tree
+        for command in deep_commands():
+            rs = semantics(as_program(command), G0, Budget(max_steps=100_000))
+            assert len(rs.graphs) == 1 and isomorphic(rs.graphs[0], G1)
+
     def test_skip_or_fail(self):
         rs = semantics(as_program(Or(Skip(), Fail())), G0)
         assert len(rs.graphs) == 1

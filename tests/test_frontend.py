@@ -1,6 +1,7 @@
 """The front end's lexical rules, its cost on long labels, its agreement
 with the character-loop tokenizer it replaced, the host reader's agreement
-with the Parser, and deep nesting."""
+with the Parser, the printer's agreement with the recursive printer it
+replaced, and deep nesting."""
 
 import random
 import time
@@ -8,12 +9,30 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from genlib import random_body, random_host, reference_tokenize
+from genlib import (
+    random_body,
+    random_condition,
+    random_host,
+    random_schema,
+    random_simple_label,
+    reference_show,
+    reference_summary,
+    reference_tokenize,
+)
 from gp2 import corpus
 from gp2.cli import main as cli_main
-from gp2.executor import Budget, run_one, semantics
+from gp2.executor import Budget, _summary, run_one, semantics
 from gp2.graphs import HostGraph, HostLabel
-from gp2.parsing import Parser, ParseError, _read_host, parse_host_graph, parse_program, tokenize
+from gp2.labels import Cons, Eq, IntLit, Neg, Not, RuleLabel, Var, VType, show
+from gp2.parsing import (
+    CONDITION_OPS,
+    Parser,
+    ParseError,
+    _read_host,
+    parse_host_graph,
+    parse_program,
+    tokenize,
+)
 from gp2.program import CheckedProgram, checked
 
 LONG_INT = "7" * 5000
@@ -256,6 +275,75 @@ class TestHostReaderAgainstParser:
         with pytest.raises(ParseError):
             parse_host_graph(text)
         assert time.perf_counter() - began < 1.0
+
+
+# -- printing ----------------------------------------------------------------
+
+
+def rule_labels(rule) -> list:
+    """The node and edge labels of both sides of a rule."""
+    sides = (rule.left, rule.right)
+    return [label for g in sides for label in g.nodes.values()] + [
+        edge.label for g in sides for edge in g.edges.values()
+    ]
+
+
+def random_nodes(seed: int) -> list:
+    """A random command, simple label, schema's labels and condition."""
+    rng = random.Random(seed)
+    return [
+        random_body(rng, ("a", "b", "r"), depth=4),
+        RuleLabel(random_simple_label(rng)[0], rng.random() < 0.3),
+        *rule_labels(random_schema(rng)),
+        random_condition(rng),
+    ]
+
+
+def test_printer_agrees_with_the_recursive_printer():
+    rng = random.Random(0)
+    count = 0
+    for seed in range(3_000):
+        for node in random_nodes(seed):
+            text = reference_show(node)
+            assert show(node) == str(node) == text, text
+            assert _summary(node) == reference_summary(node), text
+            limit = rng.randrange(80)
+            prefix = show(node, limit=limit)
+            assert text.startswith(prefix) and (prefix == text or len(prefix) > limit), text
+            count += 1
+    assert count >= 20_000
+
+
+def test_deep_chains_print_without_recursion():
+    deep_neg = x = Var("x", VType.INT)
+    deep_not = zero = Eq(x, IntLit(0))
+    deep_cons = x
+    for _ in range(5_000):
+        deep_neg, deep_not, deep_cons = Neg(deep_neg), Not(deep_not), Cons(x, deep_cons)
+    assert str(deep_neg) == "(-" * 5_000 + "x" + ")" * 5_000
+    assert str(deep_not) == "not (" * 5_000 + str(zero) + ")" * 5_000
+    assert str(deep_cons) == "x:" * 5_000 + "x"
+
+
+@pytest.mark.parametrize("name", corpus.PROGRAMS)
+def test_corpus_syntax_prints_and_reparses(name):
+    ast = parse_program(corpus.program_text(name))
+
+    def reparsed(text: str, decls: dict, read):
+        parser = Parser(text)
+        parser.decls = decls
+        node = read(parser)
+        assert parser.at("EOF"), text
+        return node
+
+    for rule in ast.rules.values():
+        for label in rule_labels(rule):
+            assert reparsed(str(label), rule.variables, Parser.parse_rule_label) == label
+        if rule.condition is not None:
+            read = lambda p: p.climb(CONDITION_OPS, p.parse_cond_not)
+            assert reparsed(str(rule.condition), rule.variables, read) == rule.condition
+    for body in [m.body for m in ast.macros.values()] + ast.mains:
+        assert parse_program(f"main = {body}").main == body
 
 
 # -- nesting ---------------------------------------------------------------
