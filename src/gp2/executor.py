@@ -33,7 +33,14 @@ from .program import (
     flatten,
     seq,
 )
-from .rules import ConditionalRuleSchema, apply, apply_ruleset, enumerate_matches
+from .rules import (  # apply and enumerate_matches are bound here for perfbench/tracer.py
+    ConditionalRuleSchema,
+    apply,
+    apply_ruleset,
+    enumerate_matches,
+    match_slots,
+    rewrite,
+)
 
 
 @dataclass(frozen=True)
@@ -300,6 +307,8 @@ class _Runner:
         # the summary of each traced command, keyed by identity: commands
         # that compare equal can print differently (`RuleSetCall.bare`)
         self.summaries: dict[int, str] = {}
+        # the graph that only this run can see, which a rule rewrites in place
+        self.owned: Optional[HostGraph] = None
 
     def tick(self, rule: str, command: Command, graph: HostGraph) -> None:
         self.steps += 1
@@ -319,12 +328,13 @@ class _Runner:
         matches = []
         for name in names:
             schema = self.rules[name]
-            for g, alpha in enumerate_matches(schema, graph, self.warnings):
-                matches.append((schema, g, alpha))
+            for match in match_slots(schema, graph, self.warnings):
+                matches.append((schema, match))
         if not matches:
             return []
-        schema, g, alpha = self.rng.choice(matches)
-        return [apply(schema, graph, g, alpha)]
+        schema, match = self.rng.choice(matches)
+        self.owned = rewrite(schema, graph, match, copy=graph is not self.owned)
+        return [self.owned]
 
     def semantics(self, command: Command, graph: HostGraph) -> ResultSet:
         """One run of command from graph, as a result set: the graph it
@@ -335,6 +345,8 @@ class _Runner:
             if isinstance(head, Seq):
                 stack += reversed(head.items)
                 continue
+            if _keeps(head):
+                self.owned = None
             succs, _ = _step(self, head, graph)
             # only an or has two transitions in a run
             pick = self.rng.random() >= 0.5 if len(succs) > 1 else 0
@@ -344,6 +356,17 @@ class _Runner:
                 return ResultSet([], True, BOTTOM_NONE)
             stack += pushed
         return ResultSet([graph], False, BOTTOM_NONE)
+
+
+def _keeps(head: Command) -> bool:
+    """Whether stepping head may go on from its graph as it was before a
+    premise ran on it: an if's always; a try's or a loop's unless the
+    premise is a rule-set call, which fails only where it rewrites nothing."""
+    if isinstance(head, Try):
+        return not isinstance(head.cond, RuleSetCall)
+    if isinstance(head, Loop):
+        return not isinstance(head.body, RuleSetCall)
+    return isinstance(head, If)
 
 
 def _summary(command: Command) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 Atom = int | str
 
@@ -55,8 +55,20 @@ def format_label(items: tuple[Atom, ...], marked: bool) -> str:
     return text + " #" if marked else text
 
 
-@dataclass(frozen=True)
-class Edge:
+def mark_class(edge: bool, source: bool, target: bool) -> int:
+    """The mark class of an edge, from whether it, its source and its target
+    are marked: 4 if it is, plus 2 if its source is and 1 if its target is."""
+    return 4 * edge + 2 * source + target
+
+
+def _without(ids: list[str], item: str) -> list[str]:
+    """A copy of an index list without one id."""
+    rest = ids.copy()
+    rest.remove(item)
+    return rest
+
+
+class Edge(NamedTuple):
     source: str
     target: str
     label: HostLabel
@@ -68,11 +80,17 @@ class HostGraph:
     Parallel edges and loops are permitted.  Graphs are treated as
     immutable once fully constructed; rewriting copies first.
 
-    Adjacency queries read a lazy incidence index: each node's incident
-    edge ids in edge insertion order, a loop listed once.  It is built on
-    first use and dropped, like the cached canonical certificate
-    (`signature`), on every mutation, so its lists are never changed in
-    place and a copy may share them.
+    Two indexes of id lists are built on first use and then kept up to date
+    by every mutation.  Their lists are replaced, never changed in place,
+    so a copy copies only the dicts that hold them:
+
+    - the incidence index: each node's incident edge ids in edge insertion
+      order, a loop listed once;
+    - the marked index (`marked`): the ids of the marked nodes, and of the
+      edges of each mark class.
+
+    The cached canonical certificate (`signature`) is dropped on every
+    mutation.
     """
 
     def __init__(self) -> None:
@@ -82,6 +100,7 @@ class HostGraph:
         self._edge_counter = 0
         self._signature: Optional[tuple] = None
         self._incident: Optional[dict[str, list[str]]] = None
+        self._marked: Optional[dict[int, list[str]]] = None
 
     # -- construction -------------------------------------------------
 
@@ -91,7 +110,11 @@ class HostGraph:
         elif node_id in self.nodes:
             raise GraphError(f"duplicate node id {node_id!r}")
         self.nodes[node_id] = label
-        self._signature = self._incident = None
+        self._signature = None
+        if self._incident is not None:
+            self._incident[node_id] = []
+        if label.marked and self._marked is not None:
+            self._mark(0, node_id, True)
         return node_id
 
     def add_edge(
@@ -110,29 +133,73 @@ class HostGraph:
         elif edge_id in self.edges:
             raise GraphError(f"duplicate edge id {edge_id!r}")
         self.edges[edge_id] = Edge(source, target, label)
-        self._signature = self._incident = None
+        self._signature = None
+        incident = self._incident
+        if incident is not None:
+            incident[source] = incident[source] + [edge_id]
+            if target != source:
+                incident[target] = incident[target] + [edge_id]
+        self._index_edge(edge_id, True)
         return edge_id
 
     def remove_edge(self, edge_id: str) -> None:
         if edge_id not in self.edges:
             raise GraphError(f"unknown edge id {edge_id!r}")
-        del self.edges[edge_id]
-        self._signature = self._incident = None
+        self._index_edge(edge_id, False)
+        e = self.edges.pop(edge_id)
+        self._signature = None
+        incident = self._incident
+        if incident is not None:
+            for end in {e.source, e.target}:
+                incident[end] = _without(incident[end], edge_id)
 
     def remove_node(self, node_id: str) -> None:
         if node_id not in self.nodes:
             raise GraphError(f"unknown node id {node_id!r}")
-        first = next((i for i, e in self.edges.items() if node_id in (e.source, e.target)), None)
-        if first is not None:
-            raise GraphError(f"node {node_id!r} still incident to edge {first!r}")
-        del self.nodes[node_id]
-        self._signature = self._incident = None
+        incident = self.incidence()
+        if incident[node_id]:
+            raise GraphError(f"node {node_id!r} still incident to edge {incident[node_id][0]!r}")
+        label = self.nodes.pop(node_id)
+        self._signature = None
+        del incident[node_id]
+        if label.marked and self._marked is not None:
+            self._mark(0, node_id, False)
 
     def relabel_node(self, node_id: str, label: HostLabel) -> None:
         if node_id not in self.nodes:
             raise GraphError(f"unknown node id {node_id!r}")
+        self._signature = None
+        if self._marked is None or self.nodes[node_id].marked == label.marked:
+            self.nodes[node_id] = label
+            return
+        incident = self.incidence()[node_id]
+        for eid in incident:
+            self._index_edge(eid, False)
         self.nodes[node_id] = label
-        self._signature = self._incident = None
+        self._mark(0, node_id, label.marked)
+        for eid in incident:
+            self._index_edge(eid, True)
+
+    def _index_edge(self, edge_id: str, add: bool) -> None:
+        """Add an edge to the marked index, if it is built, or take it out."""
+        if self._marked is not None:
+            c = self._edge_class(edge_id)
+            if c:
+                self._mark(c, edge_id, add)
+
+    def _mark(self, key: int, item: str, add: bool) -> None:
+        """Add an id to one list of the marked index, or take it out."""
+        index = self._marked
+        if add:
+            index[key] = index.get(key, []) + [item]
+        elif len(index[key]) == 1:
+            del index[key]
+        else:
+            index[key] = _without(index[key], item)
+
+    def _edge_class(self, edge_id: str) -> int:
+        e, nodes = self.edges[edge_id], self.nodes
+        return mark_class(e.label.marked, nodes[e.source].marked, nodes[e.target].marked)
 
     def _fresh_node_id(self) -> str:
         while True:
@@ -155,7 +222,10 @@ class HostGraph:
         g._node_counter = self._node_counter
         g._edge_counter = self._edge_counter
         g._signature = self._signature
-        g._incident = self._incident
+        if self._incident is not None:
+            g._incident = dict(self._incident)
+        if self._marked is not None:
+            g._marked = dict(self._marked)
         return g
 
     # -- queries ------------------------------------------------------
@@ -182,6 +252,24 @@ class HostGraph:
                     index[e.target].append(eid)
             self._incident = index
         return self._incident
+
+    def marked(self) -> dict[int, list[str]]:
+        """The marked index, built on first use; callers must not change it.
+
+        Under each mark class but 0 (`mark_class`) it lists the ids of the
+        edges of that class, and under 0 the ids of the marked nodes; a key
+        with no ids is left out."""
+        if self._marked is None:
+            index: dict[int, list[str]] = {}
+            marked = [n for n, label in self.nodes.items() if label.marked]
+            if marked:
+                index[0] = marked
+            for eid in self.edges:
+                c = self._edge_class(eid)
+                if c:
+                    index.setdefault(c, []).append(eid)
+            self._marked = index
+        return self._marked
 
     def incident_edges(self, node_id: str) -> Iterator[str]:
         yield from self.incidence().get(node_id, ())

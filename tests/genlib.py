@@ -45,6 +45,7 @@ from gp2.labels import (
     TypeCheck,
     Var,
     VType,
+    eval_condition,
     eval_list,
     is_simple,
 )
@@ -62,11 +63,10 @@ from gp2.program import (
     Try,
     seq,
 )
+from gp2.matcher import _is_ground
 from gp2.rules import (
     ConditionalRuleSchema,
     RuleGraph,
-    _bind,
-    _is_ground,
     apply,
     apply_ruleset,
     enumerate_matches,
@@ -468,6 +468,13 @@ def reference_premorphisms(left: RuleGraph, host: HostGraph) -> Iterator[Premorp
 # left label and dispatches on each item's kind for every candidate.
 
 
+def _bind(bindings: Assignment, name: str, value) -> bool:
+    if name in bindings:
+        return bindings[name] == value
+    bindings[name] = value
+    return True
+
+
 def _unify_string(e, text: str, bindings: Assignment) -> bool:
     """Match a string expression (at most one string variable) against text."""
     pieces = _flatten_dot(e)
@@ -584,6 +591,49 @@ def reference_infer_assignment(
         if not _unify_list(rule_edge.label.expr, host_edge.label.items, bindings, g, host):
             return None
     return bindings
+
+
+def reference_matches(
+    schema: ConditionalRuleSchema, host: HostGraph, warnings: Optional[list[str]] = None
+) -> list[tuple[Premorphism, Assignment]]:
+    """Every applicable (premorphism, assignment) pair, composed from the
+    references and the interpreted evaluators alone.
+
+    Each premorphism of `reference_premorphisms`, in its order, with the
+    assignment of `reference_infer_assignment`, which checks the marks;
+    then the condition, the dangling condition by a scan of all host edges,
+    and every right label by `eval_list`.  An evaluation error discards the
+    match with a warning."""
+    deleted = [n for n in schema.left.nodes if n not in schema.interface]
+    right_labels = [
+        *schema.right.nodes.values(),
+        *(e.label for e in schema.right.edges.values()),
+    ]
+    out = []
+    for g in reference_premorphisms(schema.left, host):
+        alpha = reference_infer_assignment(schema.left, g, host)
+        if alpha is None:
+            continue
+        try:
+            if schema.condition is not None and not eval_condition(
+                schema.condition, g, alpha, host
+            ):
+                continue
+            gone = {g.node_map[n] for n in deleted}
+            matched = set(g.edge_map.values())
+            if any(
+                eid not in matched and (e.source in gone or e.target in gone)
+                for eid, e in host.edges.items()
+            ):
+                continue
+            for label in right_labels:
+                eval_list(label.expr, g, alpha, host)
+        except EvalError as exc:
+            if warnings is not None:
+                warnings.append(f"rule {schema.name}: match discarded ({exc})")
+            continue
+        out.append((g, alpha))
+    return out
 
 
 # -- reference isomorphism test ----------------------------------------

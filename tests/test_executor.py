@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genlib import random_body, random_host
+from genlib import random_body, random_host, reference_run_one
 from gp2.executor import (
     BOTTOM_NONE,
     BOTTOM_POSSIBLE,
@@ -219,6 +219,55 @@ class TestRunOne:
         for command in deep_commands():
             out = run_one(as_program(command), G0, Budget(max_steps=100_000))
             assert out.kind == "graph" and isomorphic(out.graph, G1)
+
+
+INC_RULES = """
+rule inc(i: int) [ (n1, i) | ] => [ (n1, i + 1) | ] interface = {n1} where i < 4
+rule add() [ | ] => [ (n1, 0) | ] interface = {}
+"""
+
+
+class TestRewriteInPlace:
+    """A run rewrites in place only a graph that it made and that no if,
+    try or loop still needs: each program ends as the big-step reference
+    runner, which copies on every rewrite, says, and the host is kept."""
+
+    @pytest.mark.parametrize(
+        "main",
+        [
+            "inc; if inc then inc",
+            "inc; if (inc; inc) then skip else add",
+            "inc; try (inc; inc; fail) then add else skip",
+            "inc; try inc then (inc; add)",
+            "inc; (inc; inc; fail)!",
+            "inc; (inc; inc)!; inc",
+            "inc!; add; inc!",
+            "add; (inc or add); if inc then fail else inc",
+        ],
+    )
+    def test_premises_keep_their_graph(self, main):
+        program = checked(parse_program(INC_RULES + f"main = {main}\n"))
+        host = parse_host_graph("[ (a, 0) (b, 2) | (e1, a, b, empty) ]")
+        for seed in range(4):
+            got = run_one(program, host, Budget(seed=seed), tracing=True)
+            want = reference_run_one(program, host, Budget(seed=seed), tracing=True)
+            assert (got.kind, got.steps, [str(t) for t in got.trace]) == (
+                want.kind, want.steps, [str(t) for t in want.trace]
+            )
+            assert got.graph is None or got.graph.to_text() == want.graph.to_text()
+            assert host.to_text() == "[ (a, 0) (b, 2) | (e1, a, b, empty) ]"
+
+    def test_random_programs_keep_the_host(self):
+        rng = random.Random(16)
+        program = checked(parse_program(INC_RULES + "main = skip\n"))
+        for _ in range(300):
+            body = random_body(rng, ("inc", "add"), depth=4)
+            host = random_host(rng, max_nodes=3, labels=((0,), (2,)))
+            text = host.to_text()
+            got = run_one(CheckedProgram(program.rules, body), host, Budget(max_steps=60))
+            want = reference_run_one(body, host, Budget(max_steps=60), program.rules)
+            assert got.kind == want.kind and host.to_text() == text
+            assert got.graph is None or got.graph.to_text() == want.graph.to_text()
 
 
 class TestSemantics:

@@ -167,6 +167,77 @@ class TestIncidenceIndex:
         assert refused
 
 
+def scanned_marks(g: HostGraph) -> dict:
+    """The marked index, built by a scan of the whole graph, its lists sorted."""
+    index: dict = {}
+    for n, label in g.nodes.items():
+        if label.marked:
+            index.setdefault(0, []).append(n)
+    for i, e in g.edges.items():
+        c = 4 * e.label.marked + 2 * g.nodes[e.source].marked + g.nodes[e.target].marked
+        if c:
+            index.setdefault(c, []).append(i)
+    return {c: sorted(ids) for c, ids in index.items()}
+
+
+class TestMarkedIndex:
+    """The marked index, kept up to date by every mutation and copy, is the
+    one a scan builds, whenever it was first built."""
+
+    @staticmethod
+    def check(g: HostGraph) -> None:
+        assert {c: sorted(ids) for c, ids in g.marked().items()} == scanned_marks(g)
+
+    def test_random_mutations_and_copies(self):
+        seen = set()
+        for seed in range(20):
+            rng = random.Random(seed)
+            pool = [HostGraph()]
+            for step in range(150):
+                g = rng.choice(pool)
+                op = rng.choice(
+                    ["node", "edge", "edge", "drop_edge", "drop_node", "relabel", "copy"]
+                )
+                label = HostLabel((rng.randint(0, 2),), rng.random() < 0.5)
+                if op == "node" or not g.nodes:
+                    g.add_node(label)
+                elif op == "edge":
+                    g.add_edge(rng.choice(list(g.nodes)), rng.choice(list(g.nodes)), label)
+                elif op == "drop_edge" and g.edges:
+                    g.remove_edge(rng.choice(list(g.edges)))
+                elif op == "drop_node":
+                    n = rng.choice(list(g.nodes))
+                    if all(n not in (e.source, e.target) for e in g.edges.values()):
+                        g.remove_node(n)
+                elif op == "relabel":
+                    g.relabel_node(rng.choice(list(g.nodes)), label)
+                elif op == "copy" and len(pool) < 4:
+                    pool.append(g.copy())
+                # the index of the first graph is built late, the others' early
+                for h in pool[step < 75 :]:
+                    self.check(h)
+                    seen.update(h.marked())
+        assert seen == set(range(8))
+
+    def test_node_and_edge_ids_may_coincide(self):
+        g = parse_host_graph("[ (x, 0 #) (y, 1) | (x, x, y, 2) (y, y, x, 3 #) ]")
+        assert g.marked() == {0: ["x"], 2: ["x"], 5: ["y"]}
+        g.remove_edge("x")
+        g.relabel_node("x", HostLabel((0,)))
+        assert g.marked() == {4: ["y"]}
+        g.remove_edge("y")
+        g.relabel_node("y", HostLabel((1,), True))
+        assert g.marked() == {0: ["y"]}
+
+    def test_copies_share_lists_until_changed(self):
+        g = parse_host_graph("[ (a, 0 #) (b, 1) | (e1, a, b, 2) ]")
+        g.marked()
+        h = g.copy()
+        h.relabel_node("b", HostLabel((1,), True))
+        assert g.marked() == {0: ["a"], 2: ["e1"]}
+        assert h.marked() == {0: ["a", "b"], 3: ["e1"]}
+
+
 class TestMorphisms:
     def test_identity_is_label_preserving(self):
         g = parse_host_graph('[ (n1, 0) (n2, 1) | (e1, n1, n2, "x") ]')

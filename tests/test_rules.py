@@ -15,22 +15,29 @@ from genlib import (
     random_schema,
     random_simple_label,
     reference_infer_assignment,
+    reference_matches,
     reference_premorphisms,
 )
-from gp2 import corpus, rules
+from gp2 import corpus
+from gp2.executor import run_one
 from gp2.graphs import HostGraph, HostLabel, Premorphism, isomorphic
 from gp2.labels import (
+    And,
     Arith,
     Cons,
     Deg,
     Dot,
+    EdgePred,
     Empty,
     Eq,
     EvalError,
     IntLit,
     Neg,
+    Not,
+    Rel,
     RuleLabel,
     StrLit,
+    TypeCheck,
     Var,
     VType,
     compile_list,
@@ -39,6 +46,7 @@ from gp2.labels import (
     subterms,
     variables,
 )
+from gp2.labels import Or as CondOr
 from gp2.parsing import parse_host_graph, parse_program
 from gp2.program import checked
 from gp2.rules import (
@@ -321,6 +329,52 @@ class TestEnumerateMatches:
         assert list(enumerate_matches(schema, host)) == []
 
 
+# (rule, host, the graph run_one derives): a degree operator in a left
+# label of a node or an edge, its operand in a slot before or after the
+# item's own, bound in the same search step, a later one or an earlier one
+DEGREE_CASES = [
+    (
+        "rule r(x: list) [ (n1, indeg(n2)) (n2, x) | (e1, n1, n2, empty) ]"
+        " => [ (n1, indeg(n2) + 6) (n2, x) | (e1, n1, n2, empty) ] interface = {n1, n2}",
+        "[ (a, 1) (b, 5) | (e1, a, b, empty) ]",
+        "[ (a, 7) (b, 5) | (e1, a, b, empty) ]",
+    ),
+    (
+        "rule r(x: list) [ (n1, x) (n2, outdeg(n1)) | (e1, n1, n2, empty) ]"
+        " => [ (n1, x) (n2, outdeg(n1) + 1) | ] interface = {n1, n2}",
+        "[ (a, 3) (b, 2) (c, 1) | (e1, a, b, empty) (e2, a, c, empty) (e3, c, b, empty) ]",
+        "[ (a, 3) (b, 3) (c, 1) | (e2, a, c, empty) (e3, c, b, empty) ]",
+    ),
+    (
+        "rule r(x, y: list) [ (n1, x) (n2, y) | (e1, n1, n2, indeg(n2):outdeg(n1)) ]"
+        " => [ (n1, x) (n2, y) | (e1, n2, n1, 0) ] interface = {n1, n2}",
+        "[ (a, 0) (b, 1) (c, 2) | (e1, a, b, 2:1) (e2, c, b, 2:3) (e3, c, a, 1:1) ]",
+        "[ (a, 0) (b, 1) (c, 2) | (e2, c, b, 2:3) (e3, c, a, 1:1) (e1, b, a, 0) ]",
+    ),
+    (  # the search starts at the marked n1 and binds n2 after it
+        "rule r(x: list) [ (n1, indeg(n2) #) (n2, x) | (e1, n1, n2, empty) ]"
+        " => [ (n1, 0) (n2, x #) | (e1, n1, n2, empty) ] interface = {n1, n2}",
+        "[ (a, 2 #) (b, 5) (c, 1 #) | (e1, a, b, empty) (e2, c, b, empty) (e3, c, a, empty) ]",
+        "[ (a, 0) (b, 5 #) (c, 1 #) | (e2, c, b, empty) (e3, c, a, empty) (e1, a, b, empty) ]",
+    ),
+    (  # isolated nodes: each label waits for the other node
+        "rule r(x: list) [ (n1, indeg(n2)) (n2, x:outdeg(n1)) | ]"
+        " => [ (n1, x) (n2, 9) | ] interface = {n1, n2}",
+        "[ (a, 1) (b, 4:0) (c, 7:1) | (e1, a, c, empty) ]",
+        "[ (a, 7) (b, 4:0) (c, 9) | (e1, a, c, empty) ]",
+    ),
+]
+
+
+@pytest.mark.parametrize("rule, host, expected", DEGREE_CASES)
+def test_degree_operators_in_left_labels(rule, host, expected):
+    program = checked(parse_program(rule + "\nmain = r"))
+    outcome = run_one(program, parse_host_graph(host))
+    assert outcome.kind == "graph" and outcome.graph.to_text() == expected
+    [(g, alpha)] = enumerate_matches(program.rules["r"], parse_host_graph(host))
+    assert alpha == reference_infer_assignment(program.rules["r"].left, g, parse_host_graph(host))
+
+
 class TestApply:
     def test_null_rule_preserves_graph(self):
         schema = schema_of(NULL_RULE, "null")
@@ -486,61 +540,81 @@ def with_flipped_left_marks(rng: random.Random, schema, rate: float) -> Conditio
     )
 
 
-def maps(premorphisms, left, host) -> list:
-    """The node and edge maps, in order and with their dict orders, of the
-    premorphisms that agree with the left graph on every mark."""
-    return [
-        (list(g.node_map.items()), list(g.edge_map.items()))
-        for g in premorphisms
-        if all(left.nodes[n].marked == host.nodes[h].marked for n, h in g.node_map.items())
-        and all(
-            left.edges[e].label.marked == host.edges[h].label.marked
-            for e, h in g.edge_map.items()
-        )
-    ]
-
-
-def matches_and_warnings(schema, host) -> tuple:
+def matches_and_warnings(matcher, schema, host) -> tuple:
+    """The node and edge maps and the assignment, each with its dict order,
+    of every match in order, and the warnings."""
     warnings: list[str] = []
     found = [
-        (list(g.node_map.items()), list(g.edge_map.items()), alpha)
-        for g, alpha in enumerate_matches(schema, host, warnings)
+        (list(g.node_map.items()), list(g.edge_map.items()), list(alpha.items()))
+        for g, alpha in matcher(schema, host, warnings)
     ]
     return found, warnings
 
 
-class TestMatcherAgainstReference:
-    """The search plan yields exactly the reference's premorphisms and the
-    reference pipeline's matches, in the same order, so seeded runs pick
-    the same match."""
+# the mark classes of edges, in the order a search plan starts at them
+START_CLASSES = (7, 6, 5, 4, 2, 1, 3)
 
-    def agree(self, monkeypatch, schema, host, seen) -> None:
+
+def mark_pattern(left: RuleGraph) -> str:
+    """Where the search plan of a left graph starts: at the edges of a mark
+    class (4 if the edge is marked, plus 2 if its source is and 1 if its
+    target is), at marked nodes, or at all edges or nodes."""
+    classes = {
+        4 * e.label.marked + 2 * left.nodes[e.source].marked + left.nodes[e.target].marked
+        for e in left.edges.values()
+    }
+    for c in START_CLASSES:
+        if c in classes:
+            return f"class {c}"
+    if any(label.marked for label in left.nodes.values()):
+        return "marked node"
+    return "edge" if left.edges else "node" if left.nodes else "empty"
+
+
+class TestMatcherAgainstReference:
+    """The generated matcher yields exactly the matches of the reference
+    pipeline, in the same order, with the same assignments and warnings,
+    so seeded runs pick the same match."""
+
+    def agree(self, schema, host, seen) -> None:
+        found = matches_and_warnings(enumerate_matches, schema, host)
+        assert found == matches_and_warnings(reference_matches, schema, host), host.to_text()
         left = schema.left
-        got = maps(rules._premorphisms(left, host), left, host)
-        assert got == maps(reference_premorphisms(left, host), left, host)
-        found = matches_and_warnings(schema, host)
-        with monkeypatch.context() as m:
-            m.setattr(rules, "_premorphisms", reference_premorphisms)
-            assert found == matches_and_warnings(schema, host), host.to_text()
         ends = [(e.source, e.target) for e in left.edges.values()]
         touched = {n for pair in ends for n in pair}
+        # the search saw a candidate: a premorphism that agrees on every mark
+        searched = any(
+            all(left.nodes[n].marked == host.nodes[h].marked for n, h in g.node_map.items())
+            and all(
+                left.edges[e].label.marked == host.edges[h].label.marked
+                for e, h in g.edge_map.items()
+            )
+            for g in reference_premorphisms(left, host)
+        )
         seen["matches"] += len(found[0])
-        seen["loop"] += bool(got) and any(s == t for s, t in ends)
-        seen["parallel"] += bool(got) and len(set(ends)) < len(ends)
-        seen["isolated"] += bool(got) and bool(set(left.nodes) - touched)
+        seen["warnings"] += len(found[1])
+        seen["loop"] += searched and any(s == t for s, t in ends)
+        seen["parallel"] += searched and len(set(ends)) < len(ends)
+        seen["isolated"] += searched and bool(set(left.nodes) - touched)
+        seen[mark_pattern(left)] += searched
+        seen["matched " + mark_pattern(left)] += bool(found[0])
 
-    def test_random_schemas_on_marked_hosts(self, monkeypatch):
+    def test_random_schemas_on_marked_hosts(self):
         seen = collections.Counter()
         for trial in range(500):
             rng = random.Random(trial)
             rate = rng.choice(MARK_RATES)
             schema = with_flipped_left_marks(rng, random_schema(rng), rate)
             host = with_random_marks(rng, random_host(rng, max_nodes=6), rate)
-            self.agree(monkeypatch, schema, host, seen)
+            self.agree(schema, host, seen)
         assert min(seen[k] for k in ("matches", "loop", "parallel", "isolated")) > 0, seen
+        starts = ["marked node", "edge", "node"]
+        assert min(seen[k] for k in starts) > 0, seen
+        assert sum(seen[f"class {c}"] for c in START_CLASSES) > 0, seen
+        assert min(seen["matched " + k] for k in starts) > 0, seen
 
     @pytest.mark.parametrize("name", corpus.PROGRAMS)
-    def test_corpus_rules_on_marked_hosts(self, monkeypatch, name):
+    def test_corpus_rules_on_marked_hosts(self, name):
         seen = collections.Counter()
         rng = random.Random(name)
         hosts = [random_host(rng, max_nodes=6) for _ in range(30)]
@@ -548,8 +622,64 @@ class TestMatcherAgainstReference:
         for host in hosts:
             host = with_random_marks(rng, host, rng.choice(MARK_RATES))
             for schema in corpus.load(name).rules.values():
-                self.agree(monkeypatch, schema, host, seen)
+                self.agree(schema, host, seen)
         assert seen["matches"] > 0, seen
+
+    def test_every_start_class(self):
+        """Left graphs with an edge of each mark class, on hosts of their
+        shape with extra edges of random marks between their nodes."""
+        seen = collections.Counter()
+        for trial in range(700):
+            rng = random.Random(trial)
+            c = START_CLASSES[trial % 7]
+            drawn = random_left_graph(rng)
+            ids = sorted(drawn.nodes) + ["n9"]
+            source = rng.choice(ids[:-1])
+            target = ids[-1] if (c >> 1) % 2 != c % 2 else source
+            marks = {n: lab.marked for n, lab in drawn.nodes.items()}
+            marks.update({source: bool(c & 2), target: bool(c & 1), "n9": bool(c & 1)})
+            left = RuleGraph()
+            for nid in ids:
+                expr = drawn.nodes[nid].expr if nid in drawn.nodes else Var("x9", VType.LIST)
+                left.add_node(nid, RuleLabel(expr, marks[nid]))
+            for eid, e in drawn.edges.items():
+                left.add_edge(eid, e.source, e.target, e.label)
+            left.add_edge("e9", source, target, RuleLabel(Var("y9", VType.LIST), bool(c & 4)))
+            host = instantiated(rng, left)
+            for _ in range(3):
+                labels = [e.label for e in host.edges.values()]
+                label = rng.choice(labels)
+                label = HostLabel(label.items, rng.random() < 0.5)
+                host.add_edge(rng.choice(ids), rng.choice(ids), label)
+            right = RuleGraph()
+            for nid in ids:
+                right.add_node(nid, RuleLabel(IntLit(1)))
+            self.agree(ConditionalRuleSchema("r", {}, left, frozenset(ids), right), host, seen)
+        starts = [f"class {c}" for c in START_CLASSES]
+        assert min(seen["matched " + k] for k in starts) >= 10, seen
+
+    def test_rich_schemas_on_marked_hosts(self):
+        """Left labels with degree operators, negation and `.` patterns,
+        conditions, and right labels that read degrees or divide by zero;
+        every fifth left graph is empty."""
+        seen = collections.Counter()
+        for trial in range(1500):
+            rng = random.Random(trial)
+            left = random_left_graph(rng) if trial % 5 else RuleGraph()
+            schema = rich_schema(rng, left)
+            if trial % 2:
+                host = with_random_marks(rng, random_host(rng, 4, labels=HOST_ITEMS), 0.2)
+            else:
+                host = instantiated(rng, left)
+            self.agree(schema, host, seen)
+            found = list(enumerate_matches(schema, host))
+            labels = [*left.nodes.values(), *(e.label for e in left.edges.values())]
+            seen["degree"] += bool(found) and any(degree_nodes(lab.expr) for lab in labels)
+            seen["condition"] += bool(found) and schema.condition is not None
+        patterns = ("marked node", "edge", "empty")
+        assert min(seen["matched " + k] for k in patterns) > 0, seen
+        assert min(seen[k] for k in ("degree", "condition")) >= 10, seen
+        assert seen["warnings"] >= 20 and seen["matches"] >= 100, seen
 
 
 # -- compiled labels against the reference -----------------------------
@@ -621,6 +751,56 @@ def instantiated(rng: random.Random, left: RuleGraph) -> HostGraph:
     for eid, e in left.edges.items():
         host.add_edge(e.source, e.target, label(e.label), eid)
     return host
+
+
+def rich_schema(rng: random.Random, left: RuleGraph) -> ConditionalRuleSchema:
+    """A schema over a left graph with a random condition over its nodes
+    and variables, a random interface, and right labels that copy left
+    labels, read degrees or divide by one."""
+    nodes = sorted(left.nodes) or ["n1"]
+    exprs = [lab.expr for lab in left.nodes.values()]
+    exprs += [e.label.expr for e in left.edges.values()]
+
+    def degree():
+        return Deg(rng.choice(["in", "out"]), rng.choice(nodes))
+
+    def condition(depth: int):
+        if depth and rng.random() < 0.4:
+            if rng.random() < 0.3:
+                return Not(condition(depth - 1))
+            kind = rng.choice([And, CondOr])
+            return kind(condition(depth - 1), condition(depth - 1))
+        kind = rng.choice(["eq", "rel", "edge", "type"] if exprs else ["rel", "edge"])
+        if kind == "eq":
+            return Eq(rng.choice(exprs), rng.choice(exprs), rng.random() < 0.5)
+        if kind == "type":
+            return TypeCheck(rng.choice(["int", "string", "atom"]), rng.choice(exprs))
+        if kind == "rel":
+            total = Arith(rng.choice("+-*/"), degree(), IntLit(rng.choice(INT_POOL)))
+            return Rel(rng.choice([">", ">=", "<", "<="]), total, IntLit(rng.choice(INT_POOL)))
+        label = rng.choice(exprs) if exprs and rng.random() < 0.5 else None
+        return EdgePred(rng.choice(nodes), rng.choice(nodes), label)
+
+    def right_label() -> RuleLabel:
+        kind = rng.choice(["copy", "copy", "degree", "divide"] if exprs else ["degree", "divide"])
+        if kind == "copy":
+            expr = rng.choice(exprs)
+        elif kind == "degree":
+            expr = Cons(degree(), IntLit(1)) if left.nodes else IntLit(1)
+        else:
+            expr = Arith("/", IntLit(1), degree() if left.nodes else IntLit(0))
+        return RuleLabel(expr, rng.random() < 0.2)
+
+    interface = frozenset(n for n in left.nodes if rng.random() < 0.6)
+    right = RuleGraph()
+    for nid in sorted(interface):
+        right.add_node(nid, right_label())
+    right.add_node("m1", right_label())
+    right_ids = sorted(right.nodes)
+    for j in range(rng.randint(0, 2)):
+        right.add_edge(f"f{j + 1}", rng.choice(right_ids), rng.choice(right_ids), right_label())
+    cond = condition(1) if left.nodes and rng.random() < 0.5 else None
+    return ConditionalRuleSchema("r", {}, left, interface, right, cond)
 
 
 def assignments(infer, left, host) -> list:
