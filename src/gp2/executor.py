@@ -9,6 +9,15 @@ time, picked at random.  The explorer keeps tuples with sequences
 spliced in, follows every transition up to a budget, deduplicates
 configurations up to graph isomorphism, and reports divergence or
 stuckness through a bottom flag.
+
+The explorer's cost is per configuration, and it keeps that small in
+two ways that change nothing it explores.  A rule-set call that is a
+loop body or a premise has one configuration, whose successors are its
+results or failure, so `Engine.semantics` answers it from one application
+of its rules.  And each `Engine` keeps one table from exact graph content
+to canonical certificate (`HostGraph.signature`), through which every
+graph it derives is certified, so a graph rebuilt in another order is
+certified once.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .graphs import HostGraph, IsoStore, isomorphic
+from .graphs import Certificate, HostGraph, IsoStore, isomorphic
 from .labels import show
 from .program import (
     CheckedProgram,
@@ -171,7 +180,9 @@ class Engine:
         self.steps = 0
         self.warnings: list[str] = []
         # memo of sub-semantics per (command, certificate of the graph)
-        self._memo: dict[tuple[Command, tuple], ResultSet] = {}
+        self._memo: dict[tuple[Command, Certificate], ResultSet] = {}
+        # the certificate of every graph content this computation has seen
+        self._certificates: dict[tuple, Certificate] = {}
 
     def tick(self) -> bool:
         """Account for one transition; False once the budget is spent."""
@@ -182,19 +193,32 @@ class Engine:
 
     def call(self, names: tuple[str, ...], graph: HostGraph) -> list[HostGraph]:
         """Every graph one application of a named rule derives, up to iso."""
-        return apply_ruleset([self.rules[n] for n in names], graph, self.warnings)
+        rules = [self.rules[n] for n in names]
+        return apply_ruleset(rules, graph, self.warnings, self._certificates)
 
     def semantics(self, command: Command, graph: HostGraph) -> ResultSet:
-        key = (command, graph.signature())
+        key = (command, graph.signature(self._certificates))
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        result = self._explore(command, graph)
+        if isinstance(command, RuleSetCall):
+            result = self._ruleset_call(command, graph)
+        else:
+            result = self._explore(command, graph)
         # do not cache truncated explorations; a later call may have
         # budget left to finish them
         if result.bottom != BOTTOM_POSSIBLE:
             self._memo[key] = result
         return result
+
+    def _ruleset_call(self, command: RuleSetCall, graph: HostGraph) -> ResultSet:
+        """What `_explore` gives for a lone rule-set call, without its
+        bookkeeping: its one configuration steps by [call1] to each graph
+        `call` derives, which are results, or by [call2] to failure."""
+        if not self.tick() or self.budget.max_configs < 1:
+            return ResultSet([], False, BOTTOM_POSSIBLE)
+        graphs = self.call(command.names, graph)
+        return ResultSet(graphs, not graphs, BOTTOM_NONE)
 
     def _explore(self, command: Command, graph: HostGraph) -> ResultSet:
         # unfinished configurations in breadth-first order, each interned
@@ -204,7 +228,8 @@ class Engine:
         children: list[list[int]] = []
         results = IsoStore()
         result_list: list[HostGraph] = []
-        can_fail = stuck = truncated = False
+        # only a child interned before its parent's step can close a cycle
+        can_fail = stuck = truncated = revisited = False
 
         for cont, state in configs:  # also visits the ones appended below
             if not self.tick() or len(configs) > self.budget.max_configs:
@@ -225,6 +250,8 @@ class Engine:
                     child = index.setdefault((after, h.signature()), len(configs))
                     if child == len(configs):
                         configs.append((after, h))
+                    else:
+                        revisited = True
                     children[-1].append(child)
                 elif results.put(h):
                     result_list.append(h)
@@ -234,7 +261,7 @@ class Engine:
         bottom = BOTTOM_NONE
         if truncated:
             bottom = BOTTOM_POSSIBLE
-        elif stuck or _has_cycle(children):
+        elif stuck or revisited and _has_cycle(children):
             bottom = BOTTOM_PROVEN
         return ResultSet(result_list, can_fail, bottom)
 

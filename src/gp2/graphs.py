@@ -3,12 +3,16 @@
 Host graphs are totally labelled: every node and edge carries a list of
 atoms (integers and strings) plus a mark bit.  Rule interfaces use the
 partial variant where node labels may be absent.
+
+Graphs are compared up to isomorphism by canonical certificates
+(`HostGraph.signature`), which hash once.  A caller that certifies many
+graphs, such as the explorer, passes a table from exact graph content to
+certificate, so that equal graphs built apart are certified once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 Atom = int | str
@@ -18,29 +22,64 @@ class GraphError(Exception):
     """Violation of a graph invariant (unknown ids, dangling edges, ...)."""
 
 
-@dataclass(frozen=True)
 class HostLabel:
-    """A list of atoms plus a mark bit.
+    """A list of atoms plus a mark bit, immutable.
 
     The empty list is a legal value and is distinct from a one-element
-    list containing the empty string.
+    list containing the empty string.  Labels are equal, and hash alike,
+    exactly when their atoms and marks are.
     """
 
-    items: tuple[Atom, ...] = ()
-    marked: bool = False
+    __slots__ = ("items", "marked", "_sort_key")
 
-    def __post_init__(self) -> None:
-        for a in self.items:
-            if not isinstance(a, (int, str)) or isinstance(a, bool):
+    def __init__(self, items: tuple[Atom, ...] = (), marked: bool = False) -> None:
+        for a in items:
+            if a.__class__ is not int and a.__class__ is not str and (
+                not isinstance(a, (int, str)) or isinstance(a, bool)
+            ):
                 raise GraphError(f"label atom must be int or str, got {a!r}")
+        _set_items(self, items)
+        _set_marked(self, marked)
+        _set_sort_key(self, None)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"HostLabel is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not HostLabel:
+            return NotImplemented
+        return self.items == other.items and self.marked == other.marked
+
+    def __hash__(self) -> int:
+        return hash((self.items, self.marked))
+
+    def __reduce__(self):
+        return HostLabel, (self.items, self.marked)
+
+    def __repr__(self) -> str:
+        return f"HostLabel(items={self.items!r}, marked={self.marked!r})"
 
     def __str__(self) -> str:
         return format_label(self.items, self.marked)
 
-    @cached_property
+    @property
     def sort_key(self) -> tuple:
-        """A total order on labels: atoms of one kind compare."""
-        return tuple([isinstance(a, str) for a in self.items]), self.items, self.marked
+        """A total order on labels: atoms of one kind compare.  Filled on
+        first use."""
+        key = self._sort_key
+        if key is None:
+            items = self.items
+            key = tuple([isinstance(a, str) for a in items]), items, self.marked
+            _set_sort_key(self, key)
+        return key
+
+
+# the slots' own setters, which go round HostLabel.__setattr__
+_set_items = HostLabel.items.__set__
+_set_marked = HostLabel.marked.__set__
+_set_sort_key = HostLabel._sort_key.__set__
 
 
 def format_atom(a: Atom) -> str:
@@ -98,7 +137,7 @@ class HostGraph:
         self.edges: dict[str, Edge] = {}
         self._node_counter = 0
         self._edge_counter = 0
-        self._signature: Optional[tuple] = None
+        self._signature: Optional[Certificate] = None
         self._incident: Optional[dict[str, list[str]]] = None
         self._marked: Optional[dict[int, list[str]]] = None
 
@@ -293,17 +332,50 @@ class HostGraph:
         right = f"| {edges} ]" if edges else "| ]"
         return left + right
 
-    def signature(self) -> tuple:
-        """The canonical certificate: equal exactly for isomorphic graphs."""
+    def signature(self, table: Optional[dict] = None) -> Certificate:
+        """The canonical certificate: equal exactly for isomorphic graphs.
+
+        `table` maps exact graph contents (node ids and labels, edge ids,
+        ends and labels) to certificates.  With one, a graph whose content
+        equals one certified through it before takes that certificate, and
+        a new content is added.  A hit compares the contents, not only
+        their hashes, and it changes nothing else of the graph: its fresh
+        id counters stay its own."""
         if self._signature is None:
-            self._signature = _certificate(self)
+            if table is None:
+                self._signature = _certificate(self)
+            else:
+                nodes, edges = self.nodes, self.edges
+                key = tuple(nodes), tuple(nodes.values()), tuple(edges), tuple(edges.values())
+                found = table.get(key)
+                if found is None:
+                    found = table[key] = _certificate(self)
+                self._signature = found
         return self._signature
 
     def __repr__(self) -> str:
         return f"HostGraph({self.to_text()})"
 
 
-def _certificate(g: HostGraph) -> tuple:
+class Certificate:
+    """A canonical form of a graph (`_certificate`), which hashes once."""
+
+    __slots__ = ("form", "_hash")
+
+    def __init__(self, form: tuple) -> None:
+        self.form = form
+        self._hash = hash(form)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            other.__class__ is Certificate and self._hash == other._hash and self.form == other.form
+        )
+
+
+def _certificate(g: HostGraph) -> Certificate:
     """Canonical form by colour refinement and individualisation.
 
     An ordered partition of the nodes gives each node the position of its
@@ -358,7 +430,7 @@ def _certificate(g: HostGraph) -> tuple:
         return tuple(sorted([(colour[s], colour[t], lab) for s, t, lab in edges]))
 
     if len(cells) == n:
-        return head, leaf(colour)
+        return Certificate((head, leaf(colour)))
 
     # each node's edges as (other end, code): codes rank edge labels, and
     # their parity gives the direction
@@ -369,7 +441,7 @@ def _certificate(g: HostGraph) -> tuple:
         adj[s].append((t, rank[lab] + 1))
     _refine(adj, colour, cells, sorted(cells))
     if len(cells) == n:
-        return head, leaf(colour)
+        return Certificate((head, leaf(colour)))
 
     # twins share a cell, and a transposition of two is an automorphism; a
     # loop's other end is written -1, so that twins' loops match
@@ -439,7 +511,7 @@ def _certificate(g: HostGraph) -> tuple:
                 if node_at[c] != x and x in orbit:
                     r, s = find(orbit, x), find(orbit, node_at[c])
                     orbit[max(r, s)] = min(r, s)
-    return head, min(leaves)
+    return Certificate((head, min(leaves)))
 
 
 def _refine(adj: list, colour: list[int], cells: dict, queue: list[int]) -> None:
@@ -517,7 +589,7 @@ class IsoStore:
     """A set/map of graphs keyed up to isomorphism by canonical certificate."""
 
     def __init__(self) -> None:
-        self._values: dict[tuple, object] = {}
+        self._values: dict[Certificate, object] = {}
 
     def get(self, g: HostGraph, default=None):
         return self._values.get(g.signature(), default)

@@ -34,9 +34,27 @@ class _Command:
         return self._hash
 
     def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, _Command) and self._hash == other._hash and self._key == other._key
-        )
+        """Field by field, on an explicit stack, comparing each pair of
+        nested commands once however often the two trees share it."""
+        pairs = [(self, other)]
+        seen = set()
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, tuple):
+                if not isinstance(b, tuple) or len(a) != len(b):
+                    return False
+                pairs += zip(a, b)
+            elif not isinstance(a, _Command):
+                if a != b:
+                    return False
+            elif not isinstance(b, _Command) or a._hash != b._hash:
+                return False
+            elif (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                pairs.append((a._key, b._key))
+        return True
 
     __str__ = show
 

@@ -368,13 +368,17 @@ def apply_ruleset(
     rules: list[ConditionalRuleSchema],
     host: HostGraph,
     warnings: Optional[list[str]] = None,
+    certificates: Optional[dict] = None,
 ) -> list[HostGraph]:
-    """All results of one application of any rule, one per isomorphism class."""
+    """All results of one application of any rule, one per isomorphism
+    class.  `certificates` is a table of certificates by graph content
+    (`HostGraph.signature`) that the results are certified through."""
     store = IsoStore()
     out: list[HostGraph] = []
     for schema in rules:
         for match in match_slots(schema, host, warnings):
             result = rewrite(schema, host, match)
+            result.signature(certificates)
             if store.put(result):
                 out.append(result)
     return out
