@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+# isomorphic is bound here only for perfbench/tracer.py
 from .graphs import Certificate, HostGraph, IsoStore, isomorphic
 from .labels import show
 from .program import (
@@ -42,14 +43,7 @@ from .program import (
     flatten,
     seq,
 )
-from .rules import (  # apply and enumerate_matches are bound here for perfbench/tracer.py
-    ConditionalRuleSchema,
-    apply,
-    apply_ruleset,
-    enumerate_matches,
-    match_slots,
-    rewrite,
-)
+from .rules import ConditionalRuleSchema, apply, apply_ruleset, enumerate_matches
 
 
 @dataclass(frozen=True)
@@ -351,16 +345,17 @@ class _Runner:
 
     def call(self, names: tuple[str, ...], graph: HostGraph) -> list[HostGraph]:
         """The graph that one match of a named rule, picked at random,
-        derives; none if no rule matches."""
+        derives; none if no rule matches.  Every match is taken before the
+        rewrite, which may change the graph in place."""
         matches = []
         for name in names:
             schema = self.rules[name]
-            for match in match_slots(schema, graph, self.warnings):
+            for match in enumerate_matches(schema, graph, self.warnings):
                 matches.append((schema, match))
         if not matches:
             return []
         schema, match = self.rng.choice(matches)
-        self.owned = rewrite(schema, graph, match, copy=graph is not self.owned)
+        self.owned = apply(schema, graph, match, copy=graph is not self.owned)
         return [self.owned]
 
     def semantics(self, command: Command, graph: HostGraph) -> ResultSet:

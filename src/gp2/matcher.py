@@ -1,8 +1,7 @@
-"""The generated matcher of a left graph: its search and its unifier.
+"""The generated matcher of a left graph: one search that also unifies.
 
-`generate` writes both as Python source, once per left graph, and
-compiles them with `exec`; `rules` calls it on first use and keeps only
-the two functions.
+`generate` writes it as Python source, once per left graph, and compiles
+it with `exec`; `rules` calls it on first use and keeps only the function.
 """
 
 from __future__ import annotations
@@ -131,9 +130,9 @@ def _label(label: RuleLabel, const: Callable[[object], str]) -> Optional[tuple]:
 _START = (7, 6, 5, 4, 2, 1, 3)
 
 
-def generate(graph: RuleGraph, compiled: _Compiled) -> tuple[Callable, Callable]:
-    """The search and the unifier of a left graph, generated as Python
-    source and compiled once.
+def generate(graph: RuleGraph, compiled: _Compiled) -> Callable:
+    """The search of a left graph, generated as Python source and
+    compiled once.
 
     `search(host)` gives the sorted list of (slot tuple, assignment) of
     every injective premorphism that agrees on marks and unifies.  Each
@@ -149,10 +148,7 @@ def generate(graph: RuleGraph, compiled: _Compiled) -> tuple[Callable, Callable]
 
     Each left label is unified as soon as its item and the operands of its
     degree operators are bound, its variables becoming locals; a repeated
-    one is compared.
-
-    `unify(image, g, host)` unifies every label of a given premorphism
-    `g`, with slot tuple `image`, and gives its assignment or None."""
+    one is compared.  Marks are tested where an item is bound."""
     nodes, edges, slot = compiled.nodes, compiled.edges, compiled.slot
     k, n = len(nodes), len(nodes) + len(edges)
     ends = {
@@ -169,64 +165,53 @@ def generate(graph: RuleGraph, compiled: _Compiled) -> tuple[Callable, Callable]
     rule_labels = [graph.nodes[v] for v in nodes] + [graph.edges[e].label for e in edges]
     labels = [_label(label, const) for label in rule_labels]
     if None in labels:
-        return (lambda host: []), (lambda image, g, host: None)
+        return lambda host: []
     local: dict[str, str] = {}  # variable name -> local
     for _, _, items, rest, _ in labels:
         for name in [item[3] for item in items] + [rest and rest[0]]:
             if name is not None:
                 local.setdefault(name, f"v{len(local)}")
     assignment = "{" + ", ".join(f"{name!r}: {v}" for name, v in local.items()) + "}"
+    search: list[str] = []
+    bound: set[int] = set()  # the bound slots
+    bound_vars: set[str] = set()
 
-    def emit_label(out: list, s: int, pad: str, marks: bool, view: str, fail: str, bound: set):
+    def emit_label(s: int, pad: str) -> None:
         """The unification of the label in slot s with `L<s>`, binding the
-        variables not in `bound`."""
-        marked, fixed, items, rest, _ = labels[s]
-        tests = [f"L{s}.marked != {marked}"] if marks else []
-        out.append(f"{pad}I = L{s}.items")
+        variables not bound yet; a failure goes on to the next candidate."""
+        _, fixed, items, rest, _ = labels[s]
+        view = f"_Image(slot, ({''.join(f'x{v}, ' if v in bound else 'None, ' for v in range(k))}))"
+        search.append(f"{pad}I = L{s}.items")
         if rest is None or fixed:
-            tests.append(f"len(I) != {fixed}" if rest is None else f"len(I) < {fixed}")
-        if tests:
-            out.append(f"{pad}if {' or '.join(tests)}: {fail}")
+            test = f"len(I) != {fixed}" if rest is None else f"len(I) < {fixed}"
+            search.append(f"{pad}if {test}: continue")
         for index, test, value, name, _ in items:
-            if test is None and value == "t" and name not in bound:
-                out.append(f"{pad}{local[name]} = I[{index}]")
-                bound.add(name)
+            if test is None and value == "t" and name not in bound_vars:
+                search.append(f"{pad}{local[name]} = I[{index}]")
+                bound_vars.add(name)
                 continue
-            out.append(f"{pad}t = I[{index}]")
+            search.append(f"{pad}t = I[{index}]")
             tests = [] if test is None else [f"not ({test.replace('{G}', view)})"]
-            if name is not None and name in bound:
+            if name is not None and name in bound_vars:
                 tests.append(f"{value} != {local[name]}")
             if tests:
-                out.append(f"{pad}if {' or '.join(tests)}: {fail}")
-            if name is not None and name not in bound:
-                out.append(f"{pad}{local[name]} = {value}")
-                bound.add(name)
+                search.append(f"{pad}if {' or '.join(tests)}: continue")
+            if name is not None and name not in bound_vars:
+                search.append(f"{pad}{local[name]} = {value}")
+                bound_vars.add(name)
         if rest is not None:
             name, front, back = rest
             value = f"I[{front}:len(I) - {back}]" if back else f"I[{front}:]" if front else "I"
-            if name in bound:
-                out.append(f"{pad}if {value} != {local[name]}: {fail}")
+            if name in bound_vars:
+                search.append(f"{pad}if {value} != {local[name]}: continue")
             else:
-                out.append(f"{pad}{local[name]} = {value}")
-                bound.add(name)
+                search.append(f"{pad}{local[name]} = {value}")
+                bound_vars.add(name)
 
-    # the unifier: every label in slot order, marks included
-    lines = ["def unify(image, g, host):", "    nodes, edges = host.nodes, host.edges"]
-    if n:
-        lines.append(f"    {''.join(f'x{s}, ' for s in range(n))}= image")
-    bound_vars: set = set()
-    for s in range(n):
-        lines.append(f"    L{s} = nodes[x{s}]" if s < k else f"    L{s} = edges[x{s}].label")
-        emit_label(lines, s, "    ", True, "g", "return None", bound_vars)
-    lines.append(f"    return {assignment}")
-
-    # the search: one nested loop per step of the plan
+    # one nested loop per step of the plan
     mark = [label[0] for label in labels]
     classes = {s: mark_class(mark[s], mark[a], mark[b]) for s, (a, b) in ends.items()}
-    search: list[str] = []
-    bound: set[int] = set()
     done: set[int] = set()  # the slots whose labels are unified
-    bound_vars = set()
     depth = 1
     while len(bound) < n:
         pad, inner = "    " * depth, "    " * (depth + 1)
@@ -281,15 +266,13 @@ def generate(graph: RuleGraph, compiled: _Compiled) -> tuple[Callable, Callable]
                     new.append(end)
         bound.update(new)
         depth += 1
-        view = f"_Image(slot, ({''.join(f'x{v}, ' if v in bound else 'None, ' for v in range(k))}))"
         for t in sorted(bound - done):
             if {slot[v] for v in labels[t][4] if v in slot} <= bound:
-                emit_label(search, t, "    " * depth, False, view, "continue", bound_vars)
+                emit_label(t, "    " * depth)
                 done.add(t)
     image = "".join(f"x{s}, " for s in range(n))
     search.append(f"{'    ' * depth}found.append((({image}), {assignment}))")
-    lines.append("def search(host):")
-    lines.append("    nodes, edges, found = host.nodes, host.edges, []")
+    lines = ["def search(host):", "    nodes, edges, found = host.nodes, host.edges, []"]
     text = "\n".join(search)
     if "inc[" in text:
         lines.append("    inc = host.incidence()")
@@ -297,4 +280,4 @@ def generate(graph: RuleGraph, compiled: _Compiled) -> tuple[Callable, Callable]
         lines.append("    marked = host.marked()")
     lines += [text, "    found.sort()", "    return found"]
     exec("\n".join(lines), namespace)
-    return namespace["search"], namespace["unify"]
+    return namespace["search"]

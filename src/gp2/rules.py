@@ -10,17 +10,18 @@ Each rule graph is compiled once, on first use, into one record
 (`_Compiled`) that matching and rewriting only read; adding a node or an
 edge drops it.  Its slots are the sorted nodes, then the sorted edges, and
 a match is the tuple of host ids in slot order.  A left graph's record
-holds the search and the unifier that `matcher.generate` writes for it;
-the search starts at marked items where the left graph has them, read from
-the host's marked index (`HostGraph.marked`).  A right graph's record
-holds one evaluator per label (`labels.compile_list`), in insertion order.
-A schema's record (`_Rule`) adds the left slots it deletes and its right
-items in slot order.
+holds the search that `matcher.generate` writes for it, which also
+unifies; the search starts at marked items where the left graph has them,
+read from the host's marked index (`HostGraph.marked`).  A right graph's
+record holds one evaluator per label (`labels.compile_list`), in
+insertion order.  A schema's record (`_Rule`) adds the left slots it
+deletes and its right items in slot order.
 
-`match_slots` gives every applicable match, sorted by slot tuple so that a
-seeded run does not depend on the plan, with its assignment and its
-evaluated right labels; `rewrite` applies one.  `enumerate_matches`,
-`apply` and `infer_assignment` hand out and take premorphisms instead.
+There is one match path.  `enumerate_matches` yields every applicable
+match, sorted by slot tuple so that a seeded run does not depend on the
+plan, with its assignment and its evaluated right labels; `apply`
+rewrites at one.  `infer_assignment` reads the same search for the
+assignment of one premorphism.
 """
 
 from __future__ import annotations
@@ -178,10 +179,10 @@ class _Compiled:
 
     The slots are the sorted nodes, then the sorted edges, and `slot` maps
     each node to its slot.  The label evaluators come in insertion order,
-    nodes then edges.  A left graph's search and unifier are generated on
-    first use (`matcher.generate`)."""
+    nodes then edges.  A left graph's search is generated on first use
+    (`matcher.generate`)."""
 
-    __slots__ = ("nodes", "edges", "slot", "evaluators", "search", "unify")
+    __slots__ = ("nodes", "edges", "slot", "evaluators", "search")
 
     def __init__(self, graph: RuleGraph) -> None:
         self.nodes, self.edges = sorted(graph.nodes), sorted(graph.edges)
@@ -189,16 +190,6 @@ class _Compiled:
         self.evaluators = [compile_list(lab.expr) for lab in graph.nodes.values()]
         self.evaluators += [compile_list(e.label.expr) for e in graph.edges.values()]
         self.search: Optional[Callable] = None
-        self.unify: Optional[Callable] = None
-
-    def image(self, g: Premorphism) -> tuple:
-        """The slot tuple of a premorphism."""
-        nodes, edges = g.node_map, g.edge_map
-        return (*(nodes[n] for n in self.nodes), *(edges[e] for e in self.edges))
-
-    def premorphism(self, image: tuple) -> Premorphism:
-        k = len(self.nodes)
-        return Premorphism(dict(zip(self.nodes, image[:k])), dict(zip(self.edges, image[k:])))
 
 
 def _compiled(graph: RuleGraph) -> _Compiled:
@@ -210,7 +201,7 @@ def _compiled(graph: RuleGraph) -> _Compiled:
 def _left(graph: RuleGraph) -> _Compiled:
     compiled = _compiled(graph)
     if compiled.search is None:
-        compiled.search, compiled.unify = generate(graph, compiled)
+        compiled.search = generate(graph, compiled)
     return compiled
 
 
@@ -261,25 +252,31 @@ def infer_assignment(
 ) -> Optional[Assignment]:
     """The unique assignment making g label-preserving, or None.
 
-    Unifies each left label against the host label of its image; marks
-    must agree exactly, and repeated variable occurrences must bind
-    consistently.
+    g must be injective and structure-preserving, as every premorphism
+    that matching considers is; the answer is the assignment the search
+    of `left` gives for g's slot tuple, so marks must agree exactly and
+    repeated variable occurrences must bind consistently.  A map that is
+    not injective or not structure-preserving gives None.
     """
     compiled = _left(left)
-    return compiled.unify(compiled.image(g), g, host)
+    nodes, edges = g.node_map, g.edge_map
+    image = (*(nodes[n] for n in compiled.nodes), *(edges[e] for e in compiled.edges))
+    return dict(compiled.search(host)).get(image)
 
 
 Match = tuple  # (slot tuple, assignment, evaluated right labels)
 
 
-def match_slots(
+def enumerate_matches(
     schema: ConditionalRuleSchema,
     host: HostGraph,
     warnings: Optional[list[str]] = None,
-) -> list[Match]:
-    """Every applicable match, in slot-tuple order, as (slot tuple,
+) -> Iterator[Match]:
+    """Yield every applicable match, in slot-tuple order, as (slot tuple,
     assignment, right labels): the atoms of each right label, in insertion
-    order, for the rewrite.
+    order, for `apply`.  The labels are evaluated as each match is
+    yielded, so a caller that rewrites the host in place must take every
+    match first.
 
     A candidate is discarded when no assignment exists, the condition is
     false, the dangling condition fails, or evaluation of the condition
@@ -289,7 +286,6 @@ def match_slots(
     rule = _rule(schema)
     condition, deleted, evaluators = rule.condition, rule.deleted, rule.right.evaluators
     slot, k = rule.left.slot, len(rule.left.nodes)
-    out = []
     for image, alpha in rule.left.search(host):
         g = _Image(slot, image)
         try:
@@ -304,20 +300,20 @@ def match_slots(
             if warnings is not None:
                 warnings.append(f"rule {schema.name}: match discarded ({exc})")
             continue
-        out.append((image, alpha, labels))
-    return out
+        yield image, alpha, labels
 
 
-def rewrite(
+def apply(
     schema: ConditionalRuleSchema, host: HostGraph, match: Match, copy: bool = True
 ) -> HostGraph:
-    """Apply the instantiated rule at a match, to a copy of the host or,
-    with `copy` false, to the host itself.
+    """Apply the instantiated rule at a match of `enumerate_matches`, to a
+    copy of the host or, with `copy` false, to the host itself.
 
     Deletes the images of non-interface left items, adds the right-only
-    items with fresh identifiers, and relabels interface node images.
-    Right-hand labels were evaluated on the original host graph, so degree
-    operands observe pre-application degrees.
+    items with fresh identifiers, and relabels interface node images whose
+    atoms or mark change; an unchanged label is kept as it is.  Right-hand
+    labels were evaluated on the original host graph, so degree operands
+    observe pre-application degrees.
     """
     rule = _rule(schema)
     image, _, labels = match
@@ -328,40 +324,17 @@ def rewrite(
         result.remove_node(image[s])
     ids = []
     for at, s, marked in rule.nodes:
-        label = HostLabel(labels[at], marked)
         if s is None:
-            ids.append(result.add_node(label))
-        else:
-            result.relabel_node(image[s], label)
-            ids.append(image[s])
+            ids.append(result.add_node(HostLabel(labels[at], marked)))
+            continue
+        hid = image[s]
+        old = result.nodes[hid]
+        if old.items != labels[at] or old.marked != marked:
+            result.relabel_node(hid, HostLabel(labels[at], marked))
+        ids.append(hid)
     for at, source, target, marked in rule.edges:
         result.add_edge(ids[source], ids[target], HostLabel(labels[at], marked))
     return result
-
-
-def enumerate_matches(
-    schema: ConditionalRuleSchema,
-    host: HostGraph,
-    warnings: Optional[list[str]] = None,
-) -> Iterator[tuple[Premorphism, Assignment]]:
-    """Yield every applicable (premorphism, assignment) pair, as
-    `match_slots` finds them."""
-    left = _rule(schema).left
-    for image, alpha, _ in match_slots(schema, host, warnings):
-        yield left.premorphism(image), alpha
-
-
-def apply(
-    schema: ConditionalRuleSchema,
-    host: HostGraph,
-    g: Premorphism,
-    alpha: Assignment,
-) -> HostGraph:
-    """Apply the instantiated rule at the given match, producing a new
-    graph, as `rewrite` does."""
-    rule = _rule(schema)
-    labels = [evaluate(g, alpha, host) for evaluate in rule.right.evaluators]
-    return rewrite(schema, host, (rule.left.image(g), alpha, labels))
 
 
 def apply_ruleset(
@@ -376,8 +349,8 @@ def apply_ruleset(
     store = IsoStore()
     out: list[HostGraph] = []
     for schema in rules:
-        for match in match_slots(schema, host, warnings):
-            result = rewrite(schema, host, match)
+        for match in enumerate_matches(schema, host, warnings):
+            result = apply(schema, host, match)
             result.signature(certificates)
             if store.put(result):
                 out.append(result)

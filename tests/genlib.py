@@ -410,6 +410,14 @@ def random_condition(rng: random.Random, depth: int = 2):
 # -- reference matcher -------------------------------------------------
 
 
+def premorphism(left: RuleGraph, image: tuple) -> Premorphism:
+    """The premorphism of a match's slot tuple (`rules.enumerate_matches`):
+    the host ids of the sorted left nodes, then of the sorted left edges."""
+    nodes, edges = sorted(left.nodes), sorted(left.edges)
+    k = len(nodes)
+    return Premorphism(dict(zip(nodes, image[:k])), dict(zip(edges, image[k:])))
+
+
 def reference_premorphisms(left: RuleGraph, host: HostGraph) -> Iterator[Premorphism]:
     """All injective structure-preserving maps, node tuple by node tuple.
 
@@ -1339,13 +1347,13 @@ class ReferenceRunner:
         if isinstance(command, RuleSetCall):
             matches = []
             for schema in [self.rules[n] for n in command.names]:
-                for g, alpha in enumerate_matches(schema, graph, self.warnings):
-                    matches.append((schema, g, alpha))
+                for match in enumerate_matches(schema, graph, self.warnings):
+                    matches.append((schema, match))
             if not matches:
                 self.tick("call2", command, graph)
                 return "fail", graph
-            schema, g, alpha = self.rng.choice(matches)
-            result = apply(schema, graph, g, alpha)
+            schema, match = self.rng.choice(matches)
+            result = apply(schema, graph, match)
             self.tick("call1", command, result)
             return "graph", result
         if isinstance(command, Or):

@@ -10,6 +10,7 @@ import pytest
 
 from genlib import (
     brute_assignments,
+    premorphism,
     random_body,
     random_eulerian,
     random_host,
@@ -61,8 +62,9 @@ def test_criterion_1_dpo_correctness():
             failures.append(("invalid schema", trial))
             continue
         host = random_host(rng, max_nodes=5)
-        for g, alpha in enumerate_matches(schema, host):
-            result = apply(schema, host, g, alpha)
+        for match in enumerate_matches(schema, host):
+            result = apply(schema, host, match)
+            g = premorphism(schema.left, match[0])
             dn = len(schema.left.nodes) - len(schema.interface)
             an = len(schema.right.nodes) - len(schema.interface)
             if len(result.nodes) != len(host.nodes) - dn + an:

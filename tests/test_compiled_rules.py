@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from genlib import STRING_POOL, random_host, reference_infer_assignment
+from genlib import STRING_POOL, premorphism, random_host, reference_infer_assignment
 from gp2.graphs import HostGraph, HostLabel, Premorphism
 from gp2.labels import Cons, Dot, RuleLabel, StrLit, Var, VType
 from gp2.parsing import parse_host_graph, parse_program
@@ -113,8 +113,11 @@ def test_one_graph_as_both_sides_matches_and_applies_like_two(interface):
             matches = list(enumerate_matches(schema, host, warnings))
             results.append(
                 (
-                    [(g.node_map, g.edge_map, list(alpha.items())) for g, alpha in matches],
-                    [apply(schema, host, g, alpha).to_text() for g, alpha in matches],
+                    [
+                        (premorphism(schema.left, image), list(alpha.items()))
+                        for image, alpha, _ in matches
+                    ],
+                    [apply(schema, host, match).to_text() for match in matches],
                     warnings,
                 )
             )

@@ -9,6 +9,7 @@ from genlib import (
     INT_POOL,
     STRING_POOL,
     brute_assignments,
+    premorphism,
     random_eulerian,
     random_host,
     random_host_items,
@@ -250,6 +251,22 @@ class TestInferAssignment:
         hid = host.add_node(HostLabel((0,), marked=True))
         assert infer_assignment(left, Premorphism({"n1": hid}, {}), host) is None
 
+    def test_answers_only_for_premorphisms_that_matching_considers(self):
+        """An injective, structure-preserving map gets the assignment the
+        search gives it; a map that is not injective, or that does not take
+        edge ends to edge ends, gets None."""
+        left = RuleGraph()
+        left.add_node("n1", RuleLabel(Var("x", VType.LIST)))
+        left.add_node("n2", RuleLabel(Var("y", VType.LIST)))
+        left.add_edge("e1", "n1", "n2", RuleLabel(Var("z", VType.LIST)))
+        host = parse_host_graph("[ (a, 1) (b, 2) | (e1, a, b, 3) (e2, a, a, 4) ]")
+        g = Premorphism({"n1": "a", "n2": "b"}, {"e1": "e1"})
+        assert infer_assignment(left, g, host) == {"x": (1,), "y": (2,), "z": (3,)}
+        not_injective = Premorphism({"n1": "a", "n2": "a"}, {"e1": "e2"})
+        assert infer_assignment(left, not_injective, host) is None
+        reversed_edge = Premorphism({"n1": "b", "n2": "a"}, {"e1": "e1"})
+        assert infer_assignment(left, reversed_edge, host) is None
+
     @given(st.integers(0, 100_000))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_brute_force(self, seed):
@@ -371,25 +388,55 @@ def test_degree_operators_in_left_labels(rule, host, expected):
     program = checked(parse_program(rule + "\nmain = r"))
     outcome = run_one(program, parse_host_graph(host))
     assert outcome.kind == "graph" and outcome.graph.to_text() == expected
-    [(g, alpha)] = enumerate_matches(program.rules["r"], parse_host_graph(host))
-    assert alpha == reference_infer_assignment(program.rules["r"].left, g, parse_host_graph(host))
+    left = program.rules["r"].left
+    [(image, alpha, _)] = enumerate_matches(program.rules["r"], parse_host_graph(host))
+    g = premorphism(left, image)
+    assert alpha == reference_infer_assignment(left, g, parse_host_graph(host))
 
 
 class TestApply:
     def test_null_rule_preserves_graph(self):
         schema = schema_of(NULL_RULE, "null")
         host = parse_host_graph('[ (n1, 0) (n2, "a") | (e1, n1, n2, 1:2) ]')
-        [(g, alpha)] = list(enumerate_matches(schema, host))
-        assert isomorphic(apply(schema, host, g, alpha), host)
+        [match] = list(enumerate_matches(schema, host))
+        assert isomorphic(apply(schema, host, match), host)
 
     def test_relabelling(self):
         schema = schema_of(
             "rule r() [ (n1, 1) | ] => [ (n1, 2) | ] interface = {n1}", "r"
         )
         host = parse_host_graph("[ (n1, 1) | ]")
-        [(g, alpha)] = list(enumerate_matches(schema, host))
-        result = apply(schema, host, g, alpha)
+        [match] = list(enumerate_matches(schema, host))
+        result = apply(schema, host, match)
         assert result.nodes["n1"] == HostLabel((2,))
+
+    def test_a_label_rewritten_to_itself_is_kept(self):
+        """An interface node whose atoms and mark the rule leaves as they
+        are keeps its label object, in a copy and in place; a changed mark
+        gives a new label."""
+        schema = schema_of(
+            "rule r(x, y: list) [ (n1, x #) (n2, y) | ] => [ (n1, x #) (n2, y #) | ]"
+            " interface = {n1, n2}",
+            "r",
+        )
+        host = parse_host_graph("[ (a, 2:3 #) (b, 1) | (e1, a, b, empty) ]")
+        text = host.to_text()
+        [match] = list(enumerate_matches(schema, host))
+        result = apply(schema, host, match)
+        assert result.nodes["a"] is host.nodes["a"]
+        assert result.nodes["b"] == HostLabel((1,), True)
+        owned = host.copy()
+        label = owned.nodes["a"]
+        assert apply(schema, owned, match, copy=False) is owned
+        assert owned.nodes["a"] is label
+        assert owned.to_text() == result.to_text()
+        assert sorted(owned.marked()[0]) == ["a", "b"]
+
+        same = schema_of("rule r(x: list) [ (n1, x #) | ] => [ (n1, x #) | ] interface = {n1}", "r")
+        [match] = list(enumerate_matches(same, host))
+        result = apply(same, host, match)
+        assert result.nodes["a"] is host.nodes["a"]
+        assert result.to_text() == host.to_text() == text
 
     def test_right_hand_arithmetic_instantiation(self):
         schema = schema_of(
@@ -397,9 +444,9 @@ class TestApply:
             "bridge",
         )
         host = parse_host_graph("[ (n1, 3) | ]")
-        [(g, alpha)] = list(enumerate_matches(schema, host))
-        assert alpha == {"n": 3}
-        result = apply(schema, host, g, alpha)
+        [match] = list(enumerate_matches(schema, host))
+        assert match[1] == {"n": 3}
+        result = apply(schema, host, match)
         assert result.nodes["n1"] == HostLabel((9,))
 
     def test_right_degrees_observe_original_host(self):
@@ -411,8 +458,8 @@ class TestApply:
             "r",
         )
         host = parse_host_graph("[ (n1, 0) (n2, 0) | (e1, n1, n2, empty) ]")
-        [(g, alpha)] = list(enumerate_matches(schema, host))
-        result = apply(schema, host, g, alpha)
+        [match] = list(enumerate_matches(schema, host))
+        result = apply(schema, host, match)
         assert result.nodes["n1"] == HostLabel((1,))
 
     def test_added_items_get_fresh_ids(self):
@@ -421,8 +468,8 @@ class TestApply:
             "r",
         )
         host = parse_host_graph("[ (n1, 1) | ]")
-        [(g, alpha)] = list(enumerate_matches(schema, host))
-        result = apply(schema, host, g, alpha)
+        [match] = list(enumerate_matches(schema, host))
+        result = apply(schema, host, match)
         assert len(result.nodes) == 2
         assert result.nodes["n1"] == HostLabel((1,))  # original untouched
         assert len(result.edges) == 1
@@ -431,7 +478,7 @@ class TestApply:
     def test_deleting_nodes_builds_no_incidence_index(self, monkeypatch):
         schema = corpus.load("series_parallel").rules["delete_base"]
         host = parse_host_graph("[ (n1, 0) (n2, 0) | (e1, n1, n2, empty) ]")
-        [(g, alpha)] = list(enumerate_matches(schema, host))
+        [match] = list(enumerate_matches(schema, host))
         builds = 0
         incidence = HostGraph.incidence
 
@@ -441,7 +488,7 @@ class TestApply:
             return incidence(graph)
 
         monkeypatch.setattr(HostGraph, "incidence", counted)
-        result = apply(schema, host, g, alpha)
+        result = apply(schema, host, match)
         assert builds == 0
         assert not result.nodes and not result.edges
 
@@ -487,8 +534,9 @@ class TestDpoInvariants:
         schema = random_schema(rng)
         assert validate(schema) == []
         host = random_host(rng, max_nodes=5)
-        for g, alpha in enumerate_matches(schema, host):
-            result = apply(schema, host, g, alpha)
+        for match in enumerate_matches(schema, host):
+            result = apply(schema, host, match)
+            g = premorphism(schema.left, match[0])
             deleted_nodes = len(schema.left.nodes) - len(schema.interface)
             added_nodes = len(schema.right.nodes) - len(schema.interface)
             assert len(result.nodes) == len(host.nodes) - deleted_nodes + added_nodes
@@ -551,6 +599,13 @@ def matches_and_warnings(matcher, schema, host) -> tuple:
     return found, warnings
 
 
+def premorphism_matches(schema, host, warnings) -> list:
+    """The matches of `enumerate_matches` as (premorphism, assignment)
+    pairs, the form of `reference_matches`."""
+    matches = enumerate_matches(schema, host, warnings)
+    return [(premorphism(schema.left, image), alpha) for image, alpha, _ in matches]
+
+
 # the mark classes of edges, in the order a search plan starts at them
 START_CLASSES = (7, 6, 5, 4, 2, 1, 3)
 
@@ -577,7 +632,7 @@ class TestMatcherAgainstReference:
     so seeded runs pick the same match."""
 
     def agree(self, schema, host, seen) -> None:
-        found = matches_and_warnings(enumerate_matches, schema, host)
+        found = matches_and_warnings(premorphism_matches, schema, host)
         assert found == matches_and_warnings(reference_matches, schema, host), host.to_text()
         left = schema.left
         ends = [(e.source, e.target) for e in left.edges.values()]
@@ -915,8 +970,8 @@ class TestCompiledLabels:
                 ]
                 if not steps:
                     break
-                schema, (g, alpha) = rng.choice(steps)
-                host = apply(schema, host, g, alpha)
+                schema, match = rng.choice(steps)
+                host = apply(schema, host, match)
         assert seen["assignments"] > 0, seen
 
     def test_right_labels_evaluate_as_eval_list(self):
@@ -946,7 +1001,7 @@ class TestCompiledLabels:
         left.add_node("n1", RuleLabel(Var("x", VType.LIST)))
         right.add_node("n1", RuleLabel(Var("x", VType.LIST)))
         schema = ConditionalRuleSchema("r", {}, left, frozenset({"n1"}), right)
-        assert [alpha for _, alpha in enumerate_matches(schema, host)] == [
+        assert [alpha for _, alpha, _ in enumerate_matches(schema, host)] == [
             {"x": (1,)},
             {"x": (2,)},
         ]
@@ -959,13 +1014,19 @@ class TestCompiledLabels:
         left = RuleGraph()
         left.add_node("n1", RuleLabel(Var("x", VType.LIST)))
         schema = ConditionalRuleSchema("r", {}, left, frozenset({"n1"}), right)
-        g, alpha = Premorphism({"n1": "n1"}, {}), {"x": (1,)}
-        assert apply(schema, host, g, alpha).to_text() == host.to_text()
+
+        def at_n1():
+            """The match at host node n1, its right labels evaluated now."""
+            [match] = [m for m in enumerate_matches(schema, host) if m[0] == ("n1",)]
+            assert match[1] == {"x": (1,)}
+            return match
+
+        assert apply(schema, host, at_n1()).to_text() == host.to_text()
         right.add_node("m1", RuleLabel(StrLit("new")))
-        result = apply(schema, host, g, alpha)
+        result = apply(schema, host, at_n1())
         assert sorted(map(str, result.nodes.values())) == ['"new"', "1", "2"]
         right.add_edge("f1", "n1", "m1", RuleLabel(Var("x", VType.LIST), True))
-        result = apply(schema, host, g, alpha)
+        result = apply(schema, host, at_n1())
         assert HostLabel((1,), True) in [e.label for e in result.edges.values()]
         right.add_node("m2", RuleLabel(Arith("/", IntLit(1), IntLit(0))))
         warnings: list[str] = []
