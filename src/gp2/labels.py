@@ -359,34 +359,6 @@ def list_items(e: ListExpr) -> list:
     return out
 
 
-def compile_list(e: ListExpr) -> Callable[[Premorphism, Assignment, HostGraph], tuple]:
-    """An evaluator of e, equal to `eval_list(e, ...)` with e fixed.
-
-    Literals become constants and variables lookups; every other item
-    (arithmetic, degrees, negation, concatenation) goes to `eval_list`.
-    """
-    pieces = [  # a constant tuple, a variable name, or an expression
-        (item.value,) if isinstance(item, (IntLit, StrLit))
-        else item.name if isinstance(item, Var)
-        else item
-        for item in list_items(e)
-    ]
-
-    def evaluate(g: Premorphism, alpha: Assignment, host: HostGraph) -> tuple:
-        out: tuple = ()
-        for p in pieces:
-            if isinstance(p, tuple):
-                out += p
-            elif isinstance(p, str):
-                value = alpha[p]
-                out += value if isinstance(value, tuple) else (value,)
-            else:
-                out += eval_list(p, g, alpha, host)
-        return out
-
-    return evaluate
-
-
 def eval_condition(
     c: Condition, g: Premorphism, alpha: Assignment, host: HostGraph
 ) -> bool:

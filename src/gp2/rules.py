@@ -12,16 +12,16 @@ edge drops it.  Its slots are the sorted nodes, then the sorted edges, and
 a match is the tuple of host ids in slot order.  A left graph's record
 holds the search that `matcher.generate` writes for it, which also
 unifies; the search starts at marked items where the left graph has them,
-read from the host's marked index (`HostGraph.marked`).  A right graph's
-record holds one evaluator per label (`labels.compile_list`), in
-insertion order.  A schema's record (`_Rule`) adds the left slots it
-deletes and its right items in slot order.
+read from the host's marked index (`HostGraph.marked`).  A schema's record
+(`_Rule`) adds the left slots it deletes, its right items in slot order,
+and its test of a complete match and evaluator of right labels
+(`matcher.generate_rule`).
 
 There is one match path.  `enumerate_matches` yields every applicable
-match, sorted by slot tuple so that a seeded run does not depend on the
-plan, with its assignment and its evaluated right labels; `apply`
-rewrites at one.  `infer_assignment` reads the same search for the
-assignment of one premorphism.
+match with its assignment, sorted by slot tuple so that a seeded run does
+not depend on the plan; `apply` rewrites at one, and the right labels are
+evaluated in `apply`, once per applied match.  `infer_assignment` reads
+the same search for the assignment of one premorphism.
 """
 
 from __future__ import annotations
@@ -41,17 +41,16 @@ from .labels import (
     RuleLabel,
     TypeCheck,
     VType,
-    compile_list,
     degree_nodes,
-    eval_condition,
-    eval_list,  # bound here for perfbench/tracer.py
+    eval_condition,  # unused: bound only because perfbench/tracer.py asserts it
+    eval_list,  # unused: bound only because perfbench/tracer.py asserts it
     infer_type,
     is_simple,
     operands,
     subterms,
     variables,
 )
-from .matcher import _Image, generate
+from .matcher import generate, generate_rule
 
 
 @dataclass(frozen=True)
@@ -178,17 +177,14 @@ class _Compiled:
     """What matching and rewriting read of one rule graph.
 
     The slots are the sorted nodes, then the sorted edges, and `slot` maps
-    each node to its slot.  The label evaluators come in insertion order,
-    nodes then edges.  A left graph's search is generated on first use
+    each node to its slot.  A left graph's search is generated on first use
     (`matcher.generate`)."""
 
-    __slots__ = ("nodes", "edges", "slot", "evaluators", "search")
+    __slots__ = ("nodes", "edges", "slot", "search")
 
     def __init__(self, graph: RuleGraph) -> None:
         self.nodes, self.edges = sorted(graph.nodes), sorted(graph.edges)
         self.slot = {nid: i for i, nid in enumerate(self.nodes)}
-        self.evaluators = [compile_list(lab.expr) for lab in graph.nodes.values()]
-        self.evaluators += [compile_list(e.label.expr) for e in graph.edges.values()]
         self.search: Optional[Callable] = None
 
 
@@ -207,28 +203,25 @@ def _left(graph: RuleGraph) -> _Compiled:
 
 class _Rule:
     """What matching and rewriting read of one schema: its graphs' records,
-    the slots of the left nodes it deletes, and each right item in slot
-    order with the position of its label among the evaluated ones, its mark,
-    and the left slot of an interface node or the right node slots of an
-    edge's ends."""
+    the slots of the left nodes it deletes, each right item in slot order
+    with its mark and the left slot of an interface node or the right node
+    slots of an edge's ends, and the generated test of a complete match and
+    evaluator of the right labels (`matcher.generate_rule`)."""
 
     __slots__ = ("left", "right", "interface", "condition", "deleted", "nodes", "edges")
+    __slots__ += ("test", "build", "raises")
 
     def __init__(self, schema: ConditionalRuleSchema) -> None:
         left, right = _left(schema.left), _compiled(schema.right)
         self.left, self.right = left, right
         self.interface, self.condition = schema.interface, schema.condition
         self.deleted = [left.slot[n] for n in left.nodes if n not in schema.interface]
-        graph = schema.right
-        at = {n: i for i, n in enumerate(graph.nodes)}
-        self.nodes = [
-            (at[n], left.slot[n] if n in schema.interface else None, graph.nodes[n].marked)
-            for n in right.nodes
-        ]
-        ref = {n: i for i, n in enumerate(right.nodes)}
-        at = {eid: i for i, eid in enumerate(graph.edges, len(graph.nodes))}
-        ends = {eid: (ref[e.source], ref[e.target]) for eid, e in graph.edges.items()}
-        self.edges = [(at[eid], *ends[eid], graph.edges[eid].label.marked) for eid in right.edges]
+        graph, ref = schema.right, {n: i for i, n in enumerate(right.nodes)}
+        kept = {n: left.slot[n] for n in schema.interface}
+        self.nodes = [(kept.get(n), graph.nodes[n].marked) for n in right.nodes]
+        edges = [graph.edges[eid] for eid in right.edges]
+        self.edges = [(ref[e.source], ref[e.target], e.label.marked) for e in edges]
+        self.test, self.build, self.raises = generate_rule(schema, left.slot)
 
 
 def _rule(schema: ConditionalRuleSchema) -> _Rule:
@@ -264,7 +257,7 @@ def infer_assignment(
     return dict(compiled.search(host)).get(image)
 
 
-Match = tuple  # (slot tuple, assignment, evaluated right labels)
+Match = tuple  # (slot tuple, assignment)
 
 
 def enumerate_matches(
@@ -273,34 +266,27 @@ def enumerate_matches(
     warnings: Optional[list[str]] = None,
 ) -> Iterator[Match]:
     """Yield every applicable match, in slot-tuple order, as (slot tuple,
-    assignment, right labels): the atoms of each right label, in insertion
-    order, for `apply`.  The labels are evaluated as each match is
-    yielded, so a caller that rewrites the host in place must take every
-    match first.
+    assignment); each is tested as it is yielded, so a caller that rewrites
+    the host in place must take every match first.
 
     A candidate is discarded when no assignment exists, the condition is
-    false, the dangling condition fails, or evaluation of the condition
-    or a right-hand label raises an evaluation error (the latter with a
-    warning).
+    false, the dangling condition fails, or evaluation of the condition or
+    a right-hand label raises an evaluation error (the latter with a
+    warning).  Right labels are evaluated here only where they can raise.
     """
     rule = _rule(schema)
-    condition, deleted, evaluators = rule.condition, rule.deleted, rule.right.evaluators
-    slot, k = rule.left.slot, len(rule.left.nodes)
+    test, build = rule.test, rule.build if rule.raises else None
     for image, alpha in rule.left.search(host):
-        g = _Image(slot, image)
         try:
-            if condition is not None and not eval_condition(condition, g, alpha, host):
+            if test is not None and not test(image, alpha, host):
                 continue
-            if deleted:
-                incident, matched = host.incidence(), image[k:]
-                if any(e not in matched for s in deleted for e in incident[image[s]]):
-                    continue
-            labels = [evaluate(g, alpha, host) for evaluate in evaluators]
+            if build is not None:
+                build(image, alpha, host)
         except EvalError as exc:
             if warnings is not None:
                 warnings.append(f"rule {schema.name}: match discarded ({exc})")
             continue
-        yield image, alpha, labels
+        yield image, alpha
 
 
 def apply(
@@ -309,31 +295,30 @@ def apply(
     """Apply the instantiated rule at a match of `enumerate_matches`, to a
     copy of the host or, with `copy` false, to the host itself.
 
-    Deletes the images of non-interface left items, adds the right-only
-    items with fresh identifiers, and relabels interface node images whose
-    atoms or mark change; an unchanged label is kept as it is.  Right-hand
-    labels were evaluated on the original host graph, so degree operands
-    observe pre-application degrees.
-    """
+    Evaluates the right-hand labels on the host before rewriting it, so
+    degree operands observe pre-application degrees.  Deletes the images of
+    non-interface left items, adds the right-only items with fresh ids, and
+    relabels interface node images whose atoms or mark change."""
     rule = _rule(schema)
-    image, _, labels = match
+    image, alpha = match
+    labels = rule.build(image, alpha, host)
     result = host.copy() if copy else host
     for heid in image[len(rule.left.nodes) :]:
         result.remove_edge(heid)
     for s in rule.deleted:
         result.remove_node(image[s])
     ids = []
-    for at, s, marked in rule.nodes:
+    for (s, marked), items in zip(rule.nodes, labels):
         if s is None:
-            ids.append(result.add_node(HostLabel(labels[at], marked)))
+            ids.append(result.add_node(HostLabel(items, marked)))
             continue
         hid = image[s]
         old = result.nodes[hid]
-        if old.items != labels[at] or old.marked != marked:
-            result.relabel_node(hid, HostLabel(labels[at], marked))
+        if old.items != items or old.marked != marked:
+            result.relabel_node(hid, HostLabel(items, marked))
         ids.append(hid)
-    for at, source, target, marked in rule.edges:
-        result.add_edge(ids[source], ids[target], HostLabel(labels[at], marked))
+    for (source, target, marked), items in zip(rule.edges, labels[len(ids) :]):
+        result.add_edge(ids[source], ids[target], HostLabel(items, marked))
     return result
 
 

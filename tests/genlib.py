@@ -48,6 +48,7 @@ from gp2.labels import (
     eval_condition,
     eval_list,
     is_simple,
+    variables,
 )
 from gp2.labels import Or as CondOr
 from gp2.program import (
@@ -63,7 +64,6 @@ from gp2.program import (
     Try,
     seq,
 )
-from gp2.matcher import _is_ground
 from gp2.rules import (
     ConditionalRuleSchema,
     RuleGraph,
@@ -520,14 +520,14 @@ def _unify_item(
     # negation chains over an integer variable are invertible
     negations = 0
     core = item
-    while isinstance(core, Neg) and not _is_ground(core):
+    while isinstance(core, Neg) and variables(core):
         negations += 1
         core = core.expr
     if negations and isinstance(core, Var) and core.vtype is VType.INT:
         if not isinstance(atom, int):
             return False
         return _bind(bindings, core.name, atom if negations % 2 == 0 else -atom)
-    if _is_ground(item):
+    if not variables(item):
         try:
             value = eval_list(item, g, {}, host)
         except EvalError:

@@ -115,7 +115,7 @@ def test_one_graph_as_both_sides_matches_and_applies_like_two(interface):
                 (
                     [
                         (premorphism(schema.left, image), list(alpha.items()))
-                        for image, alpha, _ in matches
+                        for image, alpha in matches
                     ],
                     [apply(schema, host, match).to_text() for match in matches],
                     warnings,

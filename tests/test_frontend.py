@@ -22,8 +22,20 @@ from genlib import (
 from gp2 import corpus
 from gp2.cli import main as cli_main
 from gp2.executor import Budget, _summary, run_one, semantics
-from gp2.graphs import HostGraph, HostLabel
-from gp2.labels import Cons, Eq, IntLit, Neg, Not, RuleLabel, Var, VType, show
+from gp2.graphs import HostGraph, HostLabel, Premorphism
+from gp2.labels import (
+    Cons,
+    Eq,
+    IntLit,
+    Neg,
+    Not,
+    RuleLabel,
+    Var,
+    VType,
+    eval_condition,
+    eval_list,
+    show,
+)
 from gp2.parsing import (
     CONDITION_OPS,
     Parser,
@@ -407,6 +419,43 @@ def test_deep_nesting(construct):
     # so the depth reached does not depend on the test runner's frames
     with ThreadPoolExecutor(max_workers=1) as pool:
         pool.submit(parse_check_print_run, NESTED[construct]).result()
+
+
+# the deepest nesting of each construct that reaches a rule label or a
+# condition: one level more is refused by the parser's recursion
+DEEPEST = {
+    "+ chain": lambda: program(label="+".join(["x"] * 328)),
+    "parentheses in an expression": lambda: program(label="(" * 327 + "x" + ")" * 327),
+    "unary -": lambda: program(label="-" * 245 + "x"),
+    ": chain": lambda: program(label=":".join(["x"] * 330)),
+    "parentheses in a condition": lambda: program(where="(" * 326 + "x = 0" + ")" * 326),
+    "not": lambda: program(where="not " * 245 + "x = 0"),
+    "and chain": lambda: program(where=" and ".join(["x = 0"] * 327)),
+}
+
+
+def run_as_interpreted(text: str) -> None:
+    """`run_one` of the program's one rule, compiled to straight-line code,
+    against `eval_condition` and `eval_list` on hosts where x is 0, 1, -2."""
+    prog = checked(parse_program(text))
+    rule = prog.rules["r"]
+    g = Premorphism({"n1": "n1"}, {})
+    for x in (0, 1, -2):
+        host = parse_host_graph(f"[ (n1, {x}) | ]")
+        out = run_one(prog, host)
+        if rule.condition is not None and not eval_condition(rule.condition, g, {"x": x}, host):
+            assert out.kind == "fail"
+            continue
+        want = host.copy()
+        label = eval_list(rule.right.nodes["n1"].expr, g, {"x": x}, host)
+        want.relabel_node("n1", HostLabel(label))
+        assert out.kind == "graph" and out.graph.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("construct", list(DEEPEST))
+def test_deepest_labels_and_conditions_run_as_interpreted(construct):
+    with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh stack, as above
+        pool.submit(run_as_interpreted, DEEPEST[construct]()).result()
 
 
 # -- macro expansion ---------------------------------------------------------

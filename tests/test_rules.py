@@ -18,9 +18,10 @@ from genlib import (
     reference_infer_assignment,
     reference_matches,
     reference_premorphisms,
+    reference_run_one,
 )
 from gp2 import corpus
-from gp2.executor import run_one
+from gp2.executor import Budget, run_one
 from gp2.graphs import HostGraph, HostLabel, Premorphism, isomorphic
 from gp2.labels import (
     And,
@@ -41,13 +42,13 @@ from gp2.labels import (
     TypeCheck,
     Var,
     VType,
-    compile_list,
     degree_nodes,
     eval_list,
     subterms,
     variables,
 )
 from gp2.labels import Or as CondOr
+from gp2.matcher import generate_rule
 from gp2.parsing import parse_host_graph, parse_program
 from gp2.program import checked
 from gp2.rules import (
@@ -389,7 +390,7 @@ def test_degree_operators_in_left_labels(rule, host, expected):
     outcome = run_one(program, parse_host_graph(host))
     assert outcome.kind == "graph" and outcome.graph.to_text() == expected
     left = program.rules["r"].left
-    [(image, alpha, _)] = enumerate_matches(program.rules["r"], parse_host_graph(host))
+    [(image, alpha)] = enumerate_matches(program.rules["r"], parse_host_graph(host))
     g = premorphism(left, image)
     assert alpha == reference_infer_assignment(left, g, parse_host_graph(host))
 
@@ -491,6 +492,75 @@ class TestApply:
         result = apply(schema, host, match)
         assert builds == 0
         assert not result.nodes and not result.edges
+
+
+class TestLabelsPerAppliedMatch:
+    """Right labels are built once per applied match, except where they can
+    raise, and a match whose labels raise is discarded with its warning."""
+
+    DEC = (
+        "rule dec(x: int) [ (n1, x) | ] => [ (n1, x - 1 + 0 * indeg(n1)) | ]"
+        " interface = {n1} where x > 0\n"
+        "main = dec!\n"
+    )
+    HALF = (
+        "rule half(x: int) [ (n1, x) | ] => [ (n1, 12 / x #) | ] interface = {n1}\n"
+        "main = half!\n"
+    )
+    HOST = "[ (n1, 3) (n2, 0) (n3, 2) (n4, 4) (n5, -6) | (e1, n1, n3, 0) (e2, n4, n4, 0) ]"
+
+    def test_a_run_builds_the_labels_of_the_applied_matches_only(self, monkeypatch):
+        calls = collections.Counter()
+        degree = HostGraph.degree
+
+        def counted(graph, node, direction):
+            calls[direction] += 1
+            return degree(graph, node, direction)
+
+        monkeypatch.setattr(HostGraph, "degree", counted)
+        program = checked(parse_program(self.DEC))
+        out = run_one(program, parse_host_graph(self.HOST))
+        assert out.kind == "graph" and out.warnings == []
+        assert sorted(map(str, out.graph.nodes.values())) == ["-6", "0", "0", "0", "0"]
+        assert calls == {"in": 3 + 2 + 4}  # one per application: x falls to 0
+
+    def test_labels_that_divide_by_zero_discard_their_matches(self):
+        program = checked(parse_program(self.HALF))
+        host = parse_host_graph(self.HOST)
+        warnings: list[str] = []
+        found = list(enumerate_matches(program.rules["half"], host, warnings))
+        assert [image for image, _ in found] == [("n1",), ("n3",), ("n4",), ("n5",)]
+        assert warnings == ["rule half: match discarded (division by zero)"]
+        for seed in range(4):
+            got = run_one(program, host, Budget(seed=seed), tracing=True)
+            want = reference_run_one(program, host, Budget(seed=seed), tracing=True)
+            assert got.graph.to_text() == want.graph.to_text()
+            assert (got.kind, got.steps, got.warnings, got.trace) == (
+                want.kind, want.steps, want.warnings, want.trace
+            )
+            assert got.warnings == ["rule half: match discarded (division by zero)"] * 5
+            assert sorted(map(str, got.graph.nodes.values())) == ["-2 #", "0", "3 #", "4 #", "6 #"]
+
+    def test_labels_that_read_a_variable_at_another_type_discard_their_matches(self):
+        """The left side binds `a` as an atom and the right side reads it as
+        an integer and as a string: only the matches where it has that type
+        apply, as in the interpreted pipeline."""
+        a = Var("a", VType.ATOM)
+        left, right = RuleGraph(), RuleGraph()
+        left.add_node("n1", RuleLabel(a))
+        right.add_node("n1", RuleLabel(Arith("+", Var("a", VType.INT), IntLit(1))))
+        right.add_node("n2", RuleLabel(Dot(Var("a", VType.STRING), StrLit("!"))))
+        schema = ConditionalRuleSchema("r", {}, left, frozenset({"n1"}), right)
+        host = parse_host_graph('[ (n1, 3) (n2, "x") | ]')
+        assert matches_and_warnings(premorphism_matches, schema, host) == matches_and_warnings(
+            reference_matches, schema, host
+        )
+        warnings: list[str] = []
+        assert list(enumerate_matches(schema, host, warnings)) == []
+        assert warnings == [
+            "rule r: match discarded (variable 'a' is not a string)",
+            "rule r: match discarded (variable 'a' is not an integer)",
+        ]
 
 
 class TestApplyRuleset:
@@ -603,7 +673,7 @@ def premorphism_matches(schema, host, warnings) -> list:
     """The matches of `enumerate_matches` as (premorphism, assignment)
     pairs, the form of `reference_matches`."""
     matches = enumerate_matches(schema, host, warnings)
-    return [(premorphism(schema.left, image), alpha) for image, alpha, _ in matches]
+    return [(premorphism(schema.left, image), alpha) for image, alpha in matches]
 
 
 # the mark classes of edges, in the order a search plan starts at them
@@ -975,12 +1045,21 @@ class TestCompiledLabels:
         assert seen["assignments"] > 0, seen
 
     def test_right_labels_evaluate_as_eval_list(self):
+        """The generated evaluator of a right label, whose variables the left
+        side does not bind, so that every type check is written."""
         host = parse_host_graph("[ (n1, 0) (n2, 1) | (e1, n1, n2, 0) (e2, n1, n1, 0) ]")
         g = Premorphism({"n1": "n1", "n2": "n2"}, {})
+        left = RuleGraph()
+        for nid in g.node_map:
+            left.add_node(nid, RuleLabel(Empty()))
         seen = collections.Counter()
         for trial in range(3000):
             rng = random.Random(trial)
             expr = random_right_expr(rng, 3)
+            right = RuleGraph()
+            right.add_node("n1", RuleLabel(expr))
+            schema = ConditionalRuleSchema("r", {}, left, frozenset(), right)
+            _, build, raises = generate_rule(schema, {"n1": 0, "n2": 1})
             alpha = {
                 "i": rng.choice([-2, 0, 3, 3, "bad"]),
                 "j": rng.choice([0, 2]),
@@ -988,12 +1067,29 @@ class TestCompiledLabels:
                 "a": rng.choice([1, "q"]),
                 "x": rng.choice([(), (1, "b"), (0,)]),
             }
-            got = evaluate_or_error(lambda: compile_list(expr)(g, alpha, host))
+            got = evaluate_or_error(lambda: build(("n1", "n2"), alpha, host)[0])
             assert got == evaluate_or_error(lambda: eval_list(expr, g, alpha, host)), str(expr)
+            assert raises or got[0] == "value", str(expr)
             seen[got[0]] += 1
             seen["division by zero"] += got == ("error", "division by zero")
             seen["degree"] += got[0] == "value" and bool(degree_nodes(expr))
         assert min(seen.values()) >= 20, seen
+
+    def test_generated_code_is_flat_at_any_depth(self):
+        """A condition and right labels nested 5,000 deep, far past what the
+        parser reads, compile to straight-line code and evaluate."""
+        x = Var("x", VType.INT)
+        total, negated, holds = x, x, Eq(x, IntLit(1))
+        for _ in range(5_000):
+            total, negated = Arith("+", total, x), Neg(negated)
+            holds = Not(Not(And(holds, Rel(">=", x, IntLit(0)))))
+        left, right = RuleGraph(), RuleGraph()
+        left.add_node("n1", RuleLabel(x))
+        right.add_node("n1", RuleLabel(Cons(total, negated)))
+        schema = ConditionalRuleSchema("r", {}, left, frozenset({"n1"}), right, holds)
+        host = parse_host_graph("[ (n1, 1) (n2, 2) | ]")
+        [match] = enumerate_matches(schema, host)
+        assert apply(schema, host, match).to_text() == "[ (n1, 5001:1) (n2, 2) | ]"
 
     def test_adding_items_after_a_match_drops_compiled_labels(self):
         host = parse_host_graph("[ (n1, 1) (n2, 2) | (e1, n1, n2, 3) ]")
@@ -1001,7 +1097,7 @@ class TestCompiledLabels:
         left.add_node("n1", RuleLabel(Var("x", VType.LIST)))
         right.add_node("n1", RuleLabel(Var("x", VType.LIST)))
         schema = ConditionalRuleSchema("r", {}, left, frozenset({"n1"}), right)
-        assert [alpha for _, alpha, _ in enumerate_matches(schema, host)] == [
+        assert [alpha for _, alpha in enumerate_matches(schema, host)] == [
             {"x": (1,)},
             {"x": (2,)},
         ]
@@ -1016,7 +1112,7 @@ class TestCompiledLabels:
         schema = ConditionalRuleSchema("r", {}, left, frozenset({"n1"}), right)
 
         def at_n1():
-            """The match at host node n1, its right labels evaluated now."""
+            """The match at host node n1, taken after the latest change."""
             [match] = [m for m in enumerate_matches(schema, host) if m[0] == ("n1",)]
             assert match[1] == {"x": (1,)}
             return match
