@@ -22,11 +22,16 @@ match with its assignment, sorted by slot tuple so that a seeded run does
 not depend on the plan; `apply` rewrites at one, and the right labels are
 evaluated in `apply`, once per applied match.  `infer_assignment` reads
 the same search for the assignment of one premorphism.
+
+`reducible` and `first_independent` tell the explorer which loops it may
+step by one match at a time (`gp2.executor`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .graphs import HostGraph, HostLabel, IsoStore, Premorphism
@@ -206,10 +211,15 @@ class _Rule:
     the slots of the left nodes it deletes, each right item in slot order
     with its mark and the left slot of an interface node or the right node
     slots of an edge's ends, and the generated test of a complete match and
-    evaluator of the right labels (`matcher.generate_rule`)."""
+    evaluator of the right labels (`matcher.generate_rule`).
+
+    For `reducible` it also keeps the left slots of the nodes it writes
+    (interface nodes whose right label differs from the left one), the
+    marks those get and the marks of its left nodes, and whether the rule
+    alone meets the rest of the test (`alone`)."""
 
     __slots__ = ("left", "right", "interface", "condition", "deleted", "nodes", "edges")
-    __slots__ += ("test", "build", "raises")
+    __slots__ += ("test", "build", "raises", "writes", "written_marks", "left_marks", "alone")
 
     def __init__(self, schema: ConditionalRuleSchema) -> None:
         left, right = _left(schema.left), _compiled(schema.right)
@@ -222,6 +232,21 @@ class _Rule:
         edges = [graph.edges[eid] for eid in right.edges]
         self.edges = [(ref[e.source], ref[e.target], e.label.marked) for e in edges]
         self.test, self.build, self.raises = generate_rule(schema, left.slot)
+        lhs, rhs = schema.left.nodes, graph.nodes
+        written = [n for n in left.nodes if n in schema.interface and lhs[n] != rhs[n]]
+        self.writes = [left.slot[n] for n in written]
+        self.written_marks = {rhs[n].marked for n in written}
+        self.left_marks = {label.marked for label in lhs.values()}
+        labels = [*lhs.values(), *rhs.values(), *(e.label for e in schema.left.edges.values())]
+        self.alone = (
+            schema.condition is None
+            and not self.raises
+            and not self.deleted
+            and len(rhs) == len(schema.interface)
+            and not edges
+            and not any(degree_nodes(label.expr) for label in labels)
+            and bool(left.edges or written)
+        )
 
 
 def _rule(schema: ConditionalRuleSchema) -> _Rule:
@@ -320,6 +345,60 @@ def apply(
     for (source, target, marked), items in zip(rule.edges, labels[len(ids) :]):
         result.add_edge(ids[source], ids[target], HostLabel(items, marked))
     return result
+
+
+def reducible(rules: list[ConditionalRuleSchema]) -> bool:
+    """Whether no rule of the set can enable a match of the set, and each
+    application disables its own match: every rule has no condition, no
+    degree operator in a label, right labels that cannot raise, no node
+    deleted or created and no right edge; every node it writes gets a mark
+    that no left node of the set has (a dead label); and it has a left
+    edge or writes a node.  A match of such a rule then deletes every edge
+    of its image, and no left node of the set matches a node it wrote.
+
+    The verdict is kept per set of compiled rules, so engines that share a
+    program's rules compute it once."""
+    return _reducible(tuple(map(_rule, rules)))
+
+
+@lru_cache(maxsize=256)
+def _reducible(rules: tuple[_Rule, ...]) -> bool:
+    left_marks = set().union(*(rule.left_marks for rule in rules))
+    return all(rule.alone and not rule.written_marks & left_marks for rule in rules)
+
+
+def first_independent(
+    matches: list[tuple[ConditionalRuleSchema, Match]]
+) -> Optional[tuple[ConditionalRuleSchema, Match]]:
+    """The first (schema, match) pair whose match is independent of every
+    other one's, or None; for the rules of a reducible set (`reducible`).
+
+    Two matches are independent when neither one's written items meet the
+    other's image.  A match's written items are its image edges, which it
+    deletes, and the images of the nodes its rule writes; node ids and edge
+    ids are counted apart."""
+    node_uses: Counter = Counter()
+    edge_uses: Counter = Counter()
+    written: set = set()
+    items = []
+    for schema, (image, _) in matches:
+        rule = _rule(schema)
+        k = len(rule.left.nodes)
+        nodes, edges, writes = image[:k], image[k:], [image[s] for s in rule.writes]
+        node_uses.update(nodes)
+        edge_uses.update(edges)
+        written.update(writes)
+        items.append((nodes, edges, writes))
+    for pair, (nodes, edges, writes) in zip(matches, items):
+        # no other image holds what this match writes, and no other match
+        # writes what this one only reads
+        if (
+            all(edge_uses[e] == 1 for e in edges)
+            and all(node_uses[n] == 1 for n in writes)
+            and not any(n in written for n in nodes if n not in writes)
+        ):
+            return pair
+    return None
 
 
 def apply_ruleset(
