@@ -150,9 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # UnicodeDecodeError: an input file that is not UTF-8; RecursionError:
-    # a program nested deeper than the recursive parser, type checks,
-    # label evaluation and nested premises allow (walking, printing and
-    # hashing syntax trees do not recurse)
+    # a program nested deeper than the recursive parser, type checks and
+    # nested premises allow (walking, printing and hashing syntax trees
+    # and evaluating labels and conditions do not recurse)
     except (
         ParseError, CheckError, OutputError, OSError, UnicodeDecodeError, RecursionError
     ) as exc:

@@ -2,10 +2,15 @@
 the one walker and printer of every syntax tree.
 
 Expressions are evaluated relative to a premorphism (for degree lookups),
-an assignment of values to typed variables, and a host graph.  One table
-gives each node's text as strings and the nodes nested in it; the walker
-(`operands`, `subterms`) and the printer (`show`, which `str()` calls)
-read it, and `gp2.program` adds the commands to it.
+an assignment of values to typed variables, and a host graph.  One writer
+(`_Writer`) turns them into straight-line Python source, so that nesting
+never recurses: `gp2.matcher` writes a rule's code with it, and
+`eval_list` and `eval_condition` compile and run it on each call.  The
+interpreted evaluators it replaced are the reference in `tests/genlib.py`.
+
+One table gives each node's text as strings and the nodes nested in it;
+the walker (`operands`, `subterms`) and the printer (`show`, which `str()`
+calls) read it, and `gp2.program` adds the commands to it.
 """
 
 from __future__ import annotations
@@ -277,76 +282,6 @@ def degree_nodes(e) -> set[str]:
 Assignment = dict[str, object]  # var name -> int | str | tuple of atoms
 
 
-def eval_int(
-    e: ListExpr, g: Premorphism, alpha: Assignment, host: HostGraph
-) -> int:
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Var):
-        value = alpha[e.name]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise EvalError(f"variable {e.name!r} is not an integer")
-        return value
-    if isinstance(e, Neg):
-        return -eval_int(e.expr, g, alpha, host)
-    if isinstance(e, Arith):
-        left = eval_int(e.left, g, alpha, host)
-        right = eval_int(e.right, g, alpha, host)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            if right == 0:
-                raise EvalError("division by zero")
-            # truncation towards zero; works for arbitrary precision
-            q = abs(left) // abs(right)
-            return -q if (left < 0) != (right < 0) else q
-        raise ValueError(f"unknown operator {e.op!r}")
-    if isinstance(e, Deg):
-        return host.degree(g.node_map[e.node], e.direction)
-    raise EvalError(f"not an integer expression: {e}")
-
-
-def eval_string(
-    e: ListExpr, g: Premorphism, alpha: Assignment, host: HostGraph
-) -> str:
-    if isinstance(e, StrLit):
-        return e.value
-    if isinstance(e, Var):
-        value = alpha[e.name]
-        if not isinstance(value, str):
-            raise EvalError(f"variable {e.name!r} is not a string")
-        return value
-    if isinstance(e, Dot):
-        return eval_string(e.left, g, alpha, host) + eval_string(
-            e.right, g, alpha, host
-        )
-    raise EvalError(f"not a string expression: {e}")
-
-
-def eval_list(
-    e: ListExpr, g: Premorphism, alpha: Assignment, host: HostGraph
-) -> tuple[Atom, ...]:
-    """The sequence of atoms denoted by e under (g, alpha, host)."""
-    if isinstance(e, Empty):
-        return ()
-    if isinstance(e, (IntLit, Neg, Arith, Deg)):
-        return (eval_int(e, g, alpha, host),)
-    if isinstance(e, (StrLit, Dot)):
-        return (eval_string(e, g, alpha, host),)
-    if isinstance(e, Var):
-        value = alpha[e.name]
-        if isinstance(value, tuple):
-            return value
-        return (value,)  # type: ignore[return-value]
-    if isinstance(e, Cons):
-        return eval_list(e.left, g, alpha, host) + eval_list(e.right, g, alpha, host)
-    raise EvalError(f"unknown expression {e!r}")
-
-
 def list_items(e: ListExpr) -> list:
     """The items of a list expression: its `:` chain flattened, `empty` dropped."""
     out, stack = [], [e]
@@ -359,53 +294,149 @@ def list_items(e: ListExpr) -> list:
     return out
 
 
+def _parts(e, kind: str) -> list:
+    """The operands that the value of e as `kind` (`_Writer.value`) is
+    written from, each with its kind."""
+    if kind == "cond":
+        sub = "cond" if isinstance(e, (Not, And, Or)) else "int" if isinstance(e, Rel) else "list"
+        return [(t, sub) for t in operands(e)]
+    if kind == "list":
+        return [(t, "item") for t in list_items(e)]
+    if kind == "item":  # a variable, or an integer or string expression
+        string = isinstance(e, (StrLit, Dot))
+        return [] if isinstance(e, Var) else [(e, "string" if string else "int")]
+    if isinstance(e, Neg if kind == "int" else Dot) or (kind == "int" and isinstance(e, Arith)):
+        return [(t, kind) for t in operands(e)]
+    return []
+
+
+# what an integer or a string is called in a message, and its type check
+_TYPES = {
+    "int": ("an integer", "not isinstance({0}, int) or isinstance({0}, bool)"),
+    "string": ("a string", "not isinstance({0}, str)"),
+}
+
+
+class _Writer:
+    """Straight-line source, in `lines`, that evaluates expressions and
+    conditions, one local per subterm, its constants going into
+    `namespace`.  It is the one evaluator: `eval_list`, `eval_condition`
+    and the code `gp2.matcher` generates run its code.  The interpreted
+    evaluators it replaced are the reference in `tests/genlib.py`.
+    `node(n)` is the source of the host node of left node n, and `fail`
+    the statement of an evaluation error, `{}` standing for its message.
+    A variable is read from `alpha` once; its type check is left out where
+    `bound` gives the type its value has in every match (its `VType` on the
+    left).  `raises` tells whether an error was written."""
+
+    def __init__(self, namespace: dict, node, fail: str, bound: Optional[dict] = None):
+        self.lines: list[str] = []
+        self.namespace, self.node, self.fail, self.bound = namespace, node, fail, bound or {}
+        self.read: dict[str, str] = {}  # variable -> the local holding its value
+        self.raises, self.pad = False, ""
+
+    def const(self, value) -> str:
+        name = f"k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def local(self, value: str) -> str:
+        name = f"u{len(self.lines)}"
+        self.lines.append(f"{self.pad}{name} = {value}")
+        return name
+
+    def error(self, message: str, test: str = "True") -> None:
+        self.lines.append(f"{self.pad}if {test}: {self.fail.format(self.const(message))}")
+        self.raises = True
+
+    def value(self, e, kind: str, pad: str) -> str:
+        """Write e as a condition ("cond"), list ("list"), list item ("item"),
+        integer ("int") or string ("string"); give the local or constant that
+        holds its value, starred for an item that is a list."""
+        self.pad, done, todo = pad, [], [(e, kind, None)]  # done: operand values
+        while todo:
+            e, kind, parts = todo.pop()
+            if parts is None:
+                parts = _parts(e, kind)
+                todo.append((e, kind, parts))
+                todo += [(t, k, None) for t, k in reversed(parts)]
+                continue
+            args = done[len(done) - len(parts) :]
+            del done[len(done) - len(parts) :]
+            done.append(self.emit(e, kind, args))
+        return done[0]
+
+    def emit(self, e, kind: str, args: list) -> str:
+        """Write the value of e from the values of its parts."""
+        if kind == "list":
+            if len(args) == 1 and args[0][0] == "*":
+                return args[0][1:]
+            if all(a in self.namespace for a in args):  # a constant
+                return self.const(tuple(self.namespace[a] for a in args))
+            return self.local(f"({', '.join(args)},)")
+        if isinstance(e, Var):
+            if e.name not in self.read:
+                self.read[e.name] = self.local(f"alpha[{e.name!r}]")
+            v, bound = self.read[e.name], self.bound.get(e.name)
+            if kind in _TYPES and bound != kind:
+                name, test = _TYPES[kind]
+                self.error(f"variable {e.name!r} is not {name}", test.format(v))
+            if kind != "item" or bound in ("int", "string", "atom"):
+                return v
+            if bound != "list":
+                v = self.local(f"{v} if isinstance({v}, tuple) else ({v},)")
+            return "*" + v
+        if kind == "item":
+            return args[0]
+        if isinstance(e, Eq):
+            return self.local(f"{args[0]} {'!=' if e.negated else '=='} {args[1]}")
+        if isinstance(e, TypeCheck):
+            v, atom = args[0], {"int": "int", "string": "str"}.get(e.tname)
+            atom = f" and isinstance({v}[0], {atom})" if atom else ""
+            return self.local(f"len({v}) == 1{atom}")
+        if isinstance(e, EdgePred):
+            test = f"host.edges[u].label.items == {args[0]}" if args else "True"
+            ends = f"{self.node(e.source)}, {self.node(e.target)}"
+            return self.local(f"any({test} for u in host.edges_between({ends}))")
+        if isinstance(e, IntLit if kind == "int" else StrLit):
+            return self.const(e.value)
+        if kind == "int" and isinstance(e, Deg):
+            return self.local(f"host.degree({self.node(e.node)}, {e.direction!r})")
+        if kind == "int" and isinstance(e, Arith) and e.op == "/":  # truncation towards zero
+            a, b = args
+            self.error("division by zero", f"{b} == 0")
+            q = self.local(f"abs({a}) // abs({b})")
+            return self.local(f"-{q} if ({a} < 0) != ({b} < 0) else {q}")
+        if args:  # and / or evaluate both operands, so that errors surface
+            op = {Not: "not", And: "and", Or: "or", Neg: "-", Dot: "+"}.get(type(e)) or e.op
+            return self.local(f"{op} {args[0]}" if len(args) == 1 else f"{args[0]} {op} {args[1]}")
+        self.error(f"not {_TYPES[kind][0]} expression: {e}")
+        return "None"
+
+
+def _evaluate(e, kind: str, g: Premorphism, alpha: Assignment, host: HostGraph):
+    """The value of e as a list ("list") or a condition ("cond") under
+    (g, alpha, host): its code, written by `_Writer` and run once."""
+    namespace: dict = {"EvalError": EvalError}
+    writer = _Writer(namespace, lambda n: f"g.node_map[{n!r}]", "raise EvalError({})")
+    value = writer.value(e, kind, "    ")
+    source = ["def evaluate(g, alpha, host):", *writer.lines, f"    return {value}"]
+    exec("\n".join(source), namespace)
+    return namespace["evaluate"](g, alpha, host)
+
+
+def eval_list(
+    e: ListExpr, g: Premorphism, alpha: Assignment, host: HostGraph
+) -> tuple[Atom, ...]:
+    """The sequence of atoms denoted by e under (g, alpha, host)."""
+    return _evaluate(e, "list", g, alpha, host)
+
+
 def eval_condition(
     c: Condition, g: Premorphism, alpha: Assignment, host: HostGraph
 ) -> bool:
-    if isinstance(c, TypeCheck):
-        value = eval_list(c.expr, g, alpha, host)
-        if c.tname == "int":
-            return len(value) == 1 and isinstance(value[0], int)
-        if c.tname == "string":
-            return len(value) == 1 and isinstance(value[0], str)
-        if c.tname == "atom":
-            return len(value) == 1
-        raise ValueError(f"unknown type predicate {c.tname!r}")
-    if isinstance(c, Eq):
-        left = eval_list(c.left, g, alpha, host)
-        right = eval_list(c.right, g, alpha, host)
-        return (left != right) if c.negated else (left == right)
-    if isinstance(c, Rel):
-        left = eval_int(c.left, g, alpha, host)
-        right = eval_int(c.right, g, alpha, host)
-        return {
-            ">": left > right,
-            ">=": left >= right,
-            "<": left < right,
-            "<=": left <= right,
-        }[c.op]
-    if isinstance(c, EdgePred):
-        src = g.node_map[c.source]
-        tgt = g.node_map[c.target]
-        wanted = (
-            None if c.label is None else eval_list(c.label, g, alpha, host)
-        )
-        for eid in host.edges_between(src, tgt):
-            if wanted is None or host.edges[eid].label.items == wanted:
-                return True
-        return False
-    if isinstance(c, Not):
-        return not eval_condition(c.cond, g, alpha, host)
-    # and/or evaluate both operands so evaluation errors always surface
-    if isinstance(c, And):
-        left = eval_condition(c.left, g, alpha, host)
-        right = eval_condition(c.right, g, alpha, host)
-        return left and right
-    if isinstance(c, Or):
-        left = eval_condition(c.left, g, alpha, host)
-        right = eval_condition(c.right, g, alpha, host)
-        return left or right
-    raise TypeError(f"not a condition: {c!r}")
+    """Whether c holds under (g, alpha, host)."""
+    return _evaluate(c, "cond", g, alpha, host)
 
 
 # -- simplicity --------------------------------------------------------

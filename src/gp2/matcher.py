@@ -2,7 +2,8 @@
 unifies, and its schema's test of a complete match and evaluator of right
 labels.  `generate` and `generate_rule` write them as Python source, which
 `rules` compiles with `exec` on first use.  Expressions and conditions
-become straight-line code, so nesting in a rule never nests in the source.
+become straight-line code, written by `gp2.labels._Writer`, so nesting in
+a rule never nests in the source.
 """
 
 from __future__ import annotations
@@ -11,151 +12,23 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from .graphs import mark_class
 from .labels import (
-    And,
-    Arith,
-    Deg,
     Dot,
-    EdgePred,
-    Eq,
     EvalError,
-    IntLit,
     Neg,
-    Not,
-    Or,
-    Rel,
     RuleLabel,
     StrLit,
-    TypeCheck,
     Var,
     VType,
+    _Writer,
     degree_nodes,
     eval_list,
     list_items,
-    operands,
     subterms,
     variables,
 )
 
 if TYPE_CHECKING:
     from .rules import ConditionalRuleSchema, RuleGraph, _Compiled
-
-
-def _parts(e, kind: str) -> list:
-    """The operands that the value of e as `kind` (`_Writer.value`) is
-    written from, each with its kind."""
-    if kind == "cond":
-        sub = "cond" if isinstance(e, (Not, And, Or)) else "int" if isinstance(e, Rel) else "list"
-        return [(t, sub) for t in operands(e)]
-    if kind == "list":
-        return [(t, "item") for t in list_items(e)]
-    if kind == "item":  # a variable, or an integer or string expression
-        string = isinstance(e, (StrLit, Dot))
-        return [] if isinstance(e, Var) else [(e, "string" if string else "int")]
-    if isinstance(e, Neg if kind == "int" else Dot) or (kind == "int" and isinstance(e, Arith)):
-        return [(t, kind) for t in operands(e)]
-    return []
-
-
-# what an integer or a string is called in a message, and its type check
-_TYPES = {
-    "int": ("an integer", "not isinstance({0}, int) or isinstance({0}, bool)"),
-    "string": ("a string", "not isinstance({0}, str)"),
-}
-
-
-class _Writer:
-    """Straight-line source, in `lines`, that evaluates expressions and
-    conditions as `labels.eval_list`, `eval_int`, `eval_string` and
-    `eval_condition` do, one local per subterm, its constants going into
-    `namespace`.  `node(n)` is the source of the host node of left node n,
-    and `fail` the statement of an evaluation error, `{}` standing for its
-    message.  A variable is read from `alpha` once; its type check is left
-    out where `bound` gives the type its value has in every match (its
-    `VType` on the left).  `raises` tells whether an error was written."""
-
-    def __init__(self, namespace: dict, node, fail: str, bound: Optional[dict] = None):
-        self.lines: list[str] = []
-        self.namespace, self.node, self.fail, self.bound = namespace, node, fail, bound or {}
-        self.read: dict[str, str] = {}  # variable -> the local holding its value
-        self.raises, self.pad = False, ""
-
-    def const(self, value) -> str:
-        name = f"k{len(self.namespace)}"
-        self.namespace[name] = value
-        return name
-
-    def local(self, value: str) -> str:
-        name = f"u{len(self.lines)}"
-        self.lines.append(f"{self.pad}{name} = {value}")
-        return name
-
-    def error(self, message: str, test: str = "True") -> None:
-        self.lines.append(f"{self.pad}if {test}: {self.fail.format(self.const(message))}")
-        self.raises = True
-
-    def value(self, e, kind: str, pad: str) -> str:
-        """Write e as a condition ("cond"), list ("list"), list item ("item"),
-        integer ("int") or string ("string"); give the local or constant that
-        holds its value, starred for an item that is a list."""
-        self.pad, done, todo = pad, [], [(e, kind, None)]  # done: operand values
-        while todo:
-            e, kind, parts = todo.pop()
-            if parts is None:
-                parts = _parts(e, kind)
-                todo.append((e, kind, parts))
-                todo += [(t, k, None) for t, k in reversed(parts)]
-                continue
-            args = done[len(done) - len(parts) :]
-            del done[len(done) - len(parts) :]
-            done.append(self.emit(e, kind, args))
-        return done[0]
-
-    def emit(self, e, kind: str, args: list) -> str:
-        """Write the value of e from the values of its parts."""
-        if kind == "list":
-            if len(args) == 1 and args[0][0] == "*":
-                return args[0][1:]
-            if all(a in self.namespace for a in args):  # a constant
-                return self.const(tuple(self.namespace[a] for a in args))
-            return self.local(f"({', '.join(args)},)")
-        if isinstance(e, Var):
-            if e.name not in self.read:
-                self.read[e.name] = self.local(f"alpha[{e.name!r}]")
-            v, bound = self.read[e.name], self.bound.get(e.name)
-            if kind in _TYPES and bound != kind:
-                name, test = _TYPES[kind]
-                self.error(f"variable {e.name!r} is not {name}", test.format(v))
-            if kind != "item" or bound in ("int", "string", "atom"):
-                return v
-            if bound != "list":
-                v = self.local(f"{v} if isinstance({v}, tuple) else ({v},)")
-            return "*" + v
-        if kind == "item":
-            return args[0]
-        if isinstance(e, Eq):
-            return self.local(f"{args[0]} {'!=' if e.negated else '=='} {args[1]}")
-        if isinstance(e, TypeCheck):
-            v, atom = args[0], {"int": "int", "string": "str"}.get(e.tname)
-            atom = f" and isinstance({v}[0], {atom})" if atom else ""
-            return self.local(f"len({v}) == 1{atom}")
-        if isinstance(e, EdgePred):
-            test = f"host.edges[u].label.items == {args[0]}" if args else "True"
-            ends = f"{self.node(e.source)}, {self.node(e.target)}"
-            return self.local(f"any({test} for u in host.edges_between({ends}))")
-        if isinstance(e, IntLit if kind == "int" else StrLit):
-            return self.const(e.value)
-        if kind == "int" and isinstance(e, Deg):
-            return self.local(f"host.degree({self.node(e.node)}, {e.direction!r})")
-        if kind == "int" and isinstance(e, Arith) and e.op == "/":  # truncation towards zero
-            a, b = args
-            self.error("division by zero", f"{b} == 0")
-            q = self.local(f"abs({a}) // abs({b})")
-            return self.local(f"-{q} if ({a} < 0) != ({b} < 0) else {q}")
-        if args:  # and / or evaluate both operands, so that errors surface
-            op = {Not: "not", And: "and", Or: "or", Neg: "-", Dot: "+"}.get(type(e)) or e.op
-            return self.local(f"{op} {args[0]}" if len(args) == 1 else f"{args[0]} {op} {args[1]}")
-        self.error(f"not {_TYPES[kind][0]} expression: {e}")
-        return "None"
 
 
 def _item(item, const: Callable[[object], str]) -> Optional[tuple]:

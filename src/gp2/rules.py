@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .graphs import HostGraph, HostLabel, IsoStore, Premorphism
@@ -354,17 +353,10 @@ def reducible(rules: list[ConditionalRuleSchema]) -> bool:
     deleted or created and no right edge; every node it writes gets a mark
     that no left node of the set has (a dead label); and it has a left
     edge or writes a node.  A match of such a rule then deletes every edge
-    of its image, and no left node of the set matches a node it wrote.
-
-    The verdict is kept per set of compiled rules, so engines that share a
-    program's rules compute it once."""
-    return _reducible(tuple(map(_rule, rules)))
-
-
-@lru_cache(maxsize=256)
-def _reducible(rules: tuple[_Rule, ...]) -> bool:
-    left_marks = set().union(*(rule.left_marks for rule in rules))
-    return all(rule.alone and not rule.written_marks & left_marks for rule in rules)
+    of its image, and no left node of the set matches a node it wrote."""
+    compiled = list(map(_rule, rules))
+    left_marks = set().union(*(rule.left_marks for rule in compiled))
+    return all(rule.alone and not rule.written_marks & left_marks for rule in compiled)
 
 
 def first_independent(

@@ -25,11 +25,12 @@ from gp2.executor import (
     TraceEntry,
     Unfinished,
 )
-from gp2.graphs import HostGraph, HostLabel, IsoStore, Premorphism, format_atom
+from gp2.graphs import Atom, HostGraph, HostLabel, IsoStore, Premorphism, format_atom
 from gp2.labels import (
     And,
     Arith,
     Assignment,
+    Condition,
     Cons,
     Deg,
     Dot,
@@ -38,6 +39,7 @@ from gp2.labels import (
     Eq,
     EvalError,
     IntLit,
+    ListExpr,
     Neg,
     Not,
     Rel,
@@ -45,8 +47,6 @@ from gp2.labels import (
     TypeCheck,
     Var,
     VType,
-    eval_condition,
-    eval_list,
     is_simple,
     variables,
 )
@@ -405,6 +405,132 @@ def random_condition(rng: random.Random, depth: int = 2):
         total = Arith(rng.choice("+-*/"), degree, Neg(IntLit(rng.choice(INT_POOL))))
         return Rel(rng.choice([">", ">=", "<", "<="]), total, expr())
     return EdgePred("n1", "n2", expr() if rng.random() < 0.5 else None)
+
+
+# -- reference evaluators ----------------------------------------------
+#
+# The interpreted evaluators that `gp2.labels._Writer` replaced, kept as
+# the reference its generated code is checked against.  They recurse, so
+# nesting deeper than the recursion limit raises `RecursionError`.
+
+
+def eval_int(
+    e: ListExpr, g: Premorphism, alpha: Assignment, host: HostGraph
+) -> int:
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, Var):
+        value = alpha[e.name]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise EvalError(f"variable {e.name!r} is not an integer")
+        return value
+    if isinstance(e, Neg):
+        return -eval_int(e.expr, g, alpha, host)
+    if isinstance(e, Arith):
+        left = eval_int(e.left, g, alpha, host)
+        right = eval_int(e.right, g, alpha, host)
+        if e.op == "+":
+            return left + right
+        if e.op == "-":
+            return left - right
+        if e.op == "*":
+            return left * right
+        if e.op == "/":
+            if right == 0:
+                raise EvalError("division by zero")
+            # truncation towards zero; works for arbitrary precision
+            q = abs(left) // abs(right)
+            return -q if (left < 0) != (right < 0) else q
+        raise ValueError(f"unknown operator {e.op!r}")
+    if isinstance(e, Deg):
+        return host.degree(g.node_map[e.node], e.direction)
+    raise EvalError(f"not an integer expression: {e}")
+
+
+def eval_string(
+    e: ListExpr, g: Premorphism, alpha: Assignment, host: HostGraph
+) -> str:
+    if isinstance(e, StrLit):
+        return e.value
+    if isinstance(e, Var):
+        value = alpha[e.name]
+        if not isinstance(value, str):
+            raise EvalError(f"variable {e.name!r} is not a string")
+        return value
+    if isinstance(e, Dot):
+        return eval_string(e.left, g, alpha, host) + eval_string(
+            e.right, g, alpha, host
+        )
+    raise EvalError(f"not a string expression: {e}")
+
+
+def eval_list(
+    e: ListExpr, g: Premorphism, alpha: Assignment, host: HostGraph
+) -> tuple[Atom, ...]:
+    """The sequence of atoms denoted by e under (g, alpha, host)."""
+    if isinstance(e, Empty):
+        return ()
+    if isinstance(e, (IntLit, Neg, Arith, Deg)):
+        return (eval_int(e, g, alpha, host),)
+    if isinstance(e, (StrLit, Dot)):
+        return (eval_string(e, g, alpha, host),)
+    if isinstance(e, Var):
+        value = alpha[e.name]
+        if isinstance(value, tuple):
+            return value
+        return (value,)  # type: ignore[return-value]
+    if isinstance(e, Cons):
+        return eval_list(e.left, g, alpha, host) + eval_list(e.right, g, alpha, host)
+    raise EvalError(f"unknown expression {e!r}")
+
+
+def eval_condition(
+    c: Condition, g: Premorphism, alpha: Assignment, host: HostGraph
+) -> bool:
+    if isinstance(c, TypeCheck):
+        value = eval_list(c.expr, g, alpha, host)
+        if c.tname == "int":
+            return len(value) == 1 and isinstance(value[0], int)
+        if c.tname == "string":
+            return len(value) == 1 and isinstance(value[0], str)
+        if c.tname == "atom":
+            return len(value) == 1
+        raise ValueError(f"unknown type predicate {c.tname!r}")
+    if isinstance(c, Eq):
+        left = eval_list(c.left, g, alpha, host)
+        right = eval_list(c.right, g, alpha, host)
+        return (left != right) if c.negated else (left == right)
+    if isinstance(c, Rel):
+        left = eval_int(c.left, g, alpha, host)
+        right = eval_int(c.right, g, alpha, host)
+        return {
+            ">": left > right,
+            ">=": left >= right,
+            "<": left < right,
+            "<=": left <= right,
+        }[c.op]
+    if isinstance(c, EdgePred):
+        src = g.node_map[c.source]
+        tgt = g.node_map[c.target]
+        wanted = (
+            None if c.label is None else eval_list(c.label, g, alpha, host)
+        )
+        for eid in host.edges_between(src, tgt):
+            if wanted is None or host.edges[eid].label.items == wanted:
+                return True
+        return False
+    if isinstance(c, Not):
+        return not eval_condition(c.cond, g, alpha, host)
+    # and/or evaluate both operands so evaluation errors always surface
+    if isinstance(c, And):
+        left = eval_condition(c.left, g, alpha, host)
+        right = eval_condition(c.right, g, alpha, host)
+        return left and right
+    if isinstance(c, CondOr):
+        left = eval_condition(c.left, g, alpha, host)
+        right = eval_condition(c.right, g, alpha, host)
+        return left or right
+    raise TypeError(f"not a condition: {c!r}")
 
 
 # -- reference matcher -------------------------------------------------

@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from genlib import (
+    eval_condition,
+    eval_list,
     random_body,
     random_condition,
     random_host,
@@ -32,8 +34,6 @@ from gp2.labels import (
     RuleLabel,
     Var,
     VType,
-    eval_condition,
-    eval_list,
     show,
 )
 from gp2.parsing import (

@@ -1,5 +1,6 @@
 import collections
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,10 @@ from genlib import (
     INT_POOL,
     STRING_POOL,
     brute_assignments,
+    eval_condition,
+    eval_list,
     premorphism,
+    random_condition,
     random_eulerian,
     random_host,
     random_host_items,
@@ -20,6 +24,7 @@ from genlib import (
     reference_premorphisms,
     reference_run_one,
 )
+import gp2.labels
 from gp2 import corpus
 from gp2.executor import Budget, run_one
 from gp2.graphs import HostGraph, HostLabel, Premorphism, isomorphic
@@ -43,7 +48,6 @@ from gp2.labels import (
     Var,
     VType,
     degree_nodes,
-    eval_list,
     subterms,
     variables,
 )
@@ -1069,15 +1073,50 @@ class TestCompiledLabels:
             }
             got = evaluate_or_error(lambda: build(("n1", "n2"), alpha, host)[0])
             assert got == evaluate_or_error(lambda: eval_list(expr, g, alpha, host)), str(expr)
+            public = evaluate_or_error(lambda: gp2.labels.eval_list(expr, g, alpha, host))
+            assert public == evaluate_or_error(lambda: eval_list(expr, g, alpha, host)), str(expr)
             assert raises or got[0] == "value", str(expr)
             seen[got[0]] += 1
             seen["division by zero"] += got == ("error", "division by zero")
             seen["degree"] += got[0] == "value" and bool(degree_nodes(expr))
         assert min(seen.values()) >= 20, seen
 
+    def test_conditions_evaluate_as_eval_condition(self):
+        """`gp2.labels.eval_condition`, which runs the generated code, against
+        the reference on random conditions over two hosts with edges both
+        ways and a loop, the variables bound to values of every type."""
+        hosts = [
+            parse_host_graph(
+                '[ (n1, 0) (n2, 1) | (e1, n1, n2, 0) (e2, n2, n1, "a") (e3, n1, n1, 1) ]'
+            ),
+            parse_host_graph(
+                '[ (n1, "a") (n2, 2:"b") | (e1, n1, n2, "a") (e2, n1, n2, -1)'
+                ' (e3, n2, n1, empty) (e4, n2, n2, 1:"b") (e5, n2, n2, 0) ]'
+            ),
+        ]
+        # the second host is matched with n1 and n2 swapped
+        maps = [
+            Premorphism({"n1": "n1", "n2": "n2"}, {}),
+            Premorphism({"n1": "n2", "n2": "n1"}, {}),
+        ]
+        values = [-2, 0, 1, 3, True, "", "a", "ab", (), (0,), ("a",), (1, "b")]
+        seen = collections.Counter()
+        for trial in range(3000):
+            rng = random.Random(trial)
+            c = random_condition(rng, 3)
+            alpha = {name: rng.choice(values) for name in sorted(variables(c))}
+            host, g = hosts[trial % 2], maps[trial % 2]
+            got = evaluate_or_error(lambda: gp2.labels.eval_condition(c, g, alpha, host))
+            assert got == evaluate_or_error(lambda: eval_condition(c, g, alpha, host)), str(c)
+            seen[got[1] if got[0] == "value" else "error"] += 1
+            seen["division by zero"] += got == ("error", "division by zero")
+        assert min(seen.values()) >= 20, seen
+
     def test_generated_code_is_flat_at_any_depth(self):
         """A condition and right labels nested 5,000 deep, far past what the
-        parser reads, compile to straight-line code and evaluate."""
+        parser reads, compile to straight-line code and evaluate; so do
+        `-`, `:`, `+`, `.` and `not` chains 20,000 deep through the public
+        evaluators, in a fresh thread, whose stack is the command line's."""
         x = Var("x", VType.INT)
         total, negated, holds = x, x, Eq(x, IntLit(1))
         for _ in range(5_000):
@@ -1090,6 +1129,23 @@ class TestCompiledLabels:
         host = parse_host_graph("[ (n1, 1) (n2, 2) | ]")
         [match] = enumerate_matches(schema, host)
         assert apply(schema, host, match).to_text() == "[ (n1, 5001:1) (n2, 2) | ]"
+
+        def chains(depth: int = 20_000) -> None:
+            i, s = Var("i", VType.INT), Var("s", VType.STRING)
+            neg, cons, plus, dot, negated = i, Empty(), i, s, Eq(i, IntLit(3))
+            for _ in range(depth):
+                neg, cons, plus = Neg(neg), Cons(i, cons), Arith("+", plus, IntLit(2))
+                dot, negated = Dot(dot, StrLit("b")), Not(negated)
+            g, alpha = Premorphism({}, {}), {"i": 3, "s": "a"}
+            evaluate = lambda e: gp2.labels.eval_list(e, g, alpha, host)  # noqa: E731
+            assert evaluate(neg) == (3,)
+            assert evaluate(cons) == (3,) * depth
+            assert evaluate(plus) == (3 + 2 * depth,)
+            assert evaluate(dot) == ("a" + "b" * depth,)
+            assert gp2.labels.eval_condition(negated, g, alpha, host) is True
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(chains).result()
 
     def test_adding_items_after_a_match_drops_compiled_labels(self):
         host = parse_host_graph("[ (n1, 1) (n2, 2) | (e1, n1, n2, 3) ]")
