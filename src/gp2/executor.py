@@ -3,12 +3,14 @@ exhaustive result sets, and program equivalence checking.
 
 Configurations pair a continuation, the commands still to run, with a
 graph.  Both modes step its head command through one transition
-function, `_step`, and the rest rides along.  A run keeps a stack,
-enters a sequence when it reaches it, and follows one transition at a
-time, picked at random.  The explorer keeps tuples with sequences
-spliced in, follows every transition up to a budget, deduplicates
-configurations up to graph isomorphism, and reports divergence or
-stuckness through a bottom flag.
+function, `_step`, the rest riding along, and enter a sequence at the
+head without a step, as [seq1]-[seq3] step only the head of `P; Q`.  A
+run keeps a stack and follows one transition at a time, picked at
+random.  The explorer keeps tuples (`_entered`), follows every
+transition up to a budget, deduplicates configurations by continuation
+as written and graph up to isomorphism, and reports divergence or
+stuckness through a bottom flag.  So a sequence nested in a macro and
+its flat spelling are two configurations until their heads step.
 
 The explorer's cost is per configuration.  Two savings make each one
 cheaper and change nothing it explores.  A rule-set call that is a loop
@@ -58,7 +60,6 @@ from .program import (
     Seq,
     Skip,
     Try,
-    flatten,
     seq,
 )
 from .rules import (
@@ -244,7 +245,7 @@ class Engine:
     def _explore(self, command: Command, graph: HostGraph) -> ResultSet:
         # unfinished configurations in breadth-first order, each interned
         # by (continuation, certificate) to its position
-        configs = [(flatten(command), graph)]
+        configs = [(_entered((command,)), graph)]
         index = {(configs[0][0], graph.signature()): 0}
         children: list[list[int]] = []
         results = IsoStore()
@@ -270,8 +271,7 @@ class Engine:
             for pushed, h, _ in succs:
                 if pushed is None:
                     can_fail = True
-                elif pushed or rest:
-                    after = flatten(pushed[0]) + rest if pushed else rest
+                elif after := _entered(pushed + rest):
                     child = index.setdefault((after, h.signature()), len(configs))
                     if child == len(configs):
                         configs.append((after, h))
@@ -328,6 +328,13 @@ class Engine:
         return _step(self, loop, graph)
 
 
+def _entered(cont: tuple[Command, ...]) -> tuple[Command, ...]:
+    """cont with the sequences at its head entered, as a run's stack does."""
+    while cont and isinstance(cont[0], Seq):
+        cont = cont[0].items + cont[1:]
+    return cont
+
+
 def _has_cycle(children: list[list[int]]) -> bool:
     """Whether a cycle is reachable from configuration 0."""
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -357,7 +364,7 @@ def successors(
     """The set of configurations one transition away from cfg."""
     if not isinstance(cfg, Unfinished):
         raise ValueError("terminal configurations have no successors")
-    head, *rest = flatten(cfg.rest)
+    head, *rest = _entered((cfg.rest,))
     succs, _ = _step(Engine(rules, budget or Budget()), head, cfg.state)
     return [
         Failure() if p is None else Unfinished(seq([*p, *rest]), h) if p or rest else Result(h)

@@ -325,14 +325,17 @@ class _Writer:
     evaluators it replaced are the reference in `tests/genlib.py`.
     `node(n)` is the source of the host node of left node n, and `fail`
     the statement of an evaluation error, `{}` standing for its message.
-    A variable is read from `alpha` once; its type check is left out where
-    `bound` gives the type its value has in every match (its `VType` on the
-    left).  `raises` tells whether an error was written."""
+    A variable is read from `alpha` once and checked once per type; its
+    check is left out where `bound` gives the type its value has in every
+    match (its `VType` on the left).  Each message is one constant.
+    `raises` tells whether an error was written."""
 
     def __init__(self, namespace: dict, node, fail: str, bound: Optional[dict] = None):
         self.lines: list[str] = []
         self.namespace, self.node, self.fail, self.bound = namespace, node, fail, bound or {}
         self.read: dict[str, str] = {}  # variable -> the local holding its value
+        self.checked: set[tuple[str, str]] = set()  # (variable, kind) checked
+        self.messages: dict[str, str] = {}  # message -> its constant
         self.raises, self.pad = False, ""
 
     def const(self, value) -> str:
@@ -346,7 +349,9 @@ class _Writer:
         return name
 
     def error(self, message: str, test: str = "True") -> None:
-        self.lines.append(f"{self.pad}if {test}: {self.fail.format(self.const(message))}")
+        if message not in self.messages:
+            self.messages[message] = self.const(message)
+        self.lines.append(f"{self.pad}if {test}: {self.fail.format(self.messages[message])}")
         self.raises = True
 
     def value(self, e, kind: str, pad: str) -> str:
@@ -378,7 +383,8 @@ class _Writer:
             if e.name not in self.read:
                 self.read[e.name] = self.local(f"alpha[{e.name!r}]")
             v, bound = self.read[e.name], self.bound.get(e.name)
-            if kind in _TYPES and bound != kind:
+            if kind in _TYPES and bound != kind and (e.name, kind) not in self.checked:
+                self.checked.add((e.name, kind))
                 name, test = _TYPES[kind]
                 self.error(f"variable {e.name!r} is not {name}", test.format(v))
             if kind != "item" or bound in ("int", "string", "atom"):

@@ -21,7 +21,6 @@ from .labels import (
     VType,
     _Writer,
     degree_nodes,
-    eval_list,
     list_items,
     subterms,
     variables,
@@ -34,10 +33,10 @@ if TYPE_CHECKING:
 def _item(item, const: Callable[[object], str]) -> Optional[tuple]:
     """How one left-label item tests its host atom `t`: (test, value, name,
     degree operands), or None if it never matches.  The test is an
-    expression over `t` (None for none), or for a ground item that reads
-    degrees the item itself, which the search evaluates (`_Writer`) once
-    its operands are bound; the item binds its variable `name`, if it has
-    one, to the expression `value`."""
+    expression over `t` (None for none), or for a ground item the item
+    itself, which the search evaluates (`_Writer`) once the operands of
+    its degree operators are bound; the item binds its variable `name`,
+    if it has one, to the expression `value`."""
     negations, core = 0, item
     while isinstance(core, Neg) and variables(core):
         negations, core = negations + 1, core.expr
@@ -46,14 +45,7 @@ def _item(item, const: Callable[[object], str]) -> Optional[tuple]:
             return None
         return "isinstance(t, int)", "-t" if negations % 2 else "t", core.name, set()
     if not variables(item):
-        operands = degree_nodes(item)
-        if operands:  # depends on the match: evaluate each time
-            return item, None, None, operands
-        try:
-            value = eval_list(item, None, {}, None)
-        except EvalError:
-            return None
-        return (f"t == {const(value[0])}", None, None, set()) if len(value) == 1 else None
+        return item, None, None, degree_nodes(item)
     if isinstance(item, Var):
         if item.vtype is VType.INT:
             return "isinstance(t, int)", "t", item.name, set()
@@ -156,7 +148,7 @@ def generate(graph: RuleGraph, compiled: _Compiled) -> Callable:
             test = f"len(I) != {fixed}" if rest is None else f"len(I) < {fixed}"
             search.append(f"{pad}if {test}: continue")
         for index, test, value, name, _ in items:
-            if test is not None and not isinstance(test, str):  # a ground item reading degrees
+            if test is not None and not isinstance(test, str):  # a ground item
                 ground = writer.value(test, "item", pad)
                 search.append(f"{pad}if I[{index}] != {ground}: continue")
                 continue

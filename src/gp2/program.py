@@ -109,21 +109,6 @@ class Or(_Command):
 Command = Union[Skip, Fail, RuleSetCall, Seq, If, Try, Loop, Or]
 
 
-def flatten(command: Command) -> tuple[Command, ...]:
-    """The commands that command runs in turn, its sequences spliced in."""
-    if not isinstance(command, Seq):
-        return (command,)
-    out: list[Command] = []
-    stack = [command]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, Seq):
-            stack += reversed(c.items)
-        else:
-            out.append(c)
-    return tuple(out)
-
-
 def _bracketed(c: Command, kinds: tuple) -> list:
     return ["(", c, ")"] if isinstance(c, kinds) else [c]
 
@@ -155,8 +140,16 @@ _PIECES.update(
 
 
 def seq(items: list[Command]) -> Command:
-    """Build a flattened sequence; a singleton collapses to the command."""
-    flat = [c for item in items for c in flatten(item)]
+    """Build a sequence of items with the sequences nested in them spliced
+    in; a singleton collapses to the command."""
+    flat: list[Command] = []
+    stack = items[::-1]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Seq):
+            stack += reversed(c.items)
+        else:
+            flat.append(c)
     return flat[0] if len(flat) == 1 else Seq(tuple(flat))
 
 

@@ -23,7 +23,16 @@ from genlib import (
 )
 from gp2 import corpus
 from gp2.cli import main as cli_main
-from gp2.executor import Budget, _summary, run_one, semantics
+from gp2.executor import (
+    BOTTOM_POSSIBLE,
+    Budget,
+    Engine,
+    Unfinished,
+    _summary,
+    run_one,
+    semantics,
+    successors,
+)
 from gp2.graphs import HostGraph, HostLabel, Premorphism
 from gp2.labels import (
     Cons,
@@ -45,7 +54,7 @@ from gp2.parsing import (
     parse_program,
     tokenize,
 )
-from gp2.program import CheckedProgram, checked
+from gp2.program import CheckedProgram, Seq, checked
 
 LONG_INT = "7" * 5000
 
@@ -477,13 +486,47 @@ def test_a_long_doubling_chain_checks_and_runs_to_its_budget():
     # 2^60 calls once expanded: only sharing makes this feasible
     null = "rule r() [ | ] => [ | ] interface = {}\n"
     host = parse_host_graph("[ | ]")
-    steps = set()
     for k in (14, 60):
         prog = checked(parse_program(null + doubling_chain(k, "r") + "main = m0\n"))
         out = run_one(prog, host, budget=Budget(max_steps=10_000))
-        assert out.kind == "budget"
-        steps.add(out.steps)
-    assert steps == {10_001}
+        assert (out.kind, out.steps) == ("budget", 10_001)
+        # the explorer enters a sequence when it reaches the head, as a run
+        # does, so its budget bounds its work too
+        engine = Engine(prog.rules, Budget(max_steps=100))
+        began = time.perf_counter()
+        result = engine.semantics(prog.main, host)
+        assert time.perf_counter() - began < 0.1
+        assert (result.bottom, engine.steps) == (BOTTOM_POSSIBLE, 100)
+
+
+def test_a_shared_chain_steps_as_its_flat_spelling():
+    null = "rule r() [ | ] => [ | ] interface = {}\n"
+    host = parse_host_graph("[ | ]")
+    shared = checked(parse_program(null + doubling_chain(3, "r") + "main = m0\n"))
+    flat = checked(parse_program(null + "main = " + "; ".join(["r"] * 8) + "\n"))
+
+    def step(prog):
+        out = successors(Unfinished(prog.main, host), prog.rules)
+        return [(c, c.state.to_text()) for c in out]
+
+    assert step(shared) == step(flat)
+    [(after, _)] = step(flat)
+    assert after.rest == Seq(flat.main.items[1:])
+
+
+def test_a_sequence_in_a_macro_is_a_configuration_until_its_head_steps():
+    # configurations are keyed by the continuation as written: after the
+    # or, the branches (a, m) and (a, a, a) are two configurations until m
+    # is entered at the head, so the first `a` steps twice, not once
+    rules = "rule a() [ | ] => [ | ] interface = {}\nm = a; a\n"
+    host = parse_host_graph("[ | ]")
+    results = []
+    for main, steps in (("(a; m) or (a; a; a)", 5), ("(a; a; a) or (a; a; a)", 4)):
+        prog = checked(parse_program(f"{rules}main = {main}\n"))
+        engine = Engine(prog.rules, Budget())
+        results.append(engine.semantics(prog.main, host).describe())
+        assert engine.steps == steps
+    assert results == ["[ | ]", "[ | ]"]
 
 
 def test_a_traced_run_prints_only_the_start_of_a_shared_expansion():

@@ -47,6 +47,7 @@ from gp2.labels import (
     TypeCheck,
     Var,
     VType,
+    _Writer,
     degree_nodes,
     subterms,
     variables,
@@ -1146,6 +1147,23 @@ class TestCompiledLabels:
 
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(chains).result()
+
+    def test_a_variable_is_checked_once_per_type(self):
+        """`i + ... + i` with 1,000 terms writes one type check of i and one
+        constant for its message, and still fails where i is no integer."""
+        i = Var("i", VType.INT)
+        total = i
+        for _ in range(999):
+            total = Arith("+", total, i)
+        namespace: dict = {}
+        writer = _Writer(namespace, None, "raise EvalError({})")
+        writer.value(total, "list", "    ")
+        assert sum("isinstance" in line for line in writer.lines) == 1
+        assert list(namespace.values()) == ["variable 'i' is not an integer"]
+        g, host = Premorphism({}, {}), HostGraph()
+        assert gp2.labels.eval_list(total, g, {"i": 2}, host) == (2000,)
+        with pytest.raises(EvalError, match="variable 'i' is not an integer"):
+            gp2.labels.eval_list(total, g, {"i": "a"}, host)
 
     def test_adding_items_after_a_match_drops_compiled_labels(self):
         host = parse_host_graph("[ (n1, 1) (n2, 2) | (e1, n1, n2, 3) ]")
