@@ -37,6 +37,24 @@ and the local Church-Rosser theorem (Ehrig et al. 2006):
 - Cycles through the loop, failure, `bottom` and the warnings are
   unchanged.
 
+A fourth saving answers a loop of a confluent rule set
+(`confluence.confluent`) in one transition, to its one result.  The set
+terminates, and each of its critical pairs is strongly joinable, so by the
+critical pair lemma (Plump 2005) and Newman's lemma every graph has one
+normal form up to isomorphism, whatever order the matches are applied in:
+
+- That normal form is the loop's only exit, and the loop neither fails
+  nor diverges.  The explorer interns graphs up to isomorphism, so it
+  explores on from the same configurations as before.
+- The explorer reaches it by the first match each time, on a copy that it
+  rewrites in place.  It ticks once per rewrite, so the budget still
+  bounds the loop, and a truncated one gives `bottom: possible`.  It
+  certifies only the normal form.
+- No rule of the set has a condition or a label that can raise, so no
+  warning is lost.
+
+Each loop's saving, the fourth before the third where a set allows both,
+is decided once per rule set of a loaded program (`confluence.loop_kind`).
 `successors` and single runs keep the full one-step relation.
 """
 
@@ -45,6 +63,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
+
+from .confluence import CONFLUENT, REDUCIBLE, loop_kind
 
 # isomorphic is bound here only for perfbench/tracer.py
 from .graphs import Certificate, HostGraph, IsoStore, isomorphic
@@ -68,7 +88,6 @@ from .rules import (
     apply_ruleset,
     enumerate_matches,
     first_independent,
-    reducible,
 )
 
 
@@ -203,8 +222,10 @@ class Engine:
         self._memo: dict[tuple[Command, Certificate], ResultSet] = {}
         # the certificate of every graph content this computation has seen
         self._certificates: dict[tuple, Certificate] = {}
-        # whether each rule set that is a loop body is reducible
-        self._reducible_sets: dict[tuple[str, ...], bool] = {}
+        # the verdict on loops of each rule set it has met, by rule names;
+        # `confluence.loop_kind` keeps them for every engine, but looking one
+        # up there costs a walk over the set's rules
+        self._loop_kinds: dict[tuple[str, ...], Optional[str]] = {}
 
     def tick(self) -> bool:
         """Account for one transition; False once the budget is spent."""
@@ -258,7 +279,10 @@ class Engine:
                 truncated = True
                 break
             head = cont[0]
-            if isinstance(head, Loop) and self._reduces(head.body):
+            kind = self._loop_kind(head)
+            if kind is CONFLUENT:
+                succs, premise_truncated = self._normal_form(head, state)
+            elif kind is REDUCIBLE:
                 succs, premise_truncated = self._loop_step(head, state)
             else:
                 succs, premise_truncated = _step(self, head, state)
@@ -290,15 +314,31 @@ class Engine:
             bottom = BOTTOM_PROVEN
         return ResultSet(result_list, can_fail, bottom)
 
-    def _reduces(self, body: Command) -> bool:
-        """Whether a loop of body steps by `_loop_step`."""
-        if not isinstance(body, RuleSetCall):
-            return False
-        verdict = self._reducible_sets.get(body.names)
-        if verdict is None:
-            rules = [self.rules[n] for n in body.names]
-            verdict = self._reducible_sets[body.names] = reducible(rules)
-        return verdict
+    def _loop_kind(self, head: Command) -> Optional[str]:
+        """`confluence.loop_kind` of head's rule set, if head loops one."""
+        if not isinstance(head, Loop) or not isinstance(head.body, RuleSetCall):
+            return None
+        names = head.body.names
+        if names not in self._loop_kinds:
+            self._loop_kinds[names] = loop_kind([self.rules[n] for n in names])
+        return self._loop_kinds[names]
+
+    def _normal_form(self, loop: Loop, graph: HostGraph) -> tuple[list[Transition], bool]:
+        """What `_step` gives for a loop of a confluent rule set, reduced to
+        one transition, to the loop's one result: the graph rewritten by the
+        first match of its rules until none is left.  It copies the graph
+        at the first rewrite and then rewrites the copy in place, ticks once
+        per rewrite, and certifies only the result."""
+        rules = [self.rules[n] for n in loop.body.names]
+        h = graph
+        while pick := next(
+            ((s, m) for s in rules for m in enumerate_matches(s, h, self.warnings)), None
+        ):
+            if not self.tick():
+                return [], True
+            h = apply(pick[0], h, pick[1], copy=h is graph)
+        h.signature(self._certificates)
+        return [((), h, "alap2")], False
 
     def _loop_step(self, loop: Loop, graph: HostGraph) -> tuple[list[Transition], bool]:
         """What `_step` gives for a loop of a reducible rule set, reduced to

@@ -24,7 +24,8 @@ evaluated in `apply`, once per applied match.  `infer_assignment` reads
 the same search for the assignment of one premorphism.
 
 `reducible` and `first_independent` tell the explorer which loops it may
-step by one match at a time (`gp2.executor`).
+step by one match at a time (`gp2.executor`), and `gp2.confluence` which
+ones it may run straight to their normal form.
 """
 
 from __future__ import annotations
@@ -215,10 +216,13 @@ class _Rule:
     For `reducible` it also keeps the left slots of the nodes it writes
     (interface nodes whose right label differs from the left one), the
     marks those get and the marks of its left nodes, and whether the rule
-    alone meets the rest of the test (`alone`)."""
+    alone meets the rest of the test (`alone`).  `loops` holds the
+    explorer's verdict on loops of each rule set this rule comes first in
+    (`confluence.loop_kind`)."""
 
     __slots__ = ("left", "right", "interface", "condition", "deleted", "nodes", "edges")
     __slots__ += ("test", "build", "raises", "writes", "written_marks", "left_marks", "alone")
+    __slots__ += ("loops",)
 
     def __init__(self, schema: ConditionalRuleSchema) -> None:
         left, right = _left(schema.left), _compiled(schema.right)
@@ -246,6 +250,7 @@ class _Rule:
             and not any(degree_nodes(label.expr) for label in labels)
             and bool(left.edges or written)
         )
+        self.loops: dict[tuple[_Rule, ...], Optional[str]] = {}
 
 
 def _rule(schema: ConditionalRuleSchema) -> _Rule:
