@@ -17,9 +17,12 @@ cheaper and change nothing it explores.  A rule-set call that is a loop
 body or a premise has one configuration, whose successors are its
 results or failure, so `Engine.semantics` answers it from one application
 of its rules.  And each `Engine` keeps one table from exact graph content
-to canonical certificate (`HostGraph.signature`), through which every
-graph it derives is certified, so a graph rebuilt in another order is
-certified once.
+to certificate (`HostGraph.signature`), through which every graph it
+derives is certified, so equal contents share one certificate and compare
+by identity.  A certificate computes its canonical form only when it meets
+a different one of equal hash, and `equivalent` hands one table per host
+to the engines of both sides, so results that the two sides derive alike
+compare by identity, without one.
 
 A third saving explores fewer configurations: a loop of a reducible rule
 set (`rules.reducible`) applies one match per step, the first that is
@@ -213,15 +216,21 @@ def _step(mode: Engine | _Runner, head: Command, graph: HostGraph) -> tuple[list
 class Engine:
     """Shared state for one exhaustive-semantics computation."""
 
-    def __init__(self, rules: dict[str, ConditionalRuleSchema], budget: Budget):
+    def __init__(
+        self,
+        rules: dict[str, ConditionalRuleSchema],
+        budget: Budget,
+        certificates: Optional[dict] = None,
+    ):
         self.rules = rules
         self.budget = budget
         self.steps = 0
         self.warnings: list[str] = []
         # memo of sub-semantics per (command, certificate of the graph)
         self._memo: dict[tuple[Command, Certificate], ResultSet] = {}
-        # the certificate of every graph content this computation has seen
-        self._certificates: dict[tuple, Certificate] = {}
+        # the certificate of every graph content this computation has seen,
+        # or that of every engine it is shared with
+        self._certificates = {} if certificates is None else certificates
         # the verdict on loops of each rule set it has met, by rule names;
         # `confluence.loop_kind` keeps them for every engine, but looking one
         # up there costs a walk over the set's rules
@@ -574,9 +583,11 @@ def equivalent(
     """Compare bounded result sets of two programs over the given hosts."""
     per_host: list[HostVerdict] = []
     overall = "equal"
+    budget = budget or Budget()
     for host in hosts:
-        sa = semantics(p, host, budget)
-        sb = semantics(q, host, budget)
+        table: dict = {}
+        sa = Engine(p.rules, budget, table).semantics(p.main, host)
+        sb = Engine(q.rules, budget, table).semantics(q.main, host)
         if BOTTOM_POSSIBLE in (sa.bottom, sb.bottom):
             per_host.append(HostVerdict(host, "inconclusive", "budget exhausted"))
             if overall == "equal":

@@ -4,10 +4,14 @@ Host graphs are totally labelled: every node and edge carries a list of
 atoms (integers and strings) plus a mark bit.  Rule interfaces use the
 partial variant where node labels may be absent.
 
-Graphs are compared up to isomorphism by canonical certificates
-(`HostGraph.signature`), which hash once.  A caller that certifies many
-graphs, such as the explorer, passes a table from exact graph content to
-certificate, so that equal graphs built apart are certified once.
+Graphs are compared up to isomorphism by certificates
+(`HostGraph.signature`).  A certificate hashes by isomorphism invariants:
+a sum over labels that the graph keeps up to date, and the degrees of the
+edges' ends, which its incidence index gives.  It computes its canonical
+form only when it meets a different certificate of equal hash.  A caller
+that certifies many graphs, such as the explorer, passes a table from
+exact graph content to certificate, so that equal graphs built apart share
+one certificate and compare by identity.
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ class HostLabel:
 
     The empty list is a legal value and is distinct from a one-element
     list containing the empty string.  Labels are equal, and hash alike,
-    exactly when their atoms and marks are.
+    exactly when their atoms and marks are.  The hash and the sort key are
+    kept in slots filled at first use, so a label that is never certified
+    costs neither.
     """
 
-    __slots__ = ("items", "marked", "_sort_key")
+    __slots__ = ("items", "marked", "_sort_key", "_hash")
 
     def __init__(self, items: tuple[Atom, ...] = (), marked: bool = False) -> None:
         for a in items:
@@ -41,6 +47,7 @@ class HostLabel:
         _set_items(self, items)
         _set_marked(self, marked)
         _set_sort_key(self, None)
+        _set_hash(self, None)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"HostLabel is immutable: cannot set {name!r}")
@@ -53,7 +60,11 @@ class HostLabel:
         return self.items == other.items and self.marked == other.marked
 
     def __hash__(self) -> int:
-        return hash((self.items, self.marked))
+        h = self._hash
+        if h is None:
+            h = hash((self.items, self.marked))
+            _set_hash(self, h)
+        return h
 
     def __reduce__(self):
         return HostLabel, (self.items, self.marked)
@@ -80,6 +91,7 @@ class HostLabel:
 _set_items = HostLabel.items.__set__
 _set_marked = HostLabel.marked.__set__
 _set_sort_key = HostLabel._sort_key.__set__
+_set_hash = HostLabel._hash.__set__
 
 
 def format_atom(a: Atom) -> str:
@@ -128,8 +140,12 @@ class HostGraph:
     - the marked index (`marked`): the ids of the marked nodes, and of the
       edges of each mark class.
 
-    The cached canonical certificate (`signature`) is dropped on every
-    mutation.
+    The cached certificate (`signature`) is dropped on every mutation.  Its
+    invariant, a sum of squared hashes of the node labels and of each
+    edge's (source label, target label, edge label), is computed at the
+    first `signature` and then kept up to date by every mutation and
+    carried by `copy`, so a graph that is never certified pays one test per
+    mutation; `drop_invariant` stops keeping it until the next `signature`.
     """
 
     def __init__(self) -> None:
@@ -138,6 +154,7 @@ class HostGraph:
         self._node_counter = 0
         self._edge_counter = 0
         self._signature: Optional[Certificate] = None
+        self._sum: Optional[int] = None
         self._incident: Optional[dict[str, list[str]]] = None
         self._marked: Optional[dict[int, list[str]]] = None
 
@@ -150,6 +167,8 @@ class HostGraph:
             raise GraphError(f"duplicate node id {node_id!r}")
         self.nodes[node_id] = label
         self._signature = None
+        if self._sum is not None:
+            self._sum += _node_term(label)
         if self._incident is not None:
             self._incident[node_id] = []
         if label.marked and self._marked is not None:
@@ -171,8 +190,10 @@ class HostGraph:
             edge_id = self._fresh_edge_id()
         elif edge_id in self.edges:
             raise GraphError(f"duplicate edge id {edge_id!r}")
-        self.edges[edge_id] = Edge(source, target, label)
+        e = self.edges[edge_id] = Edge(source, target, label)
         self._signature = None
+        if self._sum is not None:
+            self._sum += _edge_term(self.nodes, e)
         incident = self._incident
         if incident is not None:
             incident[source] = incident[source] + [edge_id]
@@ -187,6 +208,8 @@ class HostGraph:
         self._index_edge(edge_id, False)
         e = self.edges.pop(edge_id)
         self._signature = None
+        if self._sum is not None:
+            self._sum -= _edge_term(self.nodes, e)
         incident = self._incident
         if incident is not None:
             for end in {e.source, e.target}:
@@ -200,24 +223,45 @@ class HostGraph:
             raise GraphError(f"node {node_id!r} still incident to edge {incident[node_id][0]!r}")
         label = self.nodes.pop(node_id)
         self._signature = None
+        if self._sum is not None:
+            self._sum -= _node_term(label)
         del incident[node_id]
         if label.marked and self._marked is not None:
             self._mark(0, node_id, False)
 
     def relabel_node(self, node_id: str, label: HostLabel) -> None:
-        if node_id not in self.nodes:
+        nodes = self.nodes
+        if node_id not in nodes:
             raise GraphError(f"unknown node id {node_id!r}")
         self._signature = None
-        if self._marked is None or self.nodes[node_id].marked == label.marked:
-            self.nodes[node_id] = label
-            return
-        incident = self.incidence()[node_id]
-        for eid in incident:
-            self._index_edge(eid, False)
-        self.nodes[node_id] = label
-        self._mark(0, node_id, label.marked)
-        for eid in incident:
-            self._index_edge(eid, True)
+        total = self._sum
+        if total is not None:
+            # the node's term and its incident edges' terms, taken out here
+            # and put back below with the new label
+            incident = self.incidence()[node_id]
+            total -= _node_term(nodes[node_id]) + self._terms(incident)
+        if self._marked is None or nodes[node_id].marked == label.marked:
+            nodes[node_id] = label
+        else:
+            incident = self.incidence()[node_id]
+            for eid in incident:
+                self._index_edge(eid, False)
+            nodes[node_id] = label
+            self._mark(0, node_id, label.marked)
+            for eid in incident:
+                self._index_edge(eid, True)
+        if total is not None:
+            self._sum = total + _node_term(label) + self._terms(incident)
+
+    def drop_invariant(self) -> None:
+        """Stop keeping the invariant until the next `signature`, for a graph
+        that many rewrites in place will change before it is certified."""
+        self._sum = None
+
+    def _terms(self, edge_ids: list[str]) -> int:
+        """The invariant's terms of some edges, summed."""
+        nodes, edges = self.nodes, self.edges
+        return sum([_edge_term(nodes, edges[eid]) for eid in edge_ids])
 
     def _index_edge(self, edge_id: str, add: bool) -> None:
         """Add an edge to the marked index, if it is built, or take it out."""
@@ -261,6 +305,7 @@ class HostGraph:
         g._node_counter = self._node_counter
         g._edge_counter = self._edge_counter
         g._signature = self._signature
+        g._sum = self._sum
         if self._incident is not None:
             g._incident = dict(self._incident)
         if self._marked is not None:
@@ -333,49 +378,121 @@ class HostGraph:
         return left + right
 
     def signature(self, table: Optional[dict] = None) -> Certificate:
-        """The canonical certificate: equal exactly for isomorphic graphs.
+        """The certificate: equal exactly for isomorphic graphs.
 
         `table` maps exact graph contents (node ids and labels, edge ids,
         ends and labels) to certificates.  With one, a graph whose content
         equals one certified through it before takes that certificate, and
-        a new content is added.  A hit compares the contents, not only
-        their hashes, and it changes nothing else of the graph: its fresh
-        id counters stay its own."""
+        a new content is added.  A lookup hashes as the certificate does
+        (`_certificate_hash`), and only a hit compares the contents, as
+        dicts.  It changes nothing else of the graph: its fresh id counters
+        stay its own."""
         if self._signature is None:
-            if table is None:
-                self._signature = _certificate(self)
-            else:
-                nodes, edges = self.nodes, self.edges
-                key = tuple(nodes), tuple(nodes.values()), tuple(edges), tuple(edges.values())
-                found = table.get(key)
-                if found is None:
-                    found = table[key] = _certificate(self)
-                self._signature = found
+            nodes, edges = self.nodes, self.edges
+            if self._sum is None:
+                self._sum = _invariant(nodes, edges)
+            h = _certificate_hash(self._sum, edges, self.incidence())
+            found = None if table is None else table.get(_Content((h, nodes, edges)))
+            if found is None:
+                content = _Content((h, dict(nodes), dict(edges)))
+                found = Certificate(content)
+                if table is not None:
+                    table[content] = found
+            self._signature = found
         return self._signature
 
     def __repr__(self) -> str:
         return f"HostGraph({self.to_text()})"
 
 
+# The invariant's terms are squared hashes.  A tuple's hash often moves by
+# the same amount when one item changes, whatever the others are, so plain
+# hashes would sum alike for graphs that trade a label between two edges:
+# with Z = 0, E = empty and A = "a", hash((Z, Z, E)) + hash((E, E, A)) equals
+# hash((E, Z, E)) + hash((Z, E, A)) under PYTHONHASHSEED=0.
+
+
+def _node_term(label: HostLabel) -> int:
+    """A node's term of the invariant, from its label."""
+    h = hash(label)
+    return h * h
+
+
+def _edge_term(nodes: dict[str, HostLabel], e: Edge) -> int:
+    """An edge's term of the invariant, from its ends' labels and its own."""
+    h = hash((nodes[e.source], nodes[e.target], e.label))
+    return h * h
+
+
+def _invariant(nodes: dict[str, HostLabel], edges: dict[str, Edge]) -> int:
+    """The isomorphism invariant that `HostGraph` keeps, from scratch."""
+    total = sum(map(_node_term, nodes.values()))
+    return total + sum([_edge_term(nodes, e) for e in edges.values()])
+
+
+def _certificate_hash(invariant: int, edges: dict[str, Edge], incident: dict) -> int:
+    """A certificate's hash: the kept invariant, the node count and the
+    sorted degrees of each edge's ends, read off the incidence index (a
+    loop counts once)."""
+    ends = sorted([(len(incident[s]), len(incident[t])) for s, t, _ in edges.values()])
+    return hash((invariant, len(incident), tuple(ends)))
+
+
+class _Content(tuple):
+    """(hash, nodes, edges): a graph's exact content, hashed as its
+    certificate is; equal contents have equal dicts."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self[0]
+
+
 class Certificate:
-    """A canonical form of a graph (`_certificate`), which hashes once."""
+    """A graph up to isomorphism: it hashes by invariants of the graph
+    (`_certificate_hash`) and holds a snapshot of its content.  Its
+    canonical form (`_canonical_form`) is computed at the first comparison
+    with a different certificate of equal hash, and the snapshot is then
+    dropped; certificates of unequal forms then tell apart by the forms'
+    hashes.
+    """
 
-    __slots__ = ("form", "_hash")
+    __slots__ = ("_hash", "_content", "_form", "_form_hash")
 
-    def __init__(self, form: tuple) -> None:
-        self.form = form
-        self._hash = hash(form)
+    def __init__(self, content: _Content) -> None:
+        self._hash = content[0]
+        self._content = content
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other) -> bool:
         return self is other or (
-            other.__class__ is Certificate and self._hash == other._hash and self.form == other.form
+            other.__class__ is Certificate
+            and self._hash == other._hash
+            and self._canonical() == other._canonical()
+            and self._form == other._form
         )
+
+    def _canonical(self) -> int:
+        """The hash of the canonical form, which is computed at the first call."""
+        if self._content is not None:
+            _, nodes, edges = self._content
+            self._form = _canonical_form(nodes, edges)
+            self._form_hash = hash(self._form)
+            self._content = None
+        return self._form_hash
 
 
 def _certificate(g: HostGraph) -> Certificate:
+    """The certificate of g from scratch, as `HostGraph.signature` makes it
+    without a table, but with the invariant summed afresh."""
+    nodes, edges = g.nodes, g.edges
+    h = _certificate_hash(_invariant(nodes, edges), edges, g.incidence())
+    return Certificate(_Content((h, dict(nodes), dict(edges))))
+
+
+def _canonical_form(nodes: dict[str, HostLabel], host_edges: dict[str, Edge]) -> tuple:
     """Canonical form by colour refinement and individualisation.
 
     An ordered partition of the nodes gives each node the position of its
@@ -399,13 +516,13 @@ def _certificate(g: HostGraph) -> Certificate:
     search jumps back to where they part, and later siblings in the orbit
     of a tried one under the automorphisms that fix their path are skipped.
     """
-    labels = [lab.sort_key for lab in g.nodes.values()]
-    index = {v: i for i, v in enumerate(g.nodes)}
+    labels = [lab.sort_key for lab in nodes.values()]
+    index = {v: i for i, v in enumerate(nodes)}
     n = len(labels)
     into = [0] * n
     out = [0] * n
     edges = []
-    for e in g.edges.values():
+    for e in host_edges.values():
         s = index[e.source]
         t = index[e.target]
         out[s] += 1
@@ -430,7 +547,7 @@ def _certificate(g: HostGraph) -> Certificate:
         return tuple(sorted([(colour[s], colour[t], lab) for s, t, lab in edges]))
 
     if len(cells) == n:
-        return Certificate((head, leaf(colour)))
+        return head, leaf(colour)
 
     # each node's edges as (other end, code): codes rank edge labels, and
     # their parity gives the direction
@@ -441,7 +558,7 @@ def _certificate(g: HostGraph) -> Certificate:
         adj[s].append((t, rank[lab] + 1))
     _refine(adj, colour, cells, sorted(cells))
     if len(cells) == n:
-        return Certificate((head, leaf(colour)))
+        return head, leaf(colour)
 
     # twins share a cell, and a transposition of two is an automorphism; a
     # loop's other end is written -1, so that twins' loops match
@@ -511,7 +628,7 @@ def _certificate(g: HostGraph) -> Certificate:
                 if node_at[c] != x and x in orbit:
                     r, s = find(orbit, x), find(orbit, node_at[c])
                     orbit[max(r, s)] = min(r, s)
-    return Certificate((head, min(leaves)))
+    return head, min(leaves)
 
 
 def _refine(adj: list, colour: list[int], cells: dict, queue: list[int]) -> None:

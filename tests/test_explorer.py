@@ -161,7 +161,8 @@ def test_successors_match_the_reference_step():
 
 def test_benchmark_requests_match_the_reference_explorer():
     """The `explore` and `laws` requests of two and eight benchmark
-    cycles, unbounded as the benchmark runs them.  Results, bottom and
+    cycles, under 4,000 steps, about five times what the reference takes on the
+    largest of them, and none may run out.  Results, bottom and
     warnings equal the reference's everywhere, and so do the steps, except
     where the explorer reduces a loop.  `euler_cycle`'s `clean_up!` steps
     by one match at a time (`Engine._loop_step`), so it must take fewer.
@@ -175,10 +176,11 @@ def test_benchmark_requests_match_the_reference_explorer():
         for req in cycle:
             program = programs[req["program"]]
             host = parse_host_graph(req["host"])
-            budget = Budget(**UNBOUNDED)
+            budget = Budget(max_steps=4_000)
             new, ref = Engine(program.rules, budget), ReferenceEngine(program.rules, budget)
             got = outcome(new, new.semantics(program.main, host))
             want = outcome(ref, ref.semantics(program.main, host))
+            assert BOTTOM_POSSIBLE not in (got[1], want[1]), req["cls"]
             if req["program"] == "euler_cycle":
                 assert got[2] < want[2], req["cls"]
                 got, want = got[:2] + got[3:], want[:2] + want[3:]
@@ -196,10 +198,11 @@ def test_benchmark_requests_match_the_reference_explorer():
         for req in cycle:
             host = parse_host_graph(req["host"])
             for text, side in sides:
-                budget = Budget(**UNBOUNDED)
+                budget = Budget(max_steps=4_000)
                 new, ref = Engine(side.rules, budget), ReferenceEngine(side.rules, budget)
                 got = outcome(new, new.semantics(side.main, host))
                 want = outcome(ref, ref.semantics(side.main, host))
+                assert BOTTOM_POSSIBLE not in (got[1], want[1]), (req["host"], text)
                 if "coin" in text:
                     assert got[2] <= want[2], (req["host"], text)
                     got, want = got[:2] + got[3:], want[:2] + want[3:]
@@ -240,8 +243,10 @@ def distinct_host(rng, n):
 def test_reduced_loops_reach_the_reference_results():
     """5,000 programs, each on one host of `small_hosts(2, 2)` and one of
     5 or 6 nodes with distinct labels, where isomorphism merges few of the
-    orders a loop can apply its matches in; unbounded.  Result graphs up
-    to isomorphism, failure, bottom and warnings equal the reference's."""
+    orders a loop can apply its matches in; under 10,000 steps, about five times
+    what the reference takes on the longest of them, and none may run out.
+    Result graphs up to isomorphism, failure, bottom and warnings equal the
+    reference's."""
     rng = random.Random(77)
     hosts = small_hosts(2, 2)
     names = tuple(REDUCIBLE_MIX)
@@ -249,10 +254,11 @@ def test_reduced_loops_reach_the_reference_results():
     for _ in range(5_000):
         body = random_body(rng, names, depth=3)
         for host in (rng.choice(hosts), distinct_host(rng, rng.randint(5, 6))):
-            budget = Budget(**UNBOUNDED)
+            budget = Budget(max_steps=10_000)
             new = Engine(REDUCIBLE_MIX, budget)
             ref = ReferenceEngine(REDUCIBLE_MIX, budget)
             got, want = new.semantics(body, host), ref.semantics(body, host)
+            assert BOTTOM_POSSIBLE not in (got.bottom, want.bottom), (str(body), host.to_text())
             assert (
                 {g.signature() for g in got.graphs},
                 len(got.graphs),
