@@ -5,13 +5,13 @@ atoms (integers and strings) plus a mark bit.  Rule interfaces use the
 partial variant where node labels may be absent.
 
 Graphs are compared up to isomorphism by certificates
-(`HostGraph.signature`).  A certificate hashes by isomorphism invariants:
-a sum over labels that the graph keeps up to date, and the degrees of the
-edges' ends, which its incidence index gives.  It computes its canonical
-form only when it meets a different certificate of equal hash.  A caller
-that certifies many graphs, such as the explorer, passes a table from
-exact graph content to certificate, so that equal graphs built apart share
-one certificate and compare by identity.
+(`HostGraph.signature`).  A certificate hashes by isomorphism invariants,
+taken in one pass when the graph is first certified: the sorted hashes of
+the node labels, and the sorted labels and end degrees of the edges.  It
+computes its canonical form only when it meets a different certificate of
+equal hash.  A caller that certifies many graphs, such as the explorer,
+passes a table from exact graph content to certificate, so that equal
+graphs built apart share one certificate and compare by identity.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ class Edge(NamedTuple):
 class HostGraph:
     """A finite directed multigraph with identifier-indexed nodes and edges.
 
-    Parallel edges and loops are permitted.  Graphs are treated as
-    immutable once fully constructed; rewriting copies first.
+    Parallel edges and loops are permitted.  A rewrite changes a copy
+    (`rules.apply`), or the graph itself where a run or a normal form owns
+    it.
 
     Two indexes of id lists are built on first use and then kept up to date
     by every mutation.  Their lists are replaced, never changed in place,
@@ -140,12 +141,7 @@ class HostGraph:
     - the marked index (`marked`): the ids of the marked nodes, and of the
       edges of each mark class.
 
-    The cached certificate (`signature`) is dropped on every mutation.  Its
-    invariant, a sum of squared hashes of the node labels and of each
-    edge's (source label, target label, edge label), is computed at the
-    first `signature` and then kept up to date by every mutation and
-    carried by `copy`, so a graph that is never certified pays one test per
-    mutation; `drop_invariant` stops keeping it until the next `signature`.
+    The cached certificate (`signature`) is dropped on every mutation.
     """
 
     def __init__(self) -> None:
@@ -154,7 +150,6 @@ class HostGraph:
         self._node_counter = 0
         self._edge_counter = 0
         self._signature: Optional[Certificate] = None
-        self._sum: Optional[int] = None
         self._incident: Optional[dict[str, list[str]]] = None
         self._marked: Optional[dict[int, list[str]]] = None
 
@@ -167,8 +162,6 @@ class HostGraph:
             raise GraphError(f"duplicate node id {node_id!r}")
         self.nodes[node_id] = label
         self._signature = None
-        if self._sum is not None:
-            self._sum += _node_term(label)
         if self._incident is not None:
             self._incident[node_id] = []
         if label.marked and self._marked is not None:
@@ -190,10 +183,8 @@ class HostGraph:
             edge_id = self._fresh_edge_id()
         elif edge_id in self.edges:
             raise GraphError(f"duplicate edge id {edge_id!r}")
-        e = self.edges[edge_id] = Edge(source, target, label)
+        self.edges[edge_id] = Edge(source, target, label)
         self._signature = None
-        if self._sum is not None:
-            self._sum += _edge_term(self.nodes, e)
         incident = self._incident
         if incident is not None:
             incident[source] = incident[source] + [edge_id]
@@ -208,8 +199,6 @@ class HostGraph:
         self._index_edge(edge_id, False)
         e = self.edges.pop(edge_id)
         self._signature = None
-        if self._sum is not None:
-            self._sum -= _edge_term(self.nodes, e)
         incident = self._incident
         if incident is not None:
             for end in {e.source, e.target}:
@@ -223,45 +212,24 @@ class HostGraph:
             raise GraphError(f"node {node_id!r} still incident to edge {incident[node_id][0]!r}")
         label = self.nodes.pop(node_id)
         self._signature = None
-        if self._sum is not None:
-            self._sum -= _node_term(label)
         del incident[node_id]
         if label.marked and self._marked is not None:
             self._mark(0, node_id, False)
 
     def relabel_node(self, node_id: str, label: HostLabel) -> None:
-        nodes = self.nodes
-        if node_id not in nodes:
+        if node_id not in self.nodes:
             raise GraphError(f"unknown node id {node_id!r}")
         self._signature = None
-        total = self._sum
-        if total is not None:
-            # the node's term and its incident edges' terms, taken out here
-            # and put back below with the new label
-            incident = self.incidence()[node_id]
-            total -= _node_term(nodes[node_id]) + self._terms(incident)
-        if self._marked is None or nodes[node_id].marked == label.marked:
-            nodes[node_id] = label
-        else:
-            incident = self.incidence()[node_id]
-            for eid in incident:
-                self._index_edge(eid, False)
-            nodes[node_id] = label
-            self._mark(0, node_id, label.marked)
-            for eid in incident:
-                self._index_edge(eid, True)
-        if total is not None:
-            self._sum = total + _node_term(label) + self._terms(incident)
-
-    def drop_invariant(self) -> None:
-        """Stop keeping the invariant until the next `signature`, for a graph
-        that many rewrites in place will change before it is certified."""
-        self._sum = None
-
-    def _terms(self, edge_ids: list[str]) -> int:
-        """The invariant's terms of some edges, summed."""
-        nodes, edges = self.nodes, self.edges
-        return sum([_edge_term(nodes, edges[eid]) for eid in edge_ids])
+        if self._marked is None or self.nodes[node_id].marked == label.marked:
+            self.nodes[node_id] = label
+            return
+        incident = self.incidence()[node_id]
+        for eid in incident:
+            self._index_edge(eid, False)
+        self.nodes[node_id] = label
+        self._mark(0, node_id, label.marked)
+        for eid in incident:
+            self._index_edge(eid, True)
 
     def _index_edge(self, edge_id: str, add: bool) -> None:
         """Add an edge to the marked index, if it is built, or take it out."""
@@ -305,7 +273,6 @@ class HostGraph:
         g._node_counter = self._node_counter
         g._edge_counter = self._edge_counter
         g._signature = self._signature
-        g._sum = self._sum
         if self._incident is not None:
             g._incident = dict(self._incident)
         if self._marked is not None:
@@ -389,9 +356,7 @@ class HostGraph:
         stay its own."""
         if self._signature is None:
             nodes, edges = self.nodes, self.edges
-            if self._sum is None:
-                self._sum = _invariant(nodes, edges)
-            h = _certificate_hash(self._sum, edges, self.incidence())
+            h = _certificate_hash(nodes, edges, self.incidence())
             found = None if table is None else table.get(_Content((h, nodes, edges)))
             if found is None:
                 content = _Content((h, dict(nodes), dict(edges)))
@@ -405,37 +370,18 @@ class HostGraph:
         return f"HostGraph({self.to_text()})"
 
 
-# The invariant's terms are squared hashes.  A tuple's hash often moves by
-# the same amount when one item changes, whatever the others are, so plain
-# hashes would sum alike for graphs that trade a label between two edges:
-# with Z = 0, E = empty and A = "a", hash((Z, Z, E)) + hash((E, E, A)) equals
-# hash((E, Z, E)) + hash((Z, E, A)) under PYTHONHASHSEED=0.
-
-
-def _node_term(label: HostLabel) -> int:
-    """A node's term of the invariant, from its label."""
-    h = hash(label)
-    return h * h
-
-
-def _edge_term(nodes: dict[str, HostLabel], e: Edge) -> int:
-    """An edge's term of the invariant, from its ends' labels and its own."""
-    h = hash((nodes[e.source], nodes[e.target], e.label))
-    return h * h
-
-
-def _invariant(nodes: dict[str, HostLabel], edges: dict[str, Edge]) -> int:
-    """The isomorphism invariant that `HostGraph` keeps, from scratch."""
-    total = sum(map(_node_term, nodes.values()))
-    return total + sum([_edge_term(nodes, e) for e in edges.values()])
-
-
-def _certificate_hash(invariant: int, edges: dict[str, Edge], incident: dict) -> int:
-    """A certificate's hash: the kept invariant, the node count and the
-    sorted degrees of each edge's ends, read off the incidence index (a
-    loop counts once)."""
-    ends = sorted([(len(incident[s]), len(incident[t])) for s, t, _ in edges.values()])
-    return hash((invariant, len(incident), tuple(ends)))
+def _certificate_hash(nodes: dict[str, HostLabel], edges: dict[str, Edge], incident: dict) -> int:
+    """A certificate's hash, from invariants that ignore ids: the sorted
+    hashes of the node labels, and the sorted (source degree, target
+    degree, source label hash, target label hash, edge label hash) of the
+    edges, with degrees read off the incidence index (a loop counts once)."""
+    own = {n: hash(label) for n, label in nodes.items()}
+    ends = [
+        (len(incident[s]), len(incident[t]), own[s], own[t], hash(label))
+        for s, t, label in edges.values()
+    ]
+    ends.sort()
+    return hash((tuple(sorted(own.values())), tuple(ends)))
 
 
 class _Content(tuple):
@@ -486,9 +432,9 @@ class Certificate:
 
 def _certificate(g: HostGraph) -> Certificate:
     """The certificate of g from scratch, as `HostGraph.signature` makes it
-    without a table, but with the invariant summed afresh."""
+    without a table, but not cached on g."""
     nodes, edges = g.nodes, g.edges
-    h = _certificate_hash(_invariant(nodes, edges), edges, g.incidence())
+    h = _certificate_hash(nodes, edges, g.incidence())
     return Certificate(_Content((h, dict(nodes), dict(edges))))
 
 

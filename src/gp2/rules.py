@@ -327,17 +327,11 @@ def apply(
     Evaluates the right-hand labels on the host before rewriting it, so
     degree operands observe pre-application degrees.  Deletes the images of
     non-interface left items, adds the right-only items with fresh ids, and
-    relabels interface node images whose atoms or mark change.  A host
-    rewritten in place stops keeping its certificate's invariant
-    (`HostGraph.drop_invariant`), since more such rewrites usually follow."""
+    relabels interface node images whose atoms or mark change."""
     rule = _rule(schema)
     image, alpha = match
     labels = rule.build(image, alpha, host)
-    if copy:
-        result = host.copy()
-    else:
-        result = host
-        host.drop_invariant()
+    result = host.copy() if copy else host
     for heid in image[len(rule.left.nodes) :]:
         result.remove_edge(heid)
     for s in rule.deleted:
