@@ -1,5 +1,6 @@
-"""Confluence of rule sets, decided statically for the loops that the
-explorer runs straight to their normal form (`gp2.executor`).
+"""Which loops the explorer reduces, and by which matches (`gp2.executor`):
+a confluent set's by its first match each time, straight to its normal
+form, and a reducible set's by its independent matches, all at once.
 
 A terminating rule set that is locally confluent has one normal form up to
 isomorphism from every graph (Newman 1942), so its loop `R!` has exactly
@@ -37,19 +38,35 @@ other node, since interface nodes keep their variable and created nodes
 carry none, so the isomorphism maps each kept node to itself: the pair is
 strongly joinable.  A pair that needs another common reduct is not
 found to join.
+
+A reducible set's rules cannot enable a match of the set, and a match
+disables only itself, so a match whose written items meet no other image
+commutes with every other match (Valmari 1990, stubborn sets).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import count, product
 from typing import Iterator, Optional
 
 from .graphs import HostGraph, HostLabel
-from .labels import Cons, Empty, IntLit, RuleLabel, StrLit, Var, VType, subterms, variables
-from .rules import ConditionalRuleSchema, RuleGraph, _rule, apply, enumerate_matches, reducible
+from .labels import (
+    Cons,
+    Empty,
+    IntLit,
+    RuleLabel,
+    StrLit,
+    Var,
+    VType,
+    degree_nodes,
+    subterms,
+    variables,
+)
+from .rules import ConditionalRuleSchema, Match, RuleGraph, _rule, apply, enumerate_matches
 
 CONFLUENT = "confluent"
-REDUCIBLE = "reducible"
+INDEPENDENT = "independent"
 
 # the most ways to glue two left graphs that the analysis tries, counted
 # as the choices of an image or none for each left item; a set that needs
@@ -58,17 +75,77 @@ MAX_OVERLAPS = 100_000
 
 
 def loop_kind(rules: list[ConditionalRuleSchema]) -> Optional[str]:
-    """How the explorer steps a loop of rules: CONFLUENT, REDUCIBLE
-    (`rules.reducible`) or neither.  Computed once per rule set and kept
-    on the compiled record of its first rule, keyed by the records of the
-    set, so a changed rule is analysed again."""
+    """Which matches the explorer applies in a loop of rules: the first
+    each time (CONFLUENT, `confluent`), every `independent` one
+    (INDEPENDENT, `reducible`) or none.  Computed once per rule set and
+    kept on the compiled record of its first rule, keyed by the records of
+    the set, so a changed rule is analysed again."""
     records = tuple(map(_rule, rules))
     if not records:
         return None  # the body of {}! fails at once, so it steps as written
     kinds = records[0].loops
     if records not in kinds:
-        kinds[records] = CONFLUENT if confluent(rules) else REDUCIBLE if reducible(rules) else None
+        kinds[records] = (
+            CONFLUENT if confluent(rules) else INDEPENDENT if reducible(rules) else None
+        )
     return kinds[records]
+
+
+def reducible(rules: list[ConditionalRuleSchema]) -> bool:
+    """Whether no rule of the set can enable a match of the set, and each
+    application disables its own match: every rule has no condition, no
+    degree operator in a label, right labels that cannot raise, no node
+    deleted or created and no right edge; every node it writes gets a mark
+    that no left node of the set has (a dead label); and it has a left
+    edge or writes a node.  A match of such a rule then deletes every edge
+    of its image, and no left node of the set matches a node it wrote."""
+    left_marks = {label.marked for s in rules for label in s.left.nodes.values()}
+    for schema in rules:
+        nodes, written = schema.right.nodes, _changed(schema)
+        if (
+            schema.condition is not None
+            or _rule(schema).raises
+            or not len(schema.left.nodes) == len(schema.interface) == len(nodes)
+            or schema.right.edges
+            or any(degree_nodes(label.expr) for label in _labels(schema))
+            or not (schema.left.edges or written)
+            or any(nodes[n].marked in left_marks for n in written)
+        ):
+            return False
+    return True
+
+
+def independent(
+    matches: list[tuple[ConditionalRuleSchema, Match]]
+) -> list[tuple[ConditionalRuleSchema, Match]]:
+    """The (schema, match) pairs whose match is independent of every other
+    one's, in order; for the rules of a reducible set (`reducible`).
+
+    Two matches are independent when neither one's written items meet the
+    other's image.  A match's written items are its image edges, which it
+    deletes, and the images of the nodes its rule relabels; node ids and
+    edge ids are counted apart."""
+    node_uses: Counter = Counter()
+    edge_uses: Counter = Counter()
+    written: set = set()
+    items = []
+    for schema, (image, _) in matches:
+        left = _rule(schema).left
+        nodes, edges = image[: len(left.nodes)], image[len(left.nodes) :]
+        writes = [image[left.slot[n]] for n in _changed(schema)]
+        node_uses.update(nodes)
+        edge_uses.update(edges)
+        written.update(writes)
+        items.append((nodes, edges, writes))
+    # no other image holds what a match writes, and no other match writes
+    # what it only reads
+    return [
+        pair
+        for pair, (nodes, edges, writes) in zip(matches, items)
+        if all(edge_uses[e] == 1 for e in edges)
+        and all(node_uses[n] == 1 for n in writes)
+        and not any(n in written for n in nodes if n not in writes)
+    ]
 
 
 def confluent(rules: list[ConditionalRuleSchema]) -> bool:

@@ -24,40 +24,38 @@ a different one of equal hash, and `equivalent` hands one table per host
 to the engines of both sides, so results that the two sides derive alike
 compare by identity, without one.
 
-A third saving explores fewer configurations: a loop of a reducible rule
-set (`rules.reducible`) applies one match per step, the first that is
-independent of every other enabled match (`rules.first_independent`),
-and all of them only where there is no such match.  This is a
-stubborn-set reduction (Valmari 1990), sound by parallel independence
-and the local Church-Rosser theorem (Ehrig et al. 2006):
+A third saving explores fewer configurations.  A loop of a confluent or
+a reducible rule set, decided once per rule set of a loaded program
+(`confluence.loop_kind`, confluent first), is reduced by
+`Engine._reduced_loop`: it rewrites the graph with matches that commute
+with every other match, on a copy made at the first rewrite, ticking once
+per rewrite, so the budget still bounds the loop and a truncated one gives
+`bottom: possible`.  With no match left it takes the loop's exit [alap2],
+with only conflicting ones left one [alap1] transition, and with none
+rewritten the loop steps as written.  It certifies only the graph it hands
+on.
 
-- No rule of the set can enable a match, and each application disables
-  its own match.  So the loop's state space is finite and acyclic.
-- The chosen match stays enabled along every other path, and it commutes
-  with every other match.  So every normal form, and hence every exit
-  of the loop, is still reached.  Since no ids are created, the exits
-  have identical contents, not just isomorphic ones.
-- Cycles through the loop, failure, `bottom` and the warnings are
-  unchanged.
+- A confluent set (`confluence.confluent`) takes its first match each
+  time.  It terminates, and each of its critical pairs is strongly
+  joinable, so by the critical pair lemma (Plump 2005) and Newman's lemma
+  every graph has one normal form up to isomorphism, whatever order the
+  matches are applied in.  That is the loop's only exit, and the loop
+  neither fails nor diverges.  No rule of the set has a condition or a
+  label that can raise, so no warning is lost.
+- A reducible set (`confluence.reducible`) takes every match independent
+  of every other (`confluence.independent`), a stubborn-set reduction
+  (Valmari 1990) sound by parallel independence and the local
+  Church-Rosser theorem (Ehrig et al. 2006).  No rule of the set can
+  enable a match, and each application disables its own match, so the
+  loop's state space is finite and acyclic.  An independent match stays
+  enabled along every other path and commutes with every other match, so
+  every exit of the loop is still reached, with identical contents since
+  no ids are created.  Cycles, failure, `bottom` and warnings are
+  unchanged.  It takes them in one batch: applying one disables only
+  itself, enables nothing and changes no other match's image, so the
+  independent matches shrink by exactly that one, and the batch reaches
+  the same exits as applying them one at a time.
 
-A fourth saving answers a loop of a confluent rule set
-(`confluence.confluent`) in one transition, to its one result.  The set
-terminates, and each of its critical pairs is strongly joinable, so by the
-critical pair lemma (Plump 2005) and Newman's lemma every graph has one
-normal form up to isomorphism, whatever order the matches are applied in:
-
-- That normal form is the loop's only exit, and the loop neither fails
-  nor diverges.  The explorer interns graphs up to isomorphism, so it
-  explores on from the same configurations as before.
-- The explorer reaches it by the first match each time, on a copy that it
-  rewrites in place.  It ticks once per rewrite, so the budget still
-  bounds the loop, and a truncated one gives `bottom: possible`.  It
-  certifies only the normal form.
-- No rule of the set has a condition or a label that can raise, so no
-  warning is lost.
-
-Each loop's saving, the fourth before the third where a set allows both,
-is decided once per rule set of a loaded program (`confluence.loop_kind`).
 `successors` and single runs keep the full one-step relation.
 """
 
@@ -65,9 +63,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Union
 
-from .confluence import CONFLUENT, REDUCIBLE, loop_kind
+from .confluence import CONFLUENT, independent, loop_kind
 
 # isomorphic is bound here only for perfbench/tracer.py
 from .graphs import Certificate, HostGraph, IsoStore, isomorphic
@@ -85,13 +84,7 @@ from .program import (
     Try,
     seq,
 )
-from .rules import (
-    ConditionalRuleSchema,
-    apply,
-    apply_ruleset,
-    enumerate_matches,
-    first_independent,
-)
+from .rules import ConditionalRuleSchema, apply, apply_ruleset, enumerate_matches
 
 
 @dataclass(frozen=True)
@@ -289,12 +282,10 @@ class Engine:
                 break
             head = cont[0]
             kind = self._loop_kind(head)
-            if kind is CONFLUENT:
-                succs, premise_truncated = self._normal_form(head, state)
-            elif kind is REDUCIBLE:
-                succs, premise_truncated = self._loop_step(head, state)
-            else:
+            if kind is None:
                 succs, premise_truncated = _step(self, head, state)
+            else:
+                succs, premise_truncated = self._reduced_loop(head, state, kind)
             if premise_truncated:
                 truncated = True
             elif not succs:
@@ -332,49 +323,34 @@ class Engine:
             self._loop_kinds[names] = loop_kind([self.rules[n] for n in names])
         return self._loop_kinds[names]
 
-    def _normal_form(self, loop: Loop, graph: HostGraph) -> tuple[list[Transition], bool]:
-        """What `_step` gives for a loop of a confluent rule set, reduced to
-        one transition, to the loop's one result: the graph rewritten by the
-        first match of its rules until none is left.  It copies the graph
-        at the first rewrite and then rewrites the copy in place, ticks once
-        per rewrite, and certifies only the result."""
+    def _reduced_loop(
+        self, loop: Loop, graph: HostGraph, kind: str
+    ) -> tuple[list[Transition], bool]:
+        """What `_step` gives for a loop that `loop_kind` reduces, reduced:
+        the graph rewritten by its first match each time (CONFLUENT) or by
+        every independent match in one batch (INDEPENDENT) until there is
+        none, then one [alap2] transition where no match is left and one
+        [alap1] where conflicting ones are.  A loop whose matches all
+        conflict at entry steps as written (`_step`)."""
         rules = [self.rules[n] for n in loop.body.names]
         h = graph
-        while pick := next(
-            ((s, m) for s in rules for m in enumerate_matches(s, h, self.warnings)), None
-        ):
-            if not self.tick():
-                return [], True
-            h = apply(pick[0], h, pick[1], copy=h is graph)
+        while True:
+            matches = ((s, m) for s in rules for m in enumerate_matches(s, h, self.warnings))
+            if kind is CONFLUENT:
+                enabled = batch = list(islice(matches, 1))
+            else:
+                enabled = list(matches)
+                batch = independent(enabled)
+            if not batch:
+                break
+            for schema, match in batch:
+                if not self.tick():
+                    return [], True
+                h = apply(schema, h, match, copy=h is graph)
+        if enabled and h is graph:
+            return _step(self, loop, graph)
         h.signature(self._certificates)
-        return [((), h, "alap2")], False
-
-    def _loop_step(self, loop: Loop, graph: HostGraph) -> tuple[list[Transition], bool]:
-        """What `_step` gives for a loop of a reducible rule set, reduced to
-        one [alap1] transition where some match is independent of every
-        other one (`rules.first_independent`): the first such match.
-
-        Otherwise the body's full result goes into the memo, where `_step`
-        reads it.  This charges the tick that `_ruleset_call` would, and it
-        stores no reduced result, which premises could read."""
-        body = loop.body
-        key = (body, graph.signature(self._certificates))
-        if key not in self._memo:
-            if not self.tick():
-                return [], True
-            matches = [
-                (schema, match)
-                for schema in (self.rules[n] for n in body.names)
-                for match in enumerate_matches(schema, graph, self.warnings)
-            ]
-            pick = first_independent(matches)
-            if pick is not None:
-                h = apply(pick[0], graph, pick[1])
-                h.signature(self._certificates)
-                return [((loop,), h, "alap1")], False
-            graphs = self.call(body.names, graph) if matches else []
-            self._memo[key] = ResultSet(graphs, not graphs, BOTTOM_NONE)
-        return _step(self, loop, graph)
+        return [((loop,), h, "alap1") if enabled else ((), h, "alap2")], False
 
 
 def _entered(cont: tuple[Command, ...]) -> tuple[Command, ...]:

@@ -430,14 +430,6 @@ class Certificate:
         return self._form_hash
 
 
-def _certificate(g: HostGraph) -> Certificate:
-    """The certificate of g from scratch, as `HostGraph.signature` makes it
-    without a table, but not cached on g."""
-    nodes, edges = g.nodes, g.edges
-    h = _certificate_hash(nodes, edges, g.incidence())
-    return Certificate(_Content((h, dict(nodes), dict(edges))))
-
-
 def _canonical_form(nodes: dict[str, HostLabel], host_edges: dict[str, Edge]) -> tuple:
     """Canonical form by colour refinement and individualisation.
 

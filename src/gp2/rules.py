@@ -23,14 +23,12 @@ not depend on the plan; `apply` rewrites at one, and the right labels are
 evaluated in `apply`, once per applied match.  `infer_assignment` reads
 the same search for the assignment of one premorphism.
 
-`reducible` and `first_independent` tell the explorer which loops it may
-step by one match at a time (`gp2.executor`), and `gp2.confluence` which
-ones it may run straight to their normal form.
+Which loops the explorer reduces, and by which matches, is decided in
+`gp2.confluence`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -211,18 +209,12 @@ class _Rule:
     the slots of the left nodes it deletes, each right item in slot order
     with its mark and the left slot of an interface node or the right node
     slots of an edge's ends, and the generated test of a complete match and
-    evaluator of the right labels (`matcher.generate_rule`).
-
-    For `reducible` it also keeps the left slots of the nodes it writes
-    (interface nodes whose right label differs from the left one), the
-    marks those get and the marks of its left nodes, and whether the rule
-    alone meets the rest of the test (`alone`).  `loops` holds the
-    explorer's verdict on loops of each rule set this rule comes first in
-    (`confluence.loop_kind`)."""
+    evaluator of the right labels (`matcher.generate_rule`).  `loops` holds
+    the explorer's verdict on loops of each rule set this rule comes first
+    in (`confluence.loop_kind`)."""
 
     __slots__ = ("left", "right", "interface", "condition", "deleted", "nodes", "edges")
-    __slots__ += ("test", "build", "raises", "writes", "written_marks", "left_marks", "alone")
-    __slots__ += ("loops",)
+    __slots__ += ("test", "build", "raises", "loops")
 
     def __init__(self, schema: ConditionalRuleSchema) -> None:
         left, right = _left(schema.left), _compiled(schema.right)
@@ -235,21 +227,6 @@ class _Rule:
         edges = [graph.edges[eid] for eid in right.edges]
         self.edges = [(ref[e.source], ref[e.target], e.label.marked) for e in edges]
         self.test, self.build, self.raises = generate_rule(schema, left.slot)
-        lhs, rhs = schema.left.nodes, graph.nodes
-        written = [n for n in left.nodes if n in schema.interface and lhs[n] != rhs[n]]
-        self.writes = [left.slot[n] for n in written]
-        self.written_marks = {rhs[n].marked for n in written}
-        self.left_marks = {label.marked for label in lhs.values()}
-        labels = [*lhs.values(), *rhs.values(), *(e.label for e in schema.left.edges.values())]
-        self.alone = (
-            schema.condition is None
-            and not self.raises
-            and not self.deleted
-            and len(rhs) == len(schema.interface)
-            and not edges
-            and not any(degree_nodes(label.expr) for label in labels)
-            and bool(left.edges or written)
-        )
         self.loops: dict[tuple[_Rule, ...], Optional[str]] = {}
 
 
@@ -349,53 +326,6 @@ def apply(
     for (source, target, marked), items in zip(rule.edges, labels[len(ids) :]):
         result.add_edge(ids[source], ids[target], HostLabel(items, marked))
     return result
-
-
-def reducible(rules: list[ConditionalRuleSchema]) -> bool:
-    """Whether no rule of the set can enable a match of the set, and each
-    application disables its own match: every rule has no condition, no
-    degree operator in a label, right labels that cannot raise, no node
-    deleted or created and no right edge; every node it writes gets a mark
-    that no left node of the set has (a dead label); and it has a left
-    edge or writes a node.  A match of such a rule then deletes every edge
-    of its image, and no left node of the set matches a node it wrote."""
-    compiled = list(map(_rule, rules))
-    left_marks = set().union(*(rule.left_marks for rule in compiled))
-    return all(rule.alone and not rule.written_marks & left_marks for rule in compiled)
-
-
-def first_independent(
-    matches: list[tuple[ConditionalRuleSchema, Match]]
-) -> Optional[tuple[ConditionalRuleSchema, Match]]:
-    """The first (schema, match) pair whose match is independent of every
-    other one's, or None; for the rules of a reducible set (`reducible`).
-
-    Two matches are independent when neither one's written items meet the
-    other's image.  A match's written items are its image edges, which it
-    deletes, and the images of the nodes its rule writes; node ids and edge
-    ids are counted apart."""
-    node_uses: Counter = Counter()
-    edge_uses: Counter = Counter()
-    written: set = set()
-    items = []
-    for schema, (image, _) in matches:
-        rule = _rule(schema)
-        k = len(rule.left.nodes)
-        nodes, edges, writes = image[:k], image[k:], [image[s] for s in rule.writes]
-        node_uses.update(nodes)
-        edge_uses.update(edges)
-        written.update(writes)
-        items.append((nodes, edges, writes))
-    for pair, (nodes, edges, writes) in zip(matches, items):
-        # no other image holds what this match writes, and no other match
-        # writes what this one only reads
-        if (
-            all(edge_uses[e] == 1 for e in edges)
-            and all(node_uses[n] == 1 for n in writes)
-            and not any(n in written for n in nodes if n not in writes)
-        ):
-            return pair
-    return None
 
 
 def apply_ruleset(

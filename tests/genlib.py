@@ -25,7 +25,17 @@ from gp2.executor import (
     TraceEntry,
     Unfinished,
 )
-from gp2.graphs import Atom, HostGraph, HostLabel, IsoStore, Premorphism, format_atom
+from gp2.graphs import (
+    Atom,
+    Certificate,
+    HostGraph,
+    HostLabel,
+    IsoStore,
+    Premorphism,
+    _certificate_hash,
+    _Content,
+    format_atom,
+)
 from gp2.labels import (
     And,
     Arith,
@@ -782,6 +792,14 @@ def _ranks(keys: list) -> list[int]:
 def _label_key(label: HostLabel) -> tuple:
     """A total order on labels: atoms of one kind compare."""
     return tuple([isinstance(a, str) for a in label.items]), label.items, label.marked
+
+
+def fresh_certificate(g: HostGraph) -> Certificate:
+    """The certificate of g from scratch, as `HostGraph.signature` makes it
+    without a table, but not cached on g."""
+    nodes, edges = g.nodes, g.edges
+    h = _certificate_hash(nodes, edges, g.incidence())
+    return Certificate(_Content((h, dict(nodes), dict(edges))))
 
 
 def reference_certificate(g: HostGraph) -> tuple:

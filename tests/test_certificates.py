@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from genlib import host_universe, reference_certificate
+from genlib import fresh_certificate, host_universe, reference_certificate
 from gp2 import corpus, graphs
 from gp2.executor import Budget, Engine, equivalent
 from gp2.graphs import HostGraph, HostLabel, IsoStore
@@ -74,7 +74,7 @@ def test_the_signature_equals_a_fresh_certificate_after_every_mutation():
     """Seeded mutation sequences over certified graphs, some with the
     marked index built, with copies taken mid-sequence and mutated apart:
     after every mutation the graph's certificate equals, and hashes as, the
-    certificate of a rebuilt graph and the from-scratch `_certificate`."""
+    certificate of a rebuilt graph and the from-scratch `fresh_certificate`."""
     rng = random.Random(24)
     for _ in range(60):
         certified = random_marked_host(rng, max_nodes=5)
@@ -88,7 +88,7 @@ def test_the_signature_equals_a_fresh_certificate_after_every_mutation():
                 live.append(g.copy())
             mutate(rng, g)
             cert = g.signature()
-            for fresh in (rebuilt(g).signature(), graphs._certificate(g)):
+            for fresh in (rebuilt(g).signature(), fresh_certificate(g)):
                 assert hash(fresh) == hash(cert) and fresh == cert
 
 
@@ -192,7 +192,7 @@ def test_a_certificate_outlives_an_in_place_rewrite():
                 break
             schema, match = rng.choice(matches)
             apply(schema, host, match, copy=False)
-            assert cert == graphs._certificate(old) and hash(cert) == hash(graphs._certificate(old))
+            assert cert == fresh_certificate(old) and hash(cert) == hash(fresh_certificate(old))
             assert cert != host.signature(table)
             assert rebuilt(old).signature(table) is cert
 
@@ -256,7 +256,8 @@ def test_explore_requests_compute_few_canonical_forms(monkeypatch):
     waited for an equal hash, 953 while the hash took a sum of squared
     label hashes, 798 now: of isomorphic graphs built apart, and of graphs
     that the hash cannot tell apart, such as paths marked at different
-    inner nodes."""
+    inner nodes.  2,765 graphs are certified, 3,373 while a reducible loop
+    took one match per configuration."""
     programs = {name: corpus.load(name) for name in PROGRAMS["explore"]}
     cycles = workloads.explore(random.Random("explore:5"), 8)
 
@@ -269,4 +270,4 @@ def test_explore_requests_compute_few_canonical_forms(monkeypatch):
     serve(cycles[0])
     counts = count_certification(monkeypatch)
     serve([req for cycle in cycles for req in cycle])
-    assert (counts["forms"], counts["certified"], counts["reused"]) == (798, 3_373, 198)
+    assert (counts["forms"], counts["certified"], counts["reused"]) == (798, 2_765, 198)

@@ -8,11 +8,11 @@ take the same number of steps and record the same warnings, on every
 budget, including the truncated ones, except where `Engine` reduces a
 loop: one of a confluent rule set (`confluence.confluent`) to one
 transition to its normal form, one of a reducible rule set
-(`rules.reducible`) to one match per step.  There the reduced explorer
-must take no more steps, and wherever the reference completes the result
-sets must agree up to isomorphism, with the same failure, bottom and
-warnings.  The verdicts themselves are pinned for every loop of the
-corpus and the law rules, with the reason for each no.
+(`confluence.reducible`) by all its independent matches at once.  There
+the reduced explorer must take no more steps, and wherever the reference
+completes the result sets must agree up to isomorphism, with the same
+failure, bottom and warnings.  The verdicts themselves are pinned for
+every loop of the corpus and the law rules, with the reason for each no.
 """
 
 import random
@@ -21,8 +21,8 @@ from collections import Counter
 from pathlib import Path
 
 from genlib import ReferenceEngine, random_body, random_host, small_hosts
-from gp2 import confluence, corpus
-from gp2.confluence import confluent, obstacle
+from gp2 import confluence, corpus, executor
+from gp2.confluence import confluent, obstacle, reducible
 from gp2.executor import (
     BOTTOM_NONE,
     BOTTOM_POSSIBLE,
@@ -40,7 +40,7 @@ from gp2.graphs import HostGraph, HostLabel, isomorphic
 from gp2.labels import subterms
 from gp2.parsing import parse_host_graph, parse_program
 from gp2.program import CheckedProgram, Loop, RuleSetCall, checked
-from gp2.rules import reducible
+from test_certificates import count_certification
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
@@ -164,10 +164,10 @@ def test_benchmark_requests_match_the_reference_explorer():
     cycles, under 4,000 steps, about five times what the reference takes on the
     largest of them, and none may run out.  Results, bottom and
     warnings equal the reference's everywhere, and so do the steps, except
-    where the explorer reduces a loop.  `euler_cycle`'s `clean_up!` steps
-    by one match at a time (`Engine._loop_step`), so it must take fewer.
-    `connected`'s `{mark_out, mark_in}!` and the `coin` loop of the law
-    sides go straight to their normal form (`Engine._normal_form`), so they
+    where the explorer reduces a loop (`Engine._reduced_loop`).
+    `euler_cycle`'s `clean_up!` applies its independent matches at once,
+    so it must take fewer.  `connected`'s `{mark_out, mark_in}!` and the
+    `coin` loop of the law sides go straight to their normal form, so they
     must take no more."""
     rng = random.Random(72)
     programs = {name: corpus.load(name) for name in PROGRAMS["explore"]}
@@ -276,8 +276,87 @@ def test_reduced_loops_reach_the_reference_results():
     assert reduced >= 100, reduced
 
 
+def test_a_reduced_loop_ticks_once_per_rewrite_and_certifies_its_result(monkeypatch):
+    """`mark!` on n unmarked nodes takes one step for its configuration and
+    one per rewrite, and certifies the host and the one result it hands
+    on, which agrees with the reference's up to isomorphism.  The loop's
+    verdict, whose analysis certifies graphs of its own, is taken first."""
+    loop = Loop(RuleSetCall(("mark",)))
+    assert confluence.loop_kind([REDUCIBLE_MIX["mark"]]) == confluence.CONFLUENT
+    cases = []
+    for n in (1, 4, 16):
+        text = "[ " + "".join(f"(n{i}, 0) " for i in range(n)) + "| ]"
+        ref = ReferenceEngine(REDUCIBLE_MIX, Budget(max_steps=10_000))
+        cases.append((n, text, ref, ref.semantics(loop, parse_host_graph(text))))
+    counts = count_certification(monkeypatch)
+    for n, text, ref, want in cases:
+        new = Engine(REDUCIBLE_MIX, Budget(max_steps=10_000))
+        before = counts["certified"]
+        got = new.semantics(loop, parse_host_graph(text))
+        assert counts["certified"] - before == 2, n
+        assert new.steps == n + 1, n
+        assert up_to_iso(new, got) == up_to_iso(ref, want), n
+
+
+def test_a_reducible_loop_batches_then_hands_over(monkeypatch):
+    """`{mark, remove_edge}!` on an isolated node and an edge, labelled
+    apart.  The loop marks the isolated node in one batch and hands over by
+    one [alap1] transition, since the other three matches conflict at the
+    edge's ends; that configuration steps as written (`_step`), and each of
+    its three successors reaches the loop's exit in one batch.  The results
+    agree with the reference's up to isomorphism, in fewer steps."""
+    loop = Loop(RuleSetCall(("mark", "remove_edge")))
+    host = parse_host_graph("[ (n1, 0) (n2, 1) (n3, 2) | (e1, n2, n3, 3) ]")
+    paths = []
+    step, reduced_loop = executor._step, Engine._reduced_loop
+
+    def spied_step(mode, head, graph):
+        if isinstance(head, Loop):
+            paths.append("step")
+        return step(mode, head, graph)
+
+    def spied_reduced_loop(engine, head, graph, kind):
+        before = len(paths)
+        succs, truncated = reduced_loop(engine, head, graph, kind)
+        if len(paths) == before:
+            paths.append([rule for _, _, rule in succs])
+        return succs, truncated
+
+    monkeypatch.setattr(executor, "_step", spied_step)
+    monkeypatch.setattr(Engine, "_reduced_loop", spied_reduced_loop)
+    budget = Budget(max_steps=1_000)
+    new, ref = Engine(REDUCIBLE_MIX, budget), ReferenceEngine(REDUCIBLE_MIX, budget)
+    got, want = new.semantics(loop, host), ref.semantics(loop, host)
+    assert paths == [["alap1"], "step", ["alap2"], ["alap2"], ["alap2"]]
+    assert len(got.graphs) == 2 and up_to_iso(new, got) == up_to_iso(ref, want)
+    assert new.steps < ref.steps
+
+
+def test_a_budget_spent_mid_batch_gives_possible_bottom():
+    """`{mark, remove_edge}!` on 6 unmarked nodes marks them in one batch,
+    which takes 7 steps with the loop's configuration.  With 4 the batch
+    stops at its fourth rewrite, and the result set is `bottom: possible`
+    with no graph, as the reference's is; with 7 it agrees with the
+    reference's complete result set up to isomorphism."""
+    loop = Loop(RuleSetCall(("mark", "remove_edge")))
+    text = "[ " + "".join(f"(n{i}, 0) " for i in range(6)) + "| ]"
+    ref = ReferenceEngine(REDUCIBLE_MIX, Budget(max_steps=10_000))
+    want = ref.semantics(loop, parse_host_graph(text))
+    assert want.bottom == BOTTOM_NONE
+    for steps, bottom in ((4, BOTTOM_POSSIBLE), (7, BOTTOM_NONE)):
+        new = Engine(REDUCIBLE_MIX, Budget(max_steps=steps))
+        got = new.semantics(loop, parse_host_graph(text))
+        assert (got.bottom, new.steps) == (bottom, steps)
+        if bottom == BOTTOM_POSSIBLE:
+            cut = ReferenceEngine(REDUCIBLE_MIX, Budget(max_steps=steps))
+            assert cut.semantics(loop, parse_host_graph(text)).bottom == BOTTOM_POSSIBLE
+            assert got.graphs == [] and not got.can_fail
+        else:
+            assert up_to_iso(new, got) == up_to_iso(ref, want)
+
+
 def test_reducible_rule_sets():
-    """`rules.reducible` on the corpus, the law rules and rules made to
+    """`confluence.reducible` on the corpus, the law rules and rules made to
     break one condition each."""
     made = checked(
         parse_program(
