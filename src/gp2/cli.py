@@ -150,9 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # UnicodeDecodeError: an input file that is not UTF-8; RecursionError:
-    # a program nested deeper than the recursive parser, type checks and
-    # nested premises allow (walking, printing and hashing syntax trees
-    # and evaluating labels and conditions do not recurse)
+    # a program nested deeper than what still recurses allows: bracket
+    # nesting and `if` chains in the parser, and nested premises (label
+    # and condition chains parse, check, compare and run without it)
     except (
         ParseError, CheckError, OutputError, OSError, UnicodeDecodeError, RecursionError
     ) as exc:

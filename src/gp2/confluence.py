@@ -129,10 +129,12 @@ def independent(
     edge_uses: Counter = Counter()
     written: set = set()
     items = []
+    schemas = {id(schema): schema for schema, _ in matches}  # each rule once
+    slots = {i: [_rule(s).left.slot[n] for n in _changed(s)] for i, s in schemas.items()}
     for schema, (image, _) in matches:
         left = _rule(schema).left
         nodes, edges = image[: len(left.nodes)], image[len(left.nodes) :]
-        writes = [image[left.slot[n]] for n in _changed(schema)]
+        writes = [image[s] for s in slots[id(schema)]]
         node_uses.update(nodes)
         edge_uses.update(edges)
         written.update(writes)

@@ -399,11 +399,10 @@ class Certificate:
     (`_certificate_hash`) and holds a snapshot of its content.  Its
     canonical form (`_canonical_form`) is computed at the first comparison
     with a different certificate of equal hash, and the snapshot is then
-    dropped; certificates of unequal forms then tell apart by the forms'
-    hashes.
+    dropped; certificates of equal hash then compare by their forms.
     """
 
-    __slots__ = ("_hash", "_content", "_form", "_form_hash")
+    __slots__ = ("_hash", "_content", "_form")
 
     def __init__(self, content: _Content) -> None:
         self._hash = content[0]
@@ -417,17 +416,15 @@ class Certificate:
             other.__class__ is Certificate
             and self._hash == other._hash
             and self._canonical() == other._canonical()
-            and self._form == other._form
         )
 
-    def _canonical(self) -> int:
-        """The hash of the canonical form, which is computed at the first call."""
+    def _canonical(self) -> tuple:
+        """The canonical form, which is computed at the first call."""
         if self._content is not None:
             _, nodes, edges = self._content
             self._form = _canonical_form(nodes, edges)
-            self._form_hash = hash(self._form)
             self._content = None
-        return self._form_hash
+        return self._form
 
 
 def _canonical_form(nodes: dict[str, HostLabel], host_edges: dict[str, Edge]) -> tuple:

@@ -1,5 +1,5 @@
 """Rule-schema label expressions and conditions, their evaluation, and
-the one walker and printer of every syntax tree.
+the one base class, walker and printer of every syntax tree.
 
 Expressions are evaluated relative to a premorphism (for degree lookups),
 an assignment of values to typed variables, and a host graph.  One writer
@@ -8,9 +8,11 @@ never recurses: `gp2.matcher` writes a rule's code with it, and
 `eval_list` and `eval_condition` compile and run it on each call.  The
 interpreted evaluators it replaced are the reference in `tests/genlib.py`.
 
-One table gives each node's text as strings and the nodes nested in it;
-the walker (`operands`, `subterms`) and the printer (`show`, which `str()`
-calls) read it, and `gp2.program` adds the commands to it.
+Every syntax node, here and in `gp2.program`, subclasses `_Node`: it
+stores its hash when built and compares on an explicit stack.  One table
+gives each node's text as strings and the nodes nested in it; the walker
+(`operands`, `subterms`), the printer (`show`, each node's `str`) and the
+type checker (`infer_type`) read it, so none of them recurses.
 """
 
 from __future__ import annotations
@@ -33,146 +35,7 @@ class VType(Enum):
     LIST = "list"
 
 
-# -- expression AST ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Empty:
-    pass
-
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class StrLit:
-    value: str
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    vtype: VType
-
-
-@dataclass(frozen=True)
-class Neg:
-    expr: "ListExpr"
-
-
-@dataclass(frozen=True)
-class Arith:
-    op: str  # one of + - * /
-    left: "ListExpr"
-    right: "ListExpr"
-
-
-@dataclass(frozen=True)
-class Deg:
-    direction: str  # "in" or "out"
-    node: str
-
-
-@dataclass(frozen=True)
-class Dot:
-    left: "ListExpr"
-    right: "ListExpr"
-
-
-@dataclass(frozen=True)
-class Cons:
-    left: "ListExpr"
-    right: "ListExpr"
-
-
-ListExpr = Union[Empty, IntLit, StrLit, Var, Neg, Arith, Deg, Dot, Cons]
-
-
-@dataclass(frozen=True)
-class RuleLabel:
-    expr: ListExpr
-    marked: bool = False
-
-
-# -- condition AST -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TypeCheck:
-    tname: str  # int | string | atom
-    expr: ListExpr
-
-
-@dataclass(frozen=True)
-class Eq:
-    left: ListExpr
-    right: ListExpr
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class Rel:
-    op: str  # > >= < <=
-    left: ListExpr
-    right: ListExpr
-
-
-@dataclass(frozen=True)
-class EdgePred:
-    source: str
-    target: str
-    label: Optional[ListExpr] = None
-
-
-@dataclass(frozen=True)
-class Not:
-    cond: "Condition"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Condition"
-    right: "Condition"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Condition"
-    right: "Condition"
-
-
-Condition = Union[TypeCheck, Eq, Rel, EdgePred, Not, And, Or]
-
-
 # -- walking and printing --------------------------------------------
-
-# each node's text, as strings and the nodes nested in it, left to right;
-# gp2.program adds the commands
-_PIECES: dict[type, Callable[[Any], list]] = {
-    Empty: lambda e: ["empty"],
-    IntLit: lambda e: [str(e.value)],
-    StrLit: lambda e: [format_atom(e.value)],
-    Var: lambda e: [e.name],
-    Neg: lambda e: ["(-", e.expr, ")"],
-    Arith: lambda e: ["(", e.left, f" {e.op} ", e.right, ")"],
-    Deg: lambda e: [("indeg(" if e.direction == "in" else "outdeg(") + e.node + ")"],
-    Dot: lambda e: [e.left, ".", e.right],
-    Cons: lambda e: [e.left, ":", e.right],
-    RuleLabel: lambda e: [e.expr, " #"] if e.marked else [e.expr],
-    TypeCheck: lambda e: [e.tname + "(", e.expr, ")"],
-    Eq: lambda e: [e.left, " != " if e.negated else " = ", e.right],
-    Rel: lambda e: [e.left, f" {e.op} ", e.right],
-    EdgePred: lambda e: (
-        [f"edge({e.source}, {e.target})"]
-        if e.label is None
-        else [f"edge({e.source}, {e.target}, ", e.label, ")"]
-    ),
-    Not: lambda e: ["not (", e.cond, ")"],
-    And: lambda e: ["(", e.left, " and ", e.right, ")"],
-    Or: lambda e: ["(", e.left, " or ", e.right, ")"],
-}
 
 
 def operands(e) -> list:
@@ -215,8 +78,188 @@ def show(node, limit: Optional[int] = None) -> str:
     return "".join(out)
 
 
-for _node in _PIECES:  # every node prints through show
-    _node.__str__ = show
+class _Node:
+    """A syntax node hashes once, when built, from the stored hashes of
+    the nodes nested in it, so no lookup walks a tree."""
+
+    # in place of the dataclass __init__, and in its one stack frame: a
+    # __post_init__ would lower the nesting the parser can read by a level
+    def __init__(self, *fields, **named) -> None:
+        if len(fields) > len(self.__match_args__) or named.keys() - self.__dataclass_fields__:
+            raise TypeError(f"unexpected arguments for {type(self).__name__}: {fields} {named}")
+        state = vars(self)
+        state.update(zip(self.__match_args__, fields), **named)
+        # keyword-only fields, such as a call's bare flag, change only the text
+        key = (type(self), *map(self.__getattribute__, self.__match_args__))
+        state["_key"] = key
+        state["_hash"] = hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        """Field by field, on an explicit stack, comparing each pair of
+        nested nodes once however often the two trees share it."""
+        pairs = [(self, other)]
+        seen = set()
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, tuple):
+                if not isinstance(b, tuple) or len(a) != len(b):
+                    return False
+                pairs += zip(a, b)
+            elif not isinstance(a, _Node):
+                if a != b:
+                    return False
+            elif not isinstance(b, _Node) or a._hash != b._hash:
+                return False
+            elif (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                pairs.append((a._key, b._key))
+        return True
+
+    __str__ = show
+
+
+# -- expression AST ----------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Empty(_Node):
+    pass
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class IntLit(_Node):
+    value: int
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class StrLit(_Node):
+    value: str
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Var(_Node):
+    name: str
+    vtype: VType
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Neg(_Node):
+    expr: "ListExpr"
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Arith(_Node):
+    op: str  # one of + - * /
+    left: "ListExpr"
+    right: "ListExpr"
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Deg(_Node):
+    direction: str  # "in" or "out"
+    node: str
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Dot(_Node):
+    left: "ListExpr"
+    right: "ListExpr"
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Cons(_Node):
+    left: "ListExpr"
+    right: "ListExpr"
+
+
+ListExpr = Union[Empty, IntLit, StrLit, Var, Neg, Arith, Deg, Dot, Cons]
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class RuleLabel(_Node):
+    expr: ListExpr
+    marked: bool = False
+
+
+# -- condition AST -----------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class TypeCheck(_Node):
+    tname: str  # int | string | atom
+    expr: ListExpr
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Eq(_Node):
+    left: ListExpr
+    right: ListExpr
+    negated: bool = False
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Rel(_Node):
+    op: str  # > >= < <=
+    left: ListExpr
+    right: ListExpr
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class EdgePred(_Node):
+    source: str
+    target: str
+    label: Optional[ListExpr] = None
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Not(_Node):
+    cond: "Condition"
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class And(_Node):
+    left: "Condition"
+    right: "Condition"
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Or(_Node):
+    left: "Condition"
+    right: "Condition"
+
+
+Condition = Union[TypeCheck, Eq, Rel, EdgePred, Not, And, Or]
+
+# each node's text, as strings and the nodes nested in it, left to right;
+# gp2.program adds the commands
+_PIECES: dict[type, Callable[[Any], list]] = {
+    Empty: lambda e: ["empty"],
+    IntLit: lambda e: [str(e.value)],
+    StrLit: lambda e: [format_atom(e.value)],
+    Var: lambda e: [e.name],
+    Neg: lambda e: ["(-", e.expr, ")"],
+    Arith: lambda e: ["(", e.left, f" {e.op} ", e.right, ")"],
+    Deg: lambda e: [("indeg(" if e.direction == "in" else "outdeg(") + e.node + ")"],
+    Dot: lambda e: [e.left, ".", e.right],
+    Cons: lambda e: [e.left, ":", e.right],
+    RuleLabel: lambda e: [e.expr, " #"] if e.marked else [e.expr],
+    TypeCheck: lambda e: [e.tname + "(", e.expr, ")"],
+    Eq: lambda e: [e.left, " != " if e.negated else " = ", e.right],
+    Rel: lambda e: [e.left, f" {e.op} ", e.right],
+    EdgePred: lambda e: (
+        [f"edge({e.source}, {e.target})"]
+        if e.label is None
+        else [f"edge({e.source}, {e.target}, ", e.label, ")"]
+    ),
+    Not: lambda e: ["not (", e.cond, ")"],
+    And: lambda e: ["(", e.left, " and ", e.right, ")"],
+    Or: lambda e: ["(", e.left, " or ", e.right, ")"],
+}
 
 
 # -- typing ------------------------------------------------------------
@@ -226,45 +269,43 @@ class LabelTypeError(Exception):
     pass
 
 
+# each expression kind's type (a variable's is declared), and the type
+# its operands need with the message that says they lack it
+_TYPING: dict[type, tuple] = {
+    Empty: (VType.LIST, None), Cons: (VType.LIST, None), Var: (None, None),
+    IntLit: (VType.INT, None), Deg: (VType.INT, None), StrLit: (VType.STRING, None),
+    Neg: (VType.INT, (VType.INT, "unary minus needs an integer, got {got}")),
+    Arith: (VType.INT, (VType.INT, "arithmetic needs integers in {e}")),
+    Dot: (VType.STRING, (VType.STRING, "'.' needs strings in {e}")),
+}
+
+
 def infer_type(e: ListExpr, decls: dict[str, VType]) -> VType:
-    """Static type of an expression under the given variable declarations."""
-    if isinstance(e, Empty):
-        return VType.LIST
-    if isinstance(e, IntLit):
-        return VType.INT
-    if isinstance(e, StrLit):
-        return VType.STRING
-    if isinstance(e, Var):
-        declared = decls.get(e.name)
-        if declared is None:
-            raise LabelTypeError(f"undeclared variable {e.name!r}")
-        if declared is not e.vtype:
-            raise LabelTypeError(
-                f"variable {e.name!r} used as {e.vtype.value}, declared {declared.value}"
-            )
-        return declared
-    if isinstance(e, Neg):
-        inner = infer_type(e.expr, decls)
-        if inner is not VType.INT:
-            raise LabelTypeError(f"unary minus needs an integer, got {inner.value}")
-        return VType.INT
-    if isinstance(e, Arith):
-        for side in (e.left, e.right):
-            if infer_type(side, decls) is not VType.INT:
-                raise LabelTypeError(f"arithmetic needs integers in {e}")
-        return VType.INT
-    if isinstance(e, Deg):
-        return VType.INT
-    if isinstance(e, Dot):
-        for side in (e.left, e.right):
-            if infer_type(side, decls) is not VType.STRING:
-                raise LabelTypeError(f"'.' needs strings in {e}")
-        return VType.STRING
-    if isinstance(e, Cons):
-        infer_type(e.left, decls)
-        infer_type(e.right, decls)
-        return VType.LIST
-    raise LabelTypeError(f"unknown expression {e!r}")
+    """Static type of an expression under the given variable declarations:
+    one post-order walk on an explicit stack, checking each operand against
+    what its parent needs as soon as its type is known."""
+    todo = [(e, None, False)]  # (node, parent, operands pushed)
+    while todo:
+        e, parent, pushed = todo.pop()
+        if type(e) not in _TYPING:
+            raise LabelTypeError(f"unknown expression {e!r}")
+        if not pushed and (nested := operands(e)):
+            todo.append((e, parent, True))
+            todo += [(o, e, False) for o in reversed(nested)]
+            continue
+        vtype = _TYPING[type(e)][0]
+        if vtype is None:
+            vtype = decls.get(e.name)
+            if vtype is None:
+                raise LabelTypeError(f"undeclared variable {e.name!r}")
+            if vtype is not e.vtype:
+                raise LabelTypeError(
+                    f"variable {e.name!r} used as {e.vtype.value}, declared {vtype.value}"
+                )
+        need = None if parent is None else _TYPING[type(parent)][1]
+        if need is not None and vtype is not need[0]:
+            raise LabelTypeError(need[1].format(e=parent, got=vtype.value))
+    return vtype
 
 
 def variables(e) -> set[str]:

@@ -38,9 +38,9 @@ def _item(item, const: Callable[[object], str]) -> Optional[tuple]:
     its degree operators are bound; the item binds its variable `name`,
     if it has one, to the expression `value`."""
     negations, core = 0, item
-    while isinstance(core, Neg) and variables(core):
+    while isinstance(core, Neg):
         negations, core = negations + 1, core.expr
-    if negations:  # a negation chain over an integer variable is invertible
+    if negations and variables(core):  # a negation chain over an integer variable is invertible
         if not (isinstance(core, Var) and core.vtype is VType.INT):
             return None
         return "isinstance(t, int)", "-t" if negations % 2 else "t", core.name, set()

@@ -289,9 +289,10 @@ class Parser:
     # -- label expressions ----------------------------------------------
 
     def parse_unary(self):
-        if self.accept("SYMBOL", "-"):
-            return Neg(self.parse_unary())
-        return self.parse_expr_primary()
+        signs = 0
+        while self.accept("SYMBOL", "-"):
+            signs += 1
+        return reduce(lambda e, _: Neg(e), range(signs), self.parse_expr_primary())
 
     def parse_expr_primary(self):
         if self.at("INT"):
@@ -323,9 +324,10 @@ class Parser:
     # -- conditions ------------------------------------------------------
 
     def parse_cond_not(self) -> Condition:
-        if self.accept("KEYWORD", "not"):
-            return Not(self.parse_cond_not())
-        return self.parse_cond_primary()
+        nots = 0
+        while self.accept("KEYWORD", "not"):
+            nots += 1
+        return reduce(lambda c, _: Not(c), range(nots), self.parse_cond_primary())
 
     def parse_cond_primary(self) -> Condition:
         tok = self.peek()

@@ -1,8 +1,8 @@
 """Program abstract syntax: commands, declarations, and static checking.
 
-Commands join the syntax table of `gp2.labels`, so they are walked and
-printed as labels and conditions are.  Each command stores its hash,
-computed when it is built from the stored hashes of its subcommands.
+Commands subclass the syntax node of `gp2.labels` and join its syntax
+table, so they are built, hashed, compared, walked and printed as labels
+and conditions are.
 """
 
 from __future__ import annotations
@@ -10,98 +10,53 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .labels import _PIECES, operands, show, subterms
+from .labels import _PIECES, _Node, operands, subterms
 from .rules import ConditionalRuleSchema, Violation, validate
 
 
-class _Command:
-    """A command hashes once, when built, from the stored hashes of the
-    commands nested in it, so no lookup walks a command tree."""
-
-    # in place of the dataclass __init__, and in its one stack frame: a
-    # __post_init__ would lower the nesting the parser can read by a level
-    def __init__(self, *fields, **named) -> None:
-        if len(fields) > len(self.__match_args__) or named.keys() - self.__dataclass_fields__:
-            raise TypeError(f"unexpected arguments for {type(self).__name__}: {fields} {named}")
-        state = vars(self)
-        state.update(zip(self.__match_args__, fields), **named)
-        # keyword-only fields, such as a call's bare flag, change only the text
-        key = (type(self), *map(self.__getattribute__, self.__match_args__))
-        state["_key"] = key
-        state["_hash"] = hash(key)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        """Field by field, on an explicit stack, comparing each pair of
-        nested commands once however often the two trees share it."""
-        pairs = [(self, other)]
-        seen = set()
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if isinstance(a, tuple):
-                if not isinstance(b, tuple) or len(a) != len(b):
-                    return False
-                pairs += zip(a, b)
-            elif not isinstance(a, _Command):
-                if a != b:
-                    return False
-            elif not isinstance(b, _Command) or a._hash != b._hash:
-                return False
-            elif (id(a), id(b)) not in seen:
-                seen.add((id(a), id(b)))
-                pairs.append((a._key, b._key))
-        return True
-
-    __str__ = show
-
-
 @dataclass(frozen=True, eq=False, init=False)
-class Skip(_Command):
+class Skip(_Node):
     pass
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Fail(_Command):
+class Fail(_Node):
     pass
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class RuleSetCall(_Command):
+class RuleSetCall(_Node):
     names: tuple[str, ...]
     # a bare identifier prints without braces
     bare: bool = field(default=False, kw_only=True)
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Seq(_Command):
+class Seq(_Node):
     items: tuple["Command", ...]
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class If(_Command):
+class If(_Node):
     cond: "Command"
     then: "Command"
     els: Optional["Command"] = None
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Try(_Command):
+class Try(_Node):
     cond: "Command"
     then: "Command"
     els: Optional["Command"] = None
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Loop(_Command):
+class Loop(_Node):
     body: "Command"
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Or(_Command):
+class Or(_Node):
     left: "Command"
     right: "Command"
 
@@ -178,10 +133,12 @@ class CheckedProgram:
     main: Command
 
 
+@dataclass(eq=False)
 class CheckError(Exception):
-    def __init__(self, violations: list[Violation]):
-        super().__init__("; ".join(str(v) for v in violations))
-        self.violations = violations
+    violations: list[Violation]
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.violations))
 
 
 def check_program(ast: ProgramAST) -> list[Violation]:

@@ -6,6 +6,7 @@ replaced, and deep nesting."""
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 
 import pytest
 
@@ -24,6 +25,7 @@ from genlib import (
 from gp2 import corpus
 from gp2.cli import main as cli_main
 from gp2.executor import (
+    BOTTOM_NONE,
     BOTTOM_POSSIBLE,
     Budget,
     Engine,
@@ -35,6 +37,7 @@ from gp2.executor import (
 )
 from gp2.graphs import HostGraph, HostLabel, Premorphism
 from gp2.labels import (
+    Arith,
     Cons,
     Eq,
     IntLit,
@@ -431,7 +434,9 @@ def test_deep_nesting(construct):
 
 
 # the deepest nesting of each construct that reaches a rule label or a
-# condition: one level more is refused by the parser's recursion
+# condition as pinned when the parser recursed on each; the reference
+# evaluators of genlib recurse, so the chains deeper than this are run
+# against expected values below
 DEEPEST = {
     "+ chain": lambda: program(label="+".join(["x"] * 328)),
     "parentheses in an expression": lambda: program(label="(" * 327 + "x" + ")" * 327),
@@ -465,6 +470,66 @@ def run_as_interpreted(text: str) -> None:
 def test_deepest_labels_and_conditions_run_as_interpreted(construct):
     with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh stack, as above
         pool.submit(run_as_interpreted, DEEPEST[construct]()).result()
+
+
+LONG = 100_000  # even, so that the unary - and not chains cancel out
+X = Var("x", VType.INT)
+# (left label, right label, condition, the chain built by hand, the items
+# of the host's n1 and of the result's); the unary - chain stands on both
+# sides, so the loop analysis compares them.  A : chain on the left would
+# take the matcher two generated statements per item, and its compilation
+# most of a gigabyte, so it stands on the right
+LONG_CHAINS = {
+    "+ chain": (
+        "x", "+".join(["x"] * LONG), "",
+        lambda: reduce(lambda e, _: Arith("+", e, X), range(LONG - 1), X),
+        (3,), (3 * LONG,),
+    ),
+    ": chain": (
+        "x", ":".join(["x"] * LONG), "",
+        lambda: reduce(lambda e, _: Cons(X, e), range(LONG - 1), X),
+        (3,), (3,) * LONG,
+    ),
+    "unary -": (
+        "-" * LONG + "x", "-" * LONG + "x", "",
+        lambda: reduce(lambda e, _: Neg(e), range(LONG), X),
+        (3,), (3,),
+    ),
+    "not": (
+        "x", "x", "not " * LONG + "x = 3",
+        lambda: reduce(lambda c, _: Not(c), range(LONG), Eq(X, IntLit(3))),
+        (3,), (3,),
+    ),
+}
+
+
+def long_chain_runs(left, right, where, chain, items, want) -> None:
+    """The chain parses to the tree built by hand, and `checked`, `run_one`
+    and `Engine.semantics` take `r!`, where r keeps n1 and marks n2."""
+    where = f" where {where}" if where else ""
+    prog = checked(
+        parse_program(
+            f"rule r(x: int) [ (n1, {left}) (n2, 0) | ] => [ (n1, {right}) (n2, 0 #) | ]"
+            f" interface = {{n1, n2}}{where}\nmain = r!\n"
+        )
+    )
+    rule = prog.rules["r"]
+    assert chain() in {rule.left.nodes["n1"].expr, rule.right.nodes["n1"].expr, rule.condition}
+    host = HostGraph()
+    host.add_node(HostLabel(items), "n1")
+    host.add_node(HostLabel((0,)), "n2")
+    out = run_one(prog, host)
+    assert out.kind == "graph"
+    assert out.graph.nodes == {"n1": HostLabel(want), "n2": HostLabel((0,), True)}
+    result = Engine(prog.rules, Budget()).semantics(prog.main, host)
+    assert (len(result.graphs), result.can_fail, result.bottom) == (1, False, BOTTOM_NONE)
+    assert result.graphs[0].signature() == out.graph.signature()
+
+
+@pytest.mark.parametrize("construct", list(LONG_CHAINS))
+def test_long_label_and_condition_chains_check_and_run(construct):
+    with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh stack, as above
+        pool.submit(long_chain_runs, *LONG_CHAINS[construct]).result()
 
 
 # -- macro expansion ---------------------------------------------------------

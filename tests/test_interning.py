@@ -1,9 +1,12 @@
 """What the explorer saves per configuration, checked against what it
-would compute without the saving: command equality without recursion,
-certificates reused by graph content, and rule-set calls answered
-without a nested exploration."""
+would compute without the saving: syntax node equality without
+recursion, certificates reused by graph content, and rule-set calls
+answered without a nested exploration."""
 
 import random
+from copy import deepcopy
+from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -11,8 +14,30 @@ from genlib import ReferenceEngine, fresh_certificate, random_body, random_host,
 from gp2 import corpus
 from gp2.executor import Budget, Engine
 from gp2.graphs import HostGraph, HostLabel
+from gp2.labels import (
+    _PIECES,
+    And,
+    Arith,
+    Cons,
+    Deg,
+    Dot,
+    EdgePred,
+    Empty,
+    Eq,
+    IntLit,
+    Neg,
+    Not,
+    Or as CondOr,
+    Rel,
+    RuleLabel,
+    StrLit,
+    TypeCheck,
+    Var,
+    VType,
+    _Node,
+)
 from gp2.parsing import parse_host_graph, parse_program
-from gp2.program import If, Loop, Or, RuleSetCall, Seq, Skip, Try, checked
+from gp2.program import Fail, If, Loop, Or, RuleSetCall, Seq, Skip, Try, checked
 from test_executor import deep_commands
 
 RULES = checked(
@@ -45,6 +70,56 @@ def test_commands_compare_by_kind_and_fields():
     assert r != s and Seq((r,)) != Seq((r, r)) and r != ("r",)
     assert If(r, Skip()) == If(RuleSetCall(("r",)), Skip(), None) != Try(r, Skip())
     assert Or(Seq((r, s)), Skip()) == Or(Seq((r, s)), Skip()) != Or(Seq((s, r)), Skip())
+
+
+X, Y = Var("x", VType.INT), Var("y", VType.INT)
+# syntax nodes of every kind, each of another kind or with another field
+# than every other one
+NODES = [
+    Skip(), Fail(), RuleSetCall(("r",)), RuleSetCall(("r", "s")), Seq((Skip(), Fail())),
+    If(Skip(), Fail()), Try(Skip(), Fail()), Or(Skip(), Fail()), Loop(Skip()),
+    Empty(), IntLit(1), IntLit(2), StrLit("1"), X, Y, Var("x", VType.LIST),
+    Neg(X), Arith("+", X, Y), Arith("-", X, Y), Arith("+", Y, X), Deg("in", "n1"),
+    Deg("out", "n1"), Deg("in", "n2"), Dot(X, Y), Cons(X, Y), Cons(X, Empty()),
+    RuleLabel(X), RuleLabel(X, True), RuleLabel(Y),
+    TypeCheck("int", X), TypeCheck("string", X), Eq(X, Y), Eq(X, Y, negated=True),
+    Rel("<", X, Y), Rel(">", X, Y), EdgePred("n1", "n2"), EdgePred("n2", "n1"),
+    EdgePred("n1", "n2", X), Not(Eq(X, Y)), And(Eq(X, Y), Eq(Y, X)),
+    CondOr(Eq(X, Y), Eq(Y, X)),
+]
+
+
+@pytest.mark.parametrize("node", NODES, ids=str)
+def test_syntax_nodes_store_their_hash_and_equal_deep_copies(node):
+    copy = deepcopy(node)
+    assert copy is not node and hash(copy) == hash(node) == node._hash
+    assert copy == node and not copy != node
+
+
+def test_syntax_nodes_compare_by_kind_and_fields():
+    for a, b in combinations(NODES, 2):
+        assert a != b and not a == b, (a, b)
+    assert RuleLabel(X) == RuleLabel(X, False) and Eq(X, Y) == Eq(X, Y, False)
+    assert EdgePred("n1", "n2") == EdgePred("n1", "n2", None)
+    assert IntLit(1) != 1 and X != ("x", VType.INT) and Empty() != ()
+
+
+def test_deep_label_and_condition_chains_compare_without_recursion():
+    """Separately built chains 10,000 deep hash alike and compare equal;
+    one that differs only at its leaf compares unequal."""
+    for grow in (Neg, Not, lambda e: Cons(X, e), lambda e: Arith("*", e, X)):
+        a, b, c = (reduce(lambda e, _: grow(e), range(10_000), leaf) for leaf in (X, X, Y))
+        assert a is not b and hash(a) == hash(b) and a == b and a != c
+
+
+def test_every_syntax_node_subclasses_the_one_base():
+    """Every node kind of the syntax table, the 17 of labels and conditions
+    and the 8 commands, takes its construction, hash and equality from
+    `labels._Node`, so none falls back to recursive dataclass equality."""
+    assert len(_PIECES) == 25
+    for kind in _PIECES:
+        assert issubclass(kind, _Node), kind
+        assert not {"__init__", "__eq__", "__hash__"} & vars(kind).keys(), kind
 
 
 # -- rule-set calls under the smallest budgets -----------------------------
