@@ -151,8 +151,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     # UnicodeDecodeError: an input file that is not UTF-8; RecursionError:
     # a program nested deeper than what still recurses allows: bracket
-    # nesting and `if` chains in the parser, and nested premises (label
-    # and condition chains parse, check, compare and run without it)
+    # nesting and `if` chains in the parser, and nested premises under
+    # `semantics` (label and condition chains, and premises under `run`,
+    # do not recurse)
     except (
         ParseError, CheckError, OutputError, OSError, UnicodeDecodeError, RecursionError
     ) as exc:

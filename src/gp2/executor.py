@@ -2,15 +2,21 @@
 exhaustive result sets, and program equivalence checking.
 
 Configurations pair a continuation, the commands still to run, with a
-graph.  Both modes step its head command through one transition
-function, `_step`, the rest riding along, and enter a sequence at the
-head without a step, as [seq1]-[seq3] step only the head of `P; Q`.  A
-run keeps a stack and follows one transition at a time, picked at
-random.  The explorer keeps tuples (`_entered`), follows every
-transition up to a budget, deduplicates configurations by continuation
-as written and graph up to isomorphism, and reports divergence or
-stuckness through a bottom flag.  So a sequence nested in a macro and
-its flat spelling are two configurations until their heads step.
+graph.  Both modes share one matcher and one `apply`, and enter a
+sequence at the head without a step, as [seq1]-[seq3] step only the head
+of `P; Q`.  A run (`run_one`) keeps the continuation on one explicit
+stack of commands and frames: a loop, `if` or `try` pushes a frame
+holding itself and its start graph under its body or test, and the
+outcome of that premise, a graph or a failure, pops the frame and takes
+the step of [alap1]-[alap2] or [if1]-[try4] that it picks.  So a run
+follows one transition at a time, picked at random, and nests no call
+per premise.  The explorer steps the head command of a tuple
+(`_entered`) through the transition function `_step`, the rest riding
+along, follows every transition up to a budget, deduplicates
+configurations by continuation as written and graph up to isomorphism,
+and reports divergence or stuckness through a bottom flag.  So a
+sequence nested in a macro and its flat spelling are two configurations
+until their heads step.
 
 The explorer's cost is per configuration.  Two savings make each one
 cheaper and change nothing it explores.  A rule-set call that is a loop
@@ -160,25 +166,23 @@ class TraceEntry:
 Transition = tuple[Optional[tuple[Command, ...]], HostGraph, str]
 
 
-def _step(mode: Engine | _Runner, head: Command, graph: HostGraph) -> tuple[list[Transition], bool]:
+def _step(engine: Engine, head: Command, graph: HostGraph) -> tuple[list[Transition], bool]:
     """The transitions of the head command of a continuation, by [call1]-[alap2].
 
     Each is a (pushed, graph, rule) triple: pushed holds the commands that
     run before the rest of the continuation, which rides along unchanged
-    as [seq1]-[seq3] say, and is None for failure.  The mode, an `Engine`
-    or a `_Runner`, decides the two things the execution modes differ in:
-    what a rule-set call derives (`mode.call`) and the outcome of a
-    premise (`mode.semantics`).  The second component reports whether a
-    premise ran out of budget, in which case transitions may be missing.
+    as [seq1]-[seq3] say, and is None for failure.  A rule-set call derives
+    what `engine.call` derives, and a premise has the result set of
+    `engine.semantics`.  The second component reports whether a premise
+    ran out of budget, in which case transitions may be missing.
     """
-    # rule-set calls and loops first: they take most steps of a run
     if isinstance(head, RuleSetCall):
-        graphs = mode.call(head.names, graph)
+        graphs = engine.call(head.names, graph)
         if graphs:
             return [((), h, "call1") for h in graphs], False
         return [(None, graph, "call2")], False
     if isinstance(head, Loop):
-        sub = mode.semantics(head.body, graph)
+        sub = engine.semantics(head.body, graph)
         out = [((head,), h, "alap1") for h in sub.graphs]
         if sub.can_fail:
             out.append(((), graph, "alap2"))
@@ -190,7 +194,7 @@ def _step(mode: Engine | _Runner, head: Command, graph: HostGraph) -> tuple[list
     if isinstance(head, Or):
         return [((head.left,), graph, "or1"), ((head.right,), graph, "or2")], False
     if isinstance(head, (If, Try)):
-        sub = mode.semantics(head.cond, graph)
+        sub = engine.semantics(head.cond, graph)
         name = "try" if isinstance(head, Try) else "if"
         # [if1] / [if2] with an else branch, [if3] / [if4] without; so for try
         passed, failed = (name + "3", name + "4") if head.els is None else (name + "1", name + "2")
@@ -416,81 +420,6 @@ class RunOutcome:
     trace: list[TraceEntry]
 
 
-class _Runner:
-    def __init__(self, rules, budget: Budget, tracing: bool):
-        self.rules = rules
-        self.budget = budget
-        self.rng = random.Random(budget.seed)
-        self.steps = 0
-        self.warnings: list[str] = []
-        self.trace: list[TraceEntry] = []
-        self.tracing = tracing
-        # the summary of each traced command, keyed by identity: commands
-        # that compare equal can print differently (`RuleSetCall.bare`)
-        self.summaries: dict[int, str] = {}
-        # the graph that only this run can see, which a rule rewrites in place
-        self.owned: Optional[HostGraph] = None
-
-    def tick(self, rule: str, command: Command, graph: HostGraph) -> None:
-        self.steps += 1
-        if self.steps > self.budget.max_steps:
-            raise BudgetExceeded()
-        if self.tracing:
-            summary = self.summaries.get(id(command))
-            if summary is None:
-                summary = self.summaries[id(command)] = _summary(command)
-            self.trace.append(
-                TraceEntry(self.steps, rule, summary, len(graph.nodes), len(graph.edges))
-            )
-
-    def call(self, names: tuple[str, ...], graph: HostGraph) -> list[HostGraph]:
-        """The graph that one match of a named rule, picked at random,
-        derives; none if no rule matches.  Every match is taken before the
-        rewrite, which may change the graph in place."""
-        matches = []
-        for name in names:
-            schema = self.rules[name]
-            for match in enumerate_matches(schema, graph, self.warnings):
-                matches.append((schema, match))
-        if not matches:
-            return []
-        schema, match = self.rng.choice(matches)
-        self.owned = apply(schema, graph, match, copy=graph is not self.owned)
-        return [self.owned]
-
-    def semantics(self, command: Command, graph: HostGraph) -> ResultSet:
-        """One run of command from graph, as a result set: the graph it
-        ends in, or failure."""
-        stack = [command]  # the continuation, its head last
-        while stack:
-            head = stack.pop()
-            if isinstance(head, Seq):
-                stack += reversed(head.items)
-                continue
-            if _keeps(head):
-                self.owned = None
-            succs, _ = _step(self, head, graph)
-            # only an or has two transitions in a run
-            pick = self.rng.random() >= 0.5 if len(succs) > 1 else 0
-            pushed, graph, rule = succs[pick]
-            self.tick(rule, head, graph)
-            if pushed is None:
-                return ResultSet([], True, BOTTOM_NONE)
-            stack += pushed
-        return ResultSet([graph], False, BOTTOM_NONE)
-
-
-def _keeps(head: Command) -> bool:
-    """Whether stepping head may go on from its graph as it was before a
-    premise ran on it: an if's always; a try's or a loop's unless the
-    premise is a rule-set call, which fails only where it rewrites nothing."""
-    if isinstance(head, Try):
-        return not isinstance(head.cond, RuleSetCall)
-    if isinstance(head, Loop):
-        return not isinstance(head.body, RuleSetCall)
-    return isinstance(head, If)
-
-
 def _summary(command: Command) -> str:
     text = show(command, limit=60)
     return text if len(text) <= 60 else text[:57] + "..."
@@ -502,15 +431,105 @@ def run_one(
     budget: Optional[Budget] = None,
     tracing: bool = False,
 ) -> RunOutcome:
-    """One seeded pseudo-random derivation to a terminal configuration."""
-    runner = _Runner(program.rules, budget or Budget(), tracing)
-    try:
-        result = runner.semantics(program.main, host)
-    except BudgetExceeded:
-        return RunOutcome("budget", None, runner.steps, runner.warnings, runner.trace)
-    if result.can_fail:
-        return RunOutcome("fail", None, runner.steps, runner.warnings, runner.trace)
-    return RunOutcome("graph", result.graphs[0], runner.steps, runner.warnings, runner.trace)
+    """One seeded pseudo-random derivation to a terminal configuration.
+
+    The run keeps one stack: the commands still to run, the next on top,
+    and under the body of each running loop and the test of each running
+    `if` or `try` a frame, the pair of that command and the graph it
+    started from.  Popping a frame means the body or test succeeded; a
+    failure pops down to the nearest frame, or ends the run.  A rule
+    rewrites in place the graph that only this run can see (`owned`), so
+    a frame that may go back to its graph clears it.
+    """
+    budget = budget or Budget()
+    rules, max_steps = program.rules, budget.max_steps
+    rng = random.Random(budget.seed)
+    steps, warnings, trace = 0, [], []
+    # the summary of each traced command, keyed by identity: commands
+    # that compare equal can print differently (`RuleSetCall.bare`)
+    summaries: dict[int, str] = {}
+    graph, owned, stack, failed = host, None, [program.main], False
+    while True:
+        if failed:
+            while stack:
+                frame = stack.pop()
+                if type(frame) is tuple:
+                    break
+            else:
+                return RunOutcome("fail", None, steps, warnings, trace)
+            head, graph = frame
+            failed = False
+            if type(head) is Loop:
+                rule = "alap2"
+            elif head.els is None:
+                rule = "try4" if type(head) is Try else "if4"
+            else:
+                rule = "try2" if type(head) is Try else "if2"
+                stack.append(head.els)
+        elif not stack:
+            return RunOutcome("graph", graph, steps, warnings, trace)
+        else:
+            head = stack.pop()
+            # commands are never subclassed, so their type picks the case
+            kind = type(head)
+            if kind is RuleSetCall:
+                # every match is taken before the rewrite, which may change
+                # the graph in place
+                matches = []
+                for name in head.names:
+                    schema = rules[name]
+                    for match in enumerate_matches(schema, graph, warnings):
+                        matches.append((schema, match))
+                if matches:
+                    schema, match = rng.choice(matches)
+                    graph = owned = apply(schema, graph, match, copy=graph is not owned)
+                    rule = "call1"
+                else:
+                    rule, failed = "call2", True
+            elif kind is Seq:
+                stack += reversed(head.items)
+                continue
+            elif kind is tuple:
+                head, start = head
+                if type(head) is Loop:
+                    # enter the loop again at once, as popping it would
+                    rule = "alap1"
+                    stack += ((head, graph), head.body)
+                    if type(head.body) is not RuleSetCall:
+                        owned = None
+                elif type(head) is Try:
+                    rule = "try3" if head.els is None else "try1"
+                    stack.append(head.then)
+                else:
+                    # an if goes on from the graph its test started from
+                    rule, graph = "if3" if head.els is None else "if1", start
+                    stack.append(head.then)
+            elif kind is Loop or kind is If or kind is Try:
+                premise = head.body if kind is Loop else head.cond
+                stack += ((head, graph), premise)
+                # a try or a loop goes back to its graph only when the
+                # premise fails, and a failed rule-set call rewrote nothing
+                if kind is If or type(premise) is not RuleSetCall:
+                    owned = None
+                continue
+            elif kind is Skip:
+                rule = "skip"
+            elif kind is Fail:
+                rule, failed = "fail", True
+            elif kind is Or:
+                left = rng.random() < 0.5
+                rule = "or1" if left else "or2"
+                stack.append(head.left if left else head.right)
+            else:
+                raise TypeError(f"cannot execute {head!r}")
+        steps += 1
+        if steps > max_steps:
+            return RunOutcome("budget", None, steps, warnings, trace)
+        if tracing:
+            summary = summaries.get(id(head))
+            if summary is None:
+                summary = summaries[id(head)] = _summary(head)
+            trace.append(TraceEntry(steps, rule, summary, len(graph.nodes), len(graph.edges)))
 
 
 # -- equivalence -------------------------------------------------------

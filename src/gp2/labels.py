@@ -100,7 +100,11 @@ class _Node:
     def __eq__(self, other) -> bool:
         """Field by field, on an explicit stack, comparing each pair of
         nested nodes once however often the two trees share it."""
-        pairs = [(self, other)]
+        if self is other:
+            return True
+        if type(other) is not type(self) or other._hash != self._hash:
+            return False
+        pairs = [(self._key, other._key)]
         seen = set()
         while pairs:
             a, b = pairs.pop()

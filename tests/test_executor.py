@@ -1,5 +1,6 @@
 import inspect
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,23 @@ def deep_commands() -> tuple:
     return deep_or, deep_seq
 
 
+def deep_premises(depth: int = 100_000) -> list:
+    """(command, budget, kind, steps, graph) for an if, a try and a loop
+    nested depth deep in their premises.  Each if or try takes one step
+    and its then-branch skip another after the innermost call; an inner
+    loop never fails, so an outer loop runs until the budget is spent."""
+    deep_if = deep_try = deep_loop = R
+    for _ in range(depth):
+        deep_if, deep_try, deep_loop = If(deep_if, Q), Try(deep_try, Q), Loop(deep_loop)
+    steps = 2 * depth + 1
+    budget = Budget(max_steps=3 * depth)
+    return [
+        (deep_if, budget, "graph", steps, G0),
+        (deep_try, budget, "graph", steps, G1),
+        (deep_loop, budget, "budget", budget.max_steps + 1, None),
+    ]
+
+
 class TestRunOne:
     def test_skip(self):
         out = run_one(as_program(Skip()), G0)
@@ -219,6 +237,20 @@ class TestRunOne:
         for command in deep_commands():
             out = run_one(as_program(command), G0, Budget(max_steps=100_000))
             assert out.kind == "graph" and isomorphic(out.graph, G1)
+
+    def test_nested_premises_run_without_recursion(self):
+        def run_all():
+            return [
+                (run_one(as_program(command), G0, budget), kind, steps, graph)
+                for command, budget, kind, steps, graph in deep_premises()
+            ]
+
+        # a fresh thread starts with an empty stack, as the command line does
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            runs = pool.submit(run_all).result()
+        for out, kind, steps, graph in runs:
+            assert (out.kind, out.steps) == (kind, steps)
+            assert graph is None or isomorphic(out.graph, graph)
 
 
 INC_RULES = """
