@@ -133,8 +133,9 @@ class HostGraph:
     it.
 
     Two indexes of id lists are built on first use and then kept up to date
-    by every mutation.  Their lists are replaced, never changed in place,
-    so a copy copies only the dicts that hold them:
+    by every mutator and by the generated rewrite of every rule
+    (`matcher.generate_rewrite`).  Their lists are replaced, never changed
+    in place, so a copy copies only the dicts that hold them:
 
     - the incidence index: each node's incident edge ids in edge insertion
       order, a loop listed once;

@@ -1,16 +1,18 @@
 """The generated code of a rule: the search of its left graph, which also
-unifies, and its schema's test of a complete match and evaluator of right
-labels.  `generate` and `generate_rule` write them as Python source, which
-`rules` compiles with `exec` on first use.  Expressions and conditions
-become straight-line code, written by `gp2.labels._Writer`, so nesting in
-a rule never nests in the source.
+unifies, its schema's test of a complete match and evaluator of right
+labels, and its schema's rewrite.  `generate`, `generate_rule` and
+`generate_rewrite` write them as Python source, which `rules` compiles
+with `exec` on first use.  Expressions and conditions become straight-line
+code, written by `gp2.labels._Writer`, so nesting in a rule never nests in
+the source.  The rewrite is straight-line too: the mark class of each item
+it deletes or adds is a constant fixed when the rule is compiled.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .graphs import mark_class
+from .graphs import Edge, GraphError, HostLabel, _without, mark_class
 from .labels import (
     Dot,
     EvalError,
@@ -289,3 +291,90 @@ def generate_rule(schema: ConditionalRuleSchema, slot: dict[str, int]) -> tuple:
         source += ["def test(image, alpha, host):", *test, "    return True"]
     exec("\n".join(source), namespace)
     return namespace.get("test"), namespace["build"], writer.raises
+
+
+def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Callable:
+    """The rewrite of a schema whose left nodes have the slots `slot`:
+    `rewrite(host, image, labels)` rewrites the host in place at the match
+    `image`, given the right labels' atoms as `build` gives them.  It does
+    what the `HostGraph` mutators would, in their order and with their
+    checks: it deletes the left edges in slot order, then the deleted nodes,
+    relabels or adds the right nodes in slot order, then adds the right
+    edges.  A match agrees with the host on marks, so the mark class of each
+    edge deleted or added is a constant here; the only loop moves the other
+    edges of a node whose mark the rule changes to their new class.  Index
+    lists are replaced, never changed in place, and an index is built only
+    where a mutator would build it."""
+    left, right, interface = schema.left, schema.right, schema.interface
+    nodes = sorted(right.nodes)
+    was = {n: label.marked for n, label in left.nodes.items()}
+    mark = {n: right.nodes[n].marked for n in nodes}
+    deleted = [n for n in sorted(left.nodes) if n not in interface]
+    same = all(n in interface and was[n] == mark[n] for n in nodes)
+    same = same and not (left.edges or deleted or right.edges)  # only atoms may change
+    out = ["def rewrite(host, image, labels):"]
+    out.append("    nodes, edges, inc, M = host.nodes, host.edges, host._incident, host._marked")
+    out += [] if same else ["    host._signature = None"]
+    for i, eid in enumerate(sorted(left.edges), len(left.nodes)):
+        e = left.edges[eid]
+        out.append(f"""    x = image[{i}]
+    E = edges.pop(x, None)
+    if E is None: raise GraphError(f'unknown edge id {{x!r}}')
+    if inc is not None:
+        inc[E.source] = _without(inc[E.source], x)""")
+        if e.source != e.target:
+            out.append("        inc[E.target] = _without(inc[E.target], x)")
+        c = mark_class(e.label.marked, was[e.source], was[e.target])
+        out += [f"    if M is not None: host._mark({c}, x, False)"] if c else []
+    for n in deleted:
+        out.append(f"""    x = image[{slot[n]}]
+    if x not in nodes: raise GraphError(f'unknown node id {{x!r}}')
+    inc = host.incidence()
+    if inc[x]: raise GraphError(f'node {{x!r}} still incident to edge {{inc[x][0]!r}}')
+    del nodes[x], inc[x]""")
+        out += ["    if M is not None: host._mark(0, x, False)"] if was[n] else []
+    for i, n in enumerate(nodes):  # an unknown interface node raises before any node is added
+        if n in interface:
+            out.append(f"""    v{i} = image[{slot[n]}]
+    o{i} = nodes.get(v{i})
+    if o{i} is None: raise GraphError(f'unknown node id {{v{i}!r}}')""")
+    move = """        for x in inc[v{}]:
+            E = edges[x]
+            c = 4 * E.label.marked + 2 * nodes[E.source].marked + nodes[E.target].marked
+            if c: {}"""
+    for i, n in enumerate(nodes):
+        label = f"HostLabel(labels[{i}], {mark[n]})"
+        if n not in interface:
+            out.append(f"    v{i} = host._fresh_node_id()\n    nodes[v{i}] = {label}")
+            out += [f"    if M is not None: M[0] = M.get(0, []) + [v{i}]"] if mark[n] else []
+        elif was[n] == mark[n]:
+            out.append(f"    if o{i}.items != labels[{i}]:\n        nodes[v{i}] = {label}")
+            out += ["        host._signature = None"] if same else []
+        else:  # the node's other edges change class, as `relabel_node` moves them
+            out.append(f"""    if M is not None:
+        if inc is None: inc = host.incidence()
+{move.format(i, "host._mark(c, x, False)")}
+    nodes[v{i}] = {label}
+    if M is not None:
+        host._mark(0, v{i}, {mark[n]})
+{move.format(i, "M[c] = M.get(c, []) + [x]")}""")
+    at: dict[int, list[str]] = {i: [] for i, n in enumerate(nodes) if n not in interface}
+    classes: dict[int, list[str]] = {}
+    for j, eid in enumerate(sorted(right.edges)):
+        e = right.edges[eid]
+        s, t = nodes.index(e.source), nodes.index(e.target)
+        label = f"HostLabel(labels[{len(nodes) + j}], {e.label.marked})"
+        out.append(f"    w{j} = host._fresh_edge_id()\n    edges[w{j}] = Edge(v{s}, v{t}, {label})")
+        for end in dict.fromkeys((s, t)):
+            at.setdefault(end, []).append(f"w{j}")
+        c = mark_class(e.label.marked, mark[e.source], mark[e.target])
+        if c:
+            classes.setdefault(c, []).append(f"w{j}")
+    out += ["    if inc is not None:"] if at else []
+    for i, ids in sorted(at.items()):
+        out.append(f"        inc[v{i}] = {f'inc[v{i}] + ' * (nodes[i] in interface)}[{', '.join(ids)}]")
+    out += ["    if M is not None:"] if classes else []
+    out += [f"        M[{c}] = M.get({c}, []) + [{', '.join(ids)}]" for c, ids in classes.items()]
+    namespace = {"GraphError": GraphError, "HostLabel": HostLabel, "Edge": Edge, "_without": _without}
+    exec("\n".join(out), namespace)
+    return namespace["rewrite"]

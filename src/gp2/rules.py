@@ -13,9 +13,10 @@ a match is the tuple of host ids in slot order.  A left graph's record
 holds the search that `matcher.generate` writes for it, which also
 unifies; the search starts at marked items where the left graph has them,
 read from the host's marked index (`HostGraph.marked`).  A schema's record
-(`_Rule`) adds the left slots it deletes, its right items in slot order,
-and its test of a complete match and evaluator of right labels
-(`matcher.generate_rule`).
+(`_Rule`) adds its test of a complete match and evaluator of right labels
+(`matcher.generate_rule`), and, from its first application, its rewrite
+(`matcher.generate_rewrite`): straight-line code whose mark classes are
+fixed when the rule is compiled.
 
 There is one match path.  `enumerate_matches` yields every applicable
 match with its assignment, sorted by slot tuple so that a seeded run does
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .graphs import HostGraph, HostLabel, IsoStore, Premorphism
+from .graphs import HostGraph, IsoStore, Premorphism
 from .labels import (
     Assignment,
     Condition,
@@ -53,7 +54,7 @@ from .labels import (
     subterms,
     variables,
 )
-from .matcher import generate, generate_rule
+from .matcher import generate, generate_rewrite, generate_rule
 
 
 @dataclass(frozen=True)
@@ -206,27 +207,20 @@ def _left(graph: RuleGraph) -> _Compiled:
 
 class _Rule:
     """What matching and rewriting read of one schema: its graphs' records,
-    the slots of the left nodes it deletes, each right item in slot order
-    with its mark and the left slot of an interface node or the right node
-    slots of an edge's ends, and the generated test of a complete match and
-    evaluator of the right labels (`matcher.generate_rule`).  `loops` holds
-    the explorer's verdict on loops of each rule set this rule comes first
-    in (`confluence.loop_kind`)."""
+    the generated test of a complete match and evaluator of the right
+    labels (`matcher.generate_rule`), and its generated rewrite
+    (`matcher.generate_rewrite`).  `loops` holds the explorer's verdict on
+    loops of each rule set this rule comes first in (`confluence.loop_kind`)."""
 
-    __slots__ = ("left", "right", "interface", "condition", "deleted", "nodes", "edges")
-    __slots__ += ("test", "build", "raises", "loops")
+    __slots__ = ("left", "right", "interface", "condition", "test", "build", "rewrite")
+    __slots__ += ("raises", "loops")
 
     def __init__(self, schema: ConditionalRuleSchema) -> None:
         left, right = _left(schema.left), _compiled(schema.right)
         self.left, self.right = left, right
         self.interface, self.condition = schema.interface, schema.condition
-        self.deleted = [left.slot[n] for n in left.nodes if n not in schema.interface]
-        graph, ref = schema.right, {n: i for i, n in enumerate(right.nodes)}
-        kept = {n: left.slot[n] for n in schema.interface}
-        self.nodes = [(kept.get(n), graph.nodes[n].marked) for n in right.nodes]
-        edges = [graph.edges[eid] for eid in right.edges]
-        self.edges = [(ref[e.source], ref[e.target], e.label.marked) for e in edges]
         self.test, self.build, self.raises = generate_rule(schema, left.slot)
+        self.rewrite: Optional[Callable] = None  # generated at the first rewrite
         self.loops: dict[tuple[_Rule, ...], Optional[str]] = {}
 
 
@@ -302,29 +296,21 @@ def apply(
     copy of the host or, with `copy` false, to the host itself.
 
     Evaluates the right-hand labels on the host before rewriting it, so
-    degree operands observe pre-application degrees.  Deletes the images of
-    non-interface left items, adds the right-only items with fresh ids, and
-    relabels interface node images whose atoms or mark change."""
+    degree operands observe pre-application degrees.  The rewrite is the
+    rule's generated one (`matcher.generate_rewrite`), which deletes the
+    images of non-interface left items, relabels interface node images
+    whose atoms or mark change, and adds the right-only items with fresh
+    ids, as the `HostGraph` mutators would; the mark class of every item it
+    deletes or adds was fixed when the rule was compiled.  A match whose
+    items are gone, or whose deleted node has gained an edge, raises
+    `GraphError`."""
     rule = _rule(schema)
     image, alpha = match
     labels = rule.build(image, alpha, host)
     result = host.copy() if copy else host
-    for heid in image[len(rule.left.nodes) :]:
-        result.remove_edge(heid)
-    for s in rule.deleted:
-        result.remove_node(image[s])
-    ids = []
-    for (s, marked), items in zip(rule.nodes, labels):
-        if s is None:
-            ids.append(result.add_node(HostLabel(items, marked)))
-            continue
-        hid = image[s]
-        old = result.nodes[hid]
-        if old.items != items or old.marked != marked:
-            result.relabel_node(hid, HostLabel(items, marked))
-        ids.append(hid)
-    for (source, target, marked), items in zip(rule.edges, labels[len(ids) :]):
-        result.add_edge(ids[source], ids[target], HostLabel(items, marked))
+    if rule.rewrite is None:
+        rule.rewrite = generate_rewrite(schema, rule.left.slot)
+    rule.rewrite(result, image, labels)
     return result
 
 

@@ -77,6 +77,7 @@ from gp2.program import (
 from gp2.rules import (
     ConditionalRuleSchema,
     RuleGraph,
+    _rule,
     apply,
     apply_ruleset,
     enumerate_matches,
@@ -541,6 +542,43 @@ def eval_condition(
         right = eval_condition(c.right, g, alpha, host)
         return left or right
     raise TypeError(f"not a condition: {c!r}")
+
+
+# -- reference rewrite -------------------------------------------------
+
+
+def reference_apply(
+    schema: ConditionalRuleSchema, host: HostGraph, match: tuple, copy: bool = True
+) -> HostGraph:
+    """`rules.apply` as a walk over the `HostGraph` mutators, the rewrite
+    that the generated one (`matcher.generate_rewrite`) replaced: remove the
+    left edges in slot order, then the deleted nodes, relabel or add the
+    right nodes in slot order, then add the right edges.  The right labels
+    come from the schema's generated builder, as in `apply`."""
+    left, right, interface = schema.left, schema.right, schema.interface
+    image, alpha = match
+    labels = _rule(schema).build(image, alpha, host)
+    result = host.copy() if copy else host
+    slot = {n: i for i, n in enumerate(sorted(left.nodes))}
+    for heid in image[len(slot) :]:
+        result.remove_edge(heid)
+    for n in sorted(left.nodes):
+        if n not in interface:
+            result.remove_node(image[slot[n]])
+    nodes, ids = sorted(right.nodes), {}
+    for n, items in zip(nodes, labels):
+        marked = right.nodes[n].marked
+        if n not in interface:
+            ids[n] = result.add_node(HostLabel(items, marked))
+            continue
+        hid = ids[n] = image[slot[n]]
+        old = result.nodes[hid]
+        if old.items != items or old.marked != marked:
+            result.relabel_node(hid, HostLabel(items, marked))
+    for eid, items in zip(sorted(right.edges), labels[len(nodes) :]):
+        e = right.edges[eid]
+        result.add_edge(ids[e.source], ids[e.target], HostLabel(items, e.label.marked))
+    return result
 
 
 # -- reference matcher -------------------------------------------------
