@@ -322,6 +322,12 @@ def degree_nodes(e) -> set[str]:
     return {t.node for t in subterms(e) if isinstance(t, Deg)}
 
 
+def condition_nodes(c) -> set[str]:
+    """Node identifiers a condition reads: degree operands and `edge` ends."""
+    ends = {n for t in subterms(c) if isinstance(t, EdgePred) for n in (t.source, t.target)}
+    return ends | degree_nodes(c)
+
+
 # -- evaluation --------------------------------------------------------
 
 Assignment = dict[str, object]  # var name -> int | str | tuple of atoms
@@ -370,14 +376,20 @@ class _Writer:
     evaluators it replaced are the reference in `tests/genlib.py`.
     `node(n)` is the source of the host node of left node n, and `fail`
     the statement of an evaluation error, `{}` standing for its message.
-    A variable is read from `alpha` once and checked once per type; its
-    check is left out where `bound` gives the type its value has in every
-    match (its `VType` on the left).  Each message is one constant.
-    `raises` tells whether an error was written."""
+    A variable is read from `alpha` once, unless `read` already names the
+    local holding it, and checked once per type; its check is left out
+    where `bound` gives the type its value has in every match (its `VType`
+    on the left).  Each message is one constant.  A degree is a call of
+    `HostGraph.degree`, or with `inline` a count over the locals `inc` (the
+    incidence index) and `edges`.  `raises` tells whether an error was
+    written."""
 
-    def __init__(self, namespace: dict, node, fail: str, bound: Optional[dict] = None):
+    def __init__(
+        self, namespace: dict, node, fail: str, bound: Optional[dict] = None, inline: bool = False
+    ):
         self.lines: list[str] = []
         self.namespace, self.node, self.fail, self.bound = namespace, node, fail, bound or {}
+        self.inline = inline
         self.read: dict[str, str] = {}  # variable -> the local holding its value
         self.checked: set[tuple[str, str]] = set()  # (variable, kind) checked
         self.messages: dict[str, str] = {}  # message -> its constant
@@ -452,7 +464,13 @@ class _Writer:
         if isinstance(e, IntLit if kind == "int" else StrLit):
             return self.const(e.value)
         if kind == "int" and isinstance(e, Deg):
-            return self.local(f"host.degree({self.node(e.node)}, {e.direction!r})")
+            x = self.node(e.node)
+            if not self.inline:
+                return self.local(f"host.degree({x}, {e.direction!r})")
+            count, end = self.local("0"), "target" if e.direction == "in" else "source"
+            self.lines.append(f"{self.pad}for u in inc[{x}]:")  # a loop is listed once
+            self.lines.append(f"{self.pad}    if edges[u].{end} == {x}: {count} += 1")
+            return count
         if kind == "int" and isinstance(e, Arith) and e.op == "/":  # truncation towards zero
             a, b = args
             self.error("division by zero", f"{b} == 0")

@@ -1,6 +1,8 @@
-"""The generated code of a rule: the search of its left graph, which also
-unifies, its schema's test of a complete match and evaluator of right
-labels, and its schema's rewrite.  `generate`, `generate_rule` and
+"""The generated code of a rule: its schema's one search, which unifies
+and tests the condition and the dangling condition inside its loops, its
+schema's evaluator of right labels, and its schema's rewrite; and the
+plain search of a left graph, without condition or dangling test, for
+`rules.infer_assignment`.  `generate`, `generate_rule` and
 `generate_rewrite` write them as Python source, which `rules` compiles
 with `exec` on first use.  Expressions and conditions become straight-line
 code, written by `gp2.labels._Writer`, so nesting in a rule never nests in
@@ -22,6 +24,7 @@ from .labels import (
     Var,
     VType,
     _Writer,
+    condition_nodes,
     degree_nodes,
     list_items,
     subterms,
@@ -100,12 +103,26 @@ def _label(label: RuleLabel, const: Callable[[object], str]) -> Optional[tuple]:
 _START = (7, 6, 5, 4, 2, 1, 3)
 
 
-def generate(graph: RuleGraph, compiled: _Compiled) -> Callable:
-    """The search of a left graph, generated as Python source and
-    compiled once.
+def _bound(left: RuleGraph) -> dict[str, str]:
+    """The type (`VType` value) each variable of the left labels has in
+    every match, as `_Writer` reads `bound`."""
+    bound: dict[str, str] = {}
+    for label in [*left.nodes.values(), *(e.label for e in left.edges.values())]:
+        for t in subterms(label.expr):
+            if isinstance(t, Var) and bound.get(t.name, "atom") == "atom":
+                bound[t.name] = t.vtype.value
+    return bound
+
+
+def generate(
+    graph: RuleGraph, compiled: _Compiled, schema: Optional[ConditionalRuleSchema] = None
+) -> Callable:
+    """The search of a left graph, or with `schema` the search of a schema
+    whose left graph it is, generated as Python source and compiled once.
 
     `search(host)` gives the sorted list of (slot tuple, assignment) of
-    every injective premorphism that agrees on marks and unifies.  Each
+    every injective premorphism that agrees on marks and unifies, and with
+    `schema` satisfies the condition and the dangling condition.  Each
     loop binds one item, an edge with its ends, to locals, so injectivity
     is a few `==` tests, between items of one mark, and nothing is undone.
     Each step of the plan takes
@@ -116,30 +133,61 @@ def generate(graph: RuleGraph, compiled: _Compiled) -> Callable:
     - else a marked node, from the marked index;
     - else an edge, else a node, from all host edges or nodes.
 
-    Each left label is unified as soon as its item and the operands of its
-    degree operators are bound, its variables becoming locals; a repeated
-    one is compared.  Marks are tested where an item is bound."""
+    Marks are tested where an item is bound.  Each left label is unified
+    as soon as its item and the operands of its degree operators are
+    bound, its variables becoming locals; a repeated one is compared.  The
+    dangling condition is one length test per deleted node: a match is
+    injective and preserves structure, so the node's incident edges are
+    the matched ones if there are as many as left edges at it, a loop once.
+    A condition that cannot raise is tested, and each length test is
+    made, as soon as their nodes and variables are bound.  A condition
+    that can raise is tested in the innermost loop, before the length
+    tests, and its error is found as (slot tuple, `EvalError`), so the
+    caller sees errors and matches in slot-tuple order.  A degree is
+    counted in the incidence index inline."""
     nodes, edges, slot = compiled.nodes, compiled.edges, compiled.slot
     k, n = len(nodes), len(nodes) + len(edges)
     ends = {
         k + i: (slot[graph.edges[e].source], slot[graph.edges[e].target])
         for i, e in enumerate(edges)
     }
-    namespace: dict = {}
-    writer = _Writer(namespace, lambda v: f"x{slot[v]}", "continue")
+    namespace: dict = {"EvalError": EvalError}
+    writer = _Writer(namespace, lambda v: f"x{slot[v]}", "continue", _bound(graph), inline=True)
     search, const = writer.lines, writer.const
     rule_labels = [graph.nodes[v] for v in nodes] + [graph.edges[e].label for e in edges]
     labels = [_label(label, const) for label in rule_labels]
     if None in labels:
         return lambda host: []
-    local: dict[str, str] = {}  # variable name -> local
-    for _, _, items, rest, _ in labels:
-        for name in [item[3] for item in items] + [rest and rest[0]]:
-            if name is not None:
-                local.setdefault(name, f"v{len(local)}")
+    local = writer.read  # variable name -> local
+    names = [[item[3] for item in items] + [rest and rest[0]] for _, _, items, rest, _ in labels]
+    for name in [name for label in names for name in label if name is not None]:
+        local.setdefault(name, f"v{len(local)}")
     assignment = "{" + ", ".join(f"{name!r}: {v}" for name, v in local.items()) + "}"
+    image = "".join(f"x{s}, " for s in range(n))
     bound: set[int] = set()  # the bound slots
     bound_vars: set[str] = set()
+    condition = schema.condition if schema else None
+    dangling = {  # the slot of each deleted node -> the number of left edges at it
+        slot[v]: sum(v in (e.source, e.target) for e in graph.edges.values())
+        for v in nodes
+        if schema and v not in schema.interface
+    }
+    late = False  # whether the condition can raise
+    if condition is not None:
+        probe = _Writer({}, writer.node, "", writer.bound)
+        probe.value(condition, "cond", "")
+        late = probe.raises
+        # the slots it reads: its nodes, and every slot whose label holds one
+        # of its variables, so that a variable typed apart in two labels is
+        # read only once both have unified
+        needs = {slot[v] for v in condition_nodes(condition)}
+        needs |= {s for s in range(n) if variables(condition).intersection(names[s])}
+
+    def emit_condition(depth: int) -> None:
+        """The test of the condition; with `late`, in the innermost loop."""
+        pad, skip = "    " * depth, "continue" if depth > 1 else "return found"
+        writer.fail = f"found.append((({image}), EvalError({{}}))); {skip}"
+        search.append(f"{pad}if not {writer.value(condition, 'cond', pad)}: {skip}")
 
     def emit_label(s: int, pad: str) -> None:
         """The unification of the label in slot s with `L<s>`, binding the
@@ -181,7 +229,12 @@ def generate(graph: RuleGraph, compiled: _Compiled) -> Callable:
     classes = {s: mark_class(mark[s], mark[a], mark[b]) for s, (a, b) in ends.items()}
     done: set[int] = set()  # the slots whose labels are unified
     depth = 1
-    while len(bound) < n:
+    while True:
+        if condition is not None and not late and needs <= done:
+            emit_condition(depth)
+            condition = None
+        if len(bound) == n:
+            break
         pad, inner = "    " * depth, "    " * (depth + 1)
         free = [s for s in range(n) if s not in bound]
         reached = [s for s in free if s >= k and not bound.isdisjoint(ends[s])]
@@ -234,12 +287,18 @@ def generate(graph: RuleGraph, compiled: _Compiled) -> Callable:
                     new.append(end)
         bound.update(new)
         depth += 1
+        for v in new:
+            if v in dangling and not late:
+                search.append(f"{inner}if len(inc[x{v}]) != {dangling[v]}: continue")
         for t in sorted(bound - done):
             if {slot[v] for v in labels[t][4] if v in slot} <= bound:
-                emit_label(t, "    " * depth)
+                emit_label(t, inner)
                 done.add(t)
-    image = "".join(f"x{s}, " for s in range(n))
-    search.append(f"{'    ' * depth}found.append((({image}), {assignment}))")
+    pad = "    " * depth
+    if condition is not None:  # a condition that can raise
+        emit_condition(depth)
+        search += [f"{pad}if len(inc[x{v}]) != {dangling[v]}: continue" for v in sorted(dangling)]
+    search.append(f"{pad}found.append((({image}), {assignment}))")
     lines = ["def search(host):", "    nodes, edges, found = host.nodes, host.edges, []"]
     text = "\n".join(search)
     if "inc[" in text:
@@ -252,45 +311,22 @@ def generate(graph: RuleGraph, compiled: _Compiled) -> Callable:
 
 
 def generate_rule(schema: ConditionalRuleSchema, slot: dict[str, int]) -> tuple:
-    """(test, build, raises) of a schema whose left nodes have the slots
-    `slot`.  `test(image, alpha, host)` tells whether the condition, then
-    the dangling condition, hold at a match; None if the schema has neither.
-    The dangling condition is one length test per deleted node: a match is
-    injective and preserves structure, so the node's incident edges are the
-    matched ones if there are as many as left edges at it, a loop once.
+    """(build, raises) of a schema whose left nodes have the slots `slot`.
     `build(image, alpha, host)` gives the atoms of the right labels in slot
     order, evaluated in insertion order as `eval_list` would; `raises` tells
     whether it can raise (a right label divides, or reads a variable at
     another type than the left side binds)."""
-    left, right = schema.left, schema.right
+    right = schema.right
     namespace: dict = {"EvalError": EvalError}
-    bound: dict[str, str] = {}
-    for label in [*left.nodes.values(), *(e.label for e in left.edges.values())]:
-        for t in subterms(label.expr):
-            if isinstance(t, Var) and bound.get(t.name, "atom") == "atom":
-                bound[t.name] = t.vtype.value
     node = lambda n: f"image[{slot[n]}]"  # noqa: E731
-    writer = _Writer(namespace, node, "raise EvalError({})", bound)
-    test = writer.lines
-    if schema.condition is not None:
-        holds = writer.value(schema.condition, "cond", "    ")
-        test.append(f"    if not {holds}: return False")
-    deleted = [n for n in sorted(left.nodes) if n not in schema.interface]
-    test += ["    inc = host.incidence()"] if deleted else []
-    for n in deleted:
-        count = sum(n in (e.source, e.target) for e in left.edges.values())
-        test.append(f"    if len(inc[image[{slot[n]}]]) != {count}: return False")
-    writer = _Writer(namespace, node, "raise EvalError({})", bound)
-    build = writer.lines
+    writer = _Writer(namespace, node, "raise EvalError({})", _bound(schema.left))
     nodes = {n: writer.value(label.expr, "list", "    ") for n, label in right.nodes.items()}
     edges = {e: writer.value(edge.label.expr, "list", "    ") for e, edge in right.edges.items()}
     labels = [nodes[n] for n in sorted(nodes)] + [edges[e] for e in sorted(edges)]
-    source = ["def build(image, alpha, host):", *build]
+    source = ["def build(image, alpha, host):", *writer.lines]
     source.append(f"    return ({''.join(v + ', ' for v in labels)})")
-    if test:
-        source += ["def test(image, alpha, host):", *test, "    return True"]
     exec("\n".join(source), namespace)
-    return namespace.get("test"), namespace["build"], writer.raises
+    return namespace["build"], writer.raises
 
 
 def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Callable:
@@ -301,7 +337,9 @@ def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Cal
     checks: it deletes the left edges in slot order, then the deleted nodes,
     relabels or adds the right nodes in slot order, then adds the right
     edges.  A match agrees with the host on marks, so the mark class of each
-    edge deleted or added is a constant here; the only loop moves the other
+    edge deleted or added is a constant here, and a matched node or deleted
+    edge whose mark is not its left item's raises `GraphError` (a stale
+    match), the nodes before any change; the only loop moves the other
     edges of a node whose mark the rule changes to their new class.  Index
     lists are replaced, never changed in place, and an index is built only
     where a mutator would build it."""
@@ -314,12 +352,19 @@ def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Cal
     same = same and not (left.edges or deleted or right.edges)  # only atoms may change
     out = ["def rewrite(host, image, labels):"]
     out.append("    nodes, edges, inc, M = host.nodes, host.edges, host._incident, host._marked")
+    for n in sorted(left.nodes):  # before any change; an unknown node raises below
+        x, label = f"image[{slot[n]}]", "MARKED" if was[n] else "UNMARKED"
+        out.append(f"""    if nodes.get({x}, {label}).marked != {was[n]}:
+        raise GraphError(f'stale match: node {{{x}!r}} is {"un" * was[n]}marked')""")
     out += [] if same else ["    host._signature = None"]
     for i, eid in enumerate(sorted(left.edges), len(left.nodes)):
         e = left.edges[eid]
         out.append(f"""    x = image[{i}]
-    E = edges.pop(x, None)
+    E = edges.get(x)
     if E is None: raise GraphError(f'unknown edge id {{x!r}}')
+    if E.label.marked != {e.label.marked}:
+        raise GraphError(f'stale match: edge {{x!r}} is {"un" * e.label.marked}marked')
+    del edges[x]
     if inc is not None:
         inc[E.source] = _without(inc[E.source], x)""")
         if e.source != e.target:
@@ -376,5 +421,6 @@ def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Cal
     out += ["    if M is not None:"] if classes else []
     out += [f"        M[{c}] = M.get({c}, []) + [{', '.join(ids)}]" for c, ids in classes.items()]
     namespace = {"GraphError": GraphError, "HostLabel": HostLabel, "Edge": Edge, "_without": _without}
+    namespace.update(MARKED=HostLabel((), True), UNMARKED=HostLabel((), False))
     exec("\n".join(out), namespace)
     return namespace["rewrite"]

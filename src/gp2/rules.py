@@ -1,28 +1,29 @@
 """Conditional rule schemata: validation, matching, and application.
 
-Matching finds the injective premorphisms from the left graph into the
-host graph, infers the unique assignment that makes each one
-label-preserving, and keeps those that pass the rule condition and the
-dangling condition.  Applying a match rewrites a copy of the host, or the
-host itself where a run owns it.
+Matching finds, in one search, the injective premorphisms from the left
+graph into the host graph, infers the unique assignment that makes each
+one label-preserving, and keeps those that pass the rule condition and
+the dangling condition.  Applying a match rewrites a copy of the host, or
+the host itself where a run owns it.
 
 Each rule graph is compiled once, on first use, into one record
 (`_Compiled`) that matching and rewriting only read; adding a node or an
 edge drops it.  Its slots are the sorted nodes, then the sorted edges, and
-a match is the tuple of host ids in slot order.  A left graph's record
-holds the search that `matcher.generate` writes for it, which also
-unifies; the search starts at marked items where the left graph has them,
-read from the host's marked index (`HostGraph.marked`).  A schema's record
-(`_Rule`) adds its test of a complete match and evaluator of right labels
-(`matcher.generate_rule`), and, from its first application, its rewrite
-(`matcher.generate_rewrite`): straight-line code whose mark classes are
-fixed when the rule is compiled.
+a match is the tuple of host ids in slot order.  A schema's record
+(`_Rule`) holds its search, which `matcher.generate` writes for it: the
+search unifies, and tests the condition and the dangling condition as
+soon as their items are bound; it starts at marked items where the left
+graph has them, read from the host's marked index (`HostGraph.marked`).
+The record adds its evaluator of right labels (`matcher.generate_rule`)
+and, from its first application, its rewrite (`matcher.generate_rewrite`):
+straight-line code whose mark classes are fixed when the rule is compiled.
 
 There is one match path.  `enumerate_matches` yields every applicable
 match with its assignment, sorted by slot tuple so that a seeded run does
 not depend on the plan; `apply` rewrites at one, and the right labels are
 evaluated in `apply`, once per applied match.  `infer_assignment` reads
-the same search for the assignment of one premorphism.
+the plain search of the left graph, without condition or dangling test,
+which is generated only when it is asked for.
 
 Which loops the explorer reduces, and by which matches, is decided in
 `gp2.confluence`.
@@ -45,6 +46,7 @@ from .labels import (
     RuleLabel,
     TypeCheck,
     VType,
+    condition_nodes,
     degree_nodes,
     eval_condition,  # unused: bound only because perfbench/tracer.py asserts it
     eval_list,  # unused: bound only because perfbench/tracer.py asserts it
@@ -150,7 +152,7 @@ def validate(schema: ConditionalRuleSchema) -> list[Violation]:
         extra = variables(schema.condition) - left_vars
         if extra:
             bad("condition", f"variables {sorted(extra)} do not occur on the left")
-        for node in sorted(_condition_nodes(schema.condition)):
+        for node in sorted(condition_nodes(schema.condition)):
             if node not in schema.left.nodes:
                 bad("condition", f"node {node!r} is not a left-graph node")
         try:
@@ -159,11 +161,6 @@ def validate(schema: ConditionalRuleSchema) -> list[Violation]:
             bad("condition", str(exc))
 
     return out
-
-
-def _condition_nodes(c: Condition) -> set[str]:
-    ends = {n for t in subterms(c) if isinstance(t, EdgePred) for n in (t.source, t.target)}
-    return ends | degree_nodes(c)
 
 
 def _check_condition_types(c: Condition, decls: dict[str, VType]) -> None:
@@ -181,8 +178,8 @@ class _Compiled:
     """What matching and rewriting read of one rule graph.
 
     The slots are the sorted nodes, then the sorted edges, and `slot` maps
-    each node to its slot.  A left graph's search is generated on first use
-    (`matcher.generate`)."""
+    each node to its slot.  A left graph's plain search is generated when
+    `infer_assignment` first asks for it (`matcher.generate`)."""
 
     __slots__ = ("nodes", "edges", "slot", "search")
 
@@ -207,19 +204,20 @@ def _left(graph: RuleGraph) -> _Compiled:
 
 class _Rule:
     """What matching and rewriting read of one schema: its graphs' records,
-    the generated test of a complete match and evaluator of the right
+    its generated search (`matcher.generate`) and evaluator of the right
     labels (`matcher.generate_rule`), and its generated rewrite
     (`matcher.generate_rewrite`).  `loops` holds the explorer's verdict on
     loops of each rule set this rule comes first in (`confluence.loop_kind`)."""
 
-    __slots__ = ("left", "right", "interface", "condition", "test", "build", "rewrite")
+    __slots__ = ("left", "right", "interface", "condition", "search", "build", "rewrite")
     __slots__ += ("raises", "loops")
 
     def __init__(self, schema: ConditionalRuleSchema) -> None:
-        left, right = _left(schema.left), _compiled(schema.right)
+        left, right = _compiled(schema.left), _compiled(schema.right)
         self.left, self.right = left, right
         self.interface, self.condition = schema.interface, schema.condition
-        self.test, self.build, self.raises = generate_rule(schema, left.slot)
+        self.search = generate(schema.left, left, schema)
+        self.build, self.raises = generate_rule(schema, left.slot)
         self.rewrite: Optional[Callable] = None  # generated at the first rewrite
         self.loops: dict[tuple[_Rule, ...], Optional[str]] = {}
 
@@ -266,20 +264,22 @@ def enumerate_matches(
     warnings: Optional[list[str]] = None,
 ) -> Iterator[Match]:
     """Yield every applicable match, in slot-tuple order, as (slot tuple,
-    assignment); each is tested as it is yielded, so a caller that rewrites
-    the host in place must take every match first.
+    assignment); its right labels are checked as it is yielded, so a
+    caller that rewrites the host in place must take every match first.
 
-    A candidate is discarded when no assignment exists, the condition is
-    false, the dangling condition fails, or evaluation of the condition or
-    a right-hand label raises an evaluation error (the latter with a
-    warning).  Right labels are evaluated here only where they can raise.
+    The rule's one search discards a candidate when no assignment exists,
+    the condition is false or the dangling condition fails.  A candidate
+    whose condition raises an evaluation error, which the search gives as
+    (slot tuple, `EvalError`), or whose right labels raise one, is
+    discarded with a warning.  Right labels are evaluated here only where
+    they can raise.
     """
     rule = _rule(schema)
-    test, build = rule.test, rule.build if rule.raises else None
-    for image, alpha in rule.left.search(host):
+    build = rule.build if rule.raises else None
+    for image, alpha in rule.search(host):
         try:
-            if test is not None and not test(image, alpha, host):
-                continue
+            if isinstance(alpha, EvalError):  # the condition raised
+                raise alpha
             if build is not None:
                 build(image, alpha, host)
         except EvalError as exc:
@@ -302,8 +302,8 @@ def apply(
     whose atoms or mark change, and adds the right-only items with fresh
     ids, as the `HostGraph` mutators would; the mark class of every item it
     deletes or adds was fixed when the rule was compiled.  A match whose
-    items are gone, or whose deleted node has gained an edge, raises
-    `GraphError`."""
+    items are gone, whose matched nodes or edges have changed their marks,
+    or whose deleted node has gained an edge, raises `GraphError`."""
     rule = _rule(schema)
     image, alpha = match
     labels = rule.build(image, alpha, host)

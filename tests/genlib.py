@@ -57,10 +57,12 @@ from gp2.labels import (
     TypeCheck,
     Var,
     VType,
+    _Writer,
     is_simple,
     variables,
 )
 from gp2.labels import Or as CondOr
+from gp2.matcher import _bound
 from gp2.program import (
     CheckedProgram,
     Command,
@@ -77,6 +79,7 @@ from gp2.program import (
 from gp2.rules import (
     ConditionalRuleSchema,
     RuleGraph,
+    _left,
     _rule,
     apply,
     apply_ruleset,
@@ -816,6 +819,65 @@ def reference_matches(
             continue
         out.append((g, alpha))
     return out
+
+
+# -- reference two-phase matching ---------------------------------------
+
+
+def generate_test(schema: ConditionalRuleSchema, slot: dict[str, int]):
+    """The generated test of a complete match that the one search per
+    schema replaced: `test(image, alpha, host)` tells whether the
+    condition, then the dangling condition, hold at a match; None if the
+    schema has neither.  The dangling condition is one length test per
+    deleted node, as in the search."""
+    left = schema.left
+    namespace: dict = {"EvalError": EvalError}
+    node = lambda n: f"image[{slot[n]}]"  # noqa: E731
+    writer = _Writer(namespace, node, "raise EvalError({})", _bound(left))
+    test = writer.lines
+    if schema.condition is not None:
+        holds = writer.value(schema.condition, "cond", "    ")
+        test.append(f"    if not {holds}: return False")
+    deleted = [n for n in sorted(left.nodes) if n not in schema.interface]
+    test += ["    inc = host.incidence()"] if deleted else []
+    for n in deleted:
+        count = sum(n in (e.source, e.target) for e in left.edges.values())
+        test.append(f"    if len(inc[image[{slot[n]}]]) != {count}: return False")
+    if not test:
+        return None
+    exec("\n".join(["def test(image, alpha, host):", *test, "    return True"]), namespace)
+    return namespace["test"]
+
+
+_tests: dict[int, tuple] = {}  # id of a schema's `_Rule` -> (that record, plain search, test)
+
+
+def two_phase_matches(
+    schema: ConditionalRuleSchema, host: HostGraph, warnings: Optional[list[str]] = None
+) -> Iterator[tuple]:
+    """`rules.enumerate_matches` in two phases, the path that the one
+    search per schema replaced: the plain search of the left graph (the one
+    `infer_assignment` reads), then, in slot-tuple order, the generated
+    test of the condition and the dangling condition (`generate_test`, made
+    once per schema record), then the right labels where they can raise."""
+    rule = _rule(schema)
+    kept = _tests.get(id(rule))
+    if kept is None or kept[0] is not rule:
+        search = _left(schema.left).search
+        kept = _tests[id(rule)] = rule, search, generate_test(schema, rule.left.slot)
+    _, search, test = kept
+    build = rule.build if rule.raises else None
+    for image, alpha in search(host):
+        try:
+            if test is not None and not test(image, alpha, host):
+                continue
+            if build is not None:
+                build(image, alpha, host)
+        except EvalError as exc:
+            if warnings is not None:
+                warnings.append(f"rule {schema.name}: match discarded ({exc})")
+            continue
+        yield image, alpha
 
 
 # -- reference isomorphism test ----------------------------------------

@@ -148,6 +148,7 @@ RULES = checked(parse_program(
     " => [ (n1, x) | ] interface = {n1}\n"
     "rule grow(x: list) [ (n1, x) | ] => [ (n1, x #) (n2, 0) | (e1, n1, n2, 0) ]"
     " interface = {n1}\n"
+    "rule unmark(x: list) [ (n1, x #) | ] => [ (n1, x) | ] interface = {n1}\n"
     "main = cut"
 )).rules
 
@@ -194,3 +195,35 @@ def test_an_unknown_interface_node_raises_a_graph_error():
         with pytest.raises(GraphError, match="unknown node id 'a'"):
             apply(schema, host, match, copy=copy)
     assert host.to_text() == "[ | ]"
+
+
+@pytest.mark.parametrize("copy", [True, False])
+@pytest.mark.parametrize("indexes", INDEXES)
+def test_a_match_whose_marks_changed_raises_before_any_change(indexes, copy):
+    """The rewrite's mark classes are fixed when the rule is compiled, so a
+    match whose node has been marked or unmarked since, or whose edge is
+    marked in the host it is applied to, raises and leaves that host's
+    text, id counters and indexes as they were.  Without the check, `drop` deleted node c
+    while the marked index still listed it."""
+    host = parse_host_graph("[ (a, 0) (b, 1) (c, 2) (d, 3 #) | (e1, a, b, 0) ]")
+    marked_edge = parse_host_graph("[ (a, 0) (b, 1) (c, 2) (d, 3 #) | (e1, a, b, 0 #) ]")
+
+    def relabel(n: str, marked: bool):
+        return lambda g: g.relabel_node(n, HostLabel(g.nodes[n].items, marked))
+
+    cases = [  # (rule, host id of its first slot, change, message)
+        ("drop", "c", relabel("c", True), "stale match: node 'c' is marked"),
+        ("cut", "a", relabel("b", True), "stale match: node 'b' is marked"),
+        ("unmark", "d", relabel("d", False), "stale match: node 'd' is unmarked"),
+        ("cut", "a", lambda g: marked_edge.copy(), "stale match: edge 'e1' is marked"),
+    ]
+    for name, first, change, message in cases:
+        schema = RULES[name]
+        match = next(m for m in enumerate_matches(schema, host) if m[0][0] == first)
+        stale = prepared(host, indexes)
+        stale = change(stale) or stale
+        stale = prepared(stale, indexes)
+        before = snapshot(stale)
+        assert raised(lambda s, g, m: apply(s, g, m, copy=copy), schema, stale, match) == message
+        assert snapshot(stale)[:4] == before[:4]  # the certificate, a cache, may be dropped
+        assert {c: sorted(ids) for c, ids in stale.marked().items()} == scanned_marks(stale)

@@ -23,6 +23,7 @@ from genlib import (
     reference_matches,
     reference_premorphisms,
     reference_run_one,
+    two_phase_matches,
 )
 import gp2.labels
 from gp2 import corpus
@@ -341,6 +342,17 @@ class TestEnumerateMatches:
         matches = list(enumerate_matches(schema, host, warnings))
         assert len(matches) == 1  # only n ↦ 1 survives
         assert len(warnings) == 1
+
+    def test_a_condition_that_raises_warns_before_the_dangling_condition(self):
+        """Neither node can be deleted, but the condition is evaluated first
+        and raises at both, so both warn, in slot-tuple order."""
+        schema = schema_of(
+            "rule kill(x: int) [ (n1, x) | ] => [ | ] interface = {} where x / 0 = 1", "kill"
+        )
+        host = parse_host_graph("[ (a, 1) (b, 2) | (e, a, b, 3) ]")
+        warnings: list[str] = []
+        assert list(enumerate_matches(schema, host, warnings)) == []
+        assert warnings == ["rule kill: match discarded (division by zero)"] * 2
 
     def test_injective_matching_only(self):
         schema = schema_of(
@@ -674,11 +686,15 @@ def matches_and_warnings(matcher, schema, host) -> tuple:
     return found, warnings
 
 
-def premorphism_matches(schema, host, warnings) -> list:
-    """The matches of `enumerate_matches` as (premorphism, assignment)
-    pairs, the form of `reference_matches`."""
-    matches = enumerate_matches(schema, host, warnings)
+def premorphism_matches(schema, host, warnings, matcher=enumerate_matches) -> list:
+    """The matches of `enumerate_matches`, or of another matcher of its
+    form, as (premorphism, assignment) pairs, the form of `reference_matches`."""
+    matches = matcher(schema, host, warnings)
     return [(premorphism(schema.left, image), alpha) for image, alpha in matches]
+
+
+def two_phase_premorphisms(schema, host, warnings) -> list:
+    return premorphism_matches(schema, host, warnings, two_phase_matches)
 
 
 # the mark classes of edges, in the order a search plan starts at them
@@ -703,12 +719,14 @@ def mark_pattern(left: RuleGraph) -> str:
 
 class TestMatcherAgainstReference:
     """The generated matcher yields exactly the matches of the reference
-    pipeline, in the same order, with the same assignments and warnings,
-    so seeded runs pick the same match."""
+    pipeline, and of the two-phase path it replaced (the plain search, then
+    the condition and dangling test), in the same order, with the same
+    assignments and warnings, so seeded runs pick the same match."""
 
     def agree(self, schema, host, seen) -> None:
         found = matches_and_warnings(premorphism_matches, schema, host)
         assert found == matches_and_warnings(reference_matches, schema, host), host.to_text()
+        assert found == matches_and_warnings(two_phase_premorphisms, schema, host), host.to_text()
         left = schema.left
         ends = [(e.source, e.target) for e in left.edges.values()]
         touched = {n for pair in ends for n in pair}
@@ -802,14 +820,30 @@ class TestMatcherAgainstReference:
             else:
                 host = instantiated(rng, left)
             self.agree(schema, host, seen)
-            found = list(enumerate_matches(schema, host))
+            warnings: list[str] = []
+            found = list(enumerate_matches(schema, host, warnings))
             labels = [*left.nodes.values(), *(e.label for e in left.edges.values())]
             seen["degree"] += bool(found) and any(degree_nodes(lab.expr) for lab in labels)
             seen["condition"] += bool(found) and schema.condition is not None
+            # the same schema with right labels that cannot raise warns only
+            # where the condition raises
+            quiet = RuleGraph()
+            for nid, label in schema.right.nodes.items():
+                quiet.add_node(nid, RuleLabel(Empty(), label.marked))
+            for eid, e in schema.right.edges.items():
+                quiet.add_edge(eid, e.source, e.target, RuleLabel(Empty(), e.label.marked))
+            quiet_schema = ConditionalRuleSchema(
+                "r", {}, left, schema.interface, quiet, schema.condition
+            )
+            by_condition: list[str] = []
+            list(enumerate_matches(quiet_schema, host, by_condition))
+            seen["condition warnings"] += len(by_condition)
+            seen["right label warnings"] += len(warnings) - len(by_condition)
         patterns = ("marked node", "edge", "empty")
         assert min(seen["matched " + k] for k in patterns) > 0, seen
         assert min(seen[k] for k in ("degree", "condition")) >= 10, seen
         assert seen["warnings"] >= 20 and seen["matches"] >= 100, seen
+        assert min(seen[k] for k in ("condition warnings", "right label warnings")) >= 5, seen
 
 
 # -- compiled labels against the reference -----------------------------
@@ -885,8 +919,9 @@ def instantiated(rng: random.Random, left: RuleGraph) -> HostGraph:
 
 def rich_schema(rng: random.Random, left: RuleGraph) -> ConditionalRuleSchema:
     """A schema over a left graph with a random condition over its nodes
-    and variables, a random interface, and right labels that copy left
-    labels, read degrees or divide by one."""
+    and variables, some guarded by a quotient that divides by a degree, a
+    random interface, and right labels that copy left labels, read degrees
+    or divide by one."""
     nodes = sorted(left.nodes) or ["n1"]
     exprs = [lab.expr for lab in left.nodes.values()]
     exprs += [e.label.expr for e in left.edges.values()]
@@ -930,6 +965,8 @@ def rich_schema(rng: random.Random, left: RuleGraph) -> ConditionalRuleSchema:
     for j in range(rng.randint(0, 2)):
         right.add_edge(f"f{j + 1}", rng.choice(right_ids), rng.choice(right_ids), right_label())
     cond = condition(1) if left.nodes and rng.random() < 0.5 else None
+    if cond is not None and rng.random() < 0.3:  # true, or raises where the degree is 0
+        cond = And(Rel(">", Arith("/", IntLit(1), degree()), IntLit(-1)), cond)
     return ConditionalRuleSchema("r", {}, left, interface, right, cond)
 
 
@@ -1064,7 +1101,7 @@ class TestCompiledLabels:
             right = RuleGraph()
             right.add_node("n1", RuleLabel(expr))
             schema = ConditionalRuleSchema("r", {}, left, frozenset(), right)
-            _, build, raises = generate_rule(schema, {"n1": 0, "n2": 1})
+            build, raises = generate_rule(schema, {"n1": 0, "n2": 1})
             alpha = {
                 "i": rng.choice([-2, 0, 3, 3, "bad"]),
                 "j": rng.choice([0, 2]),
