@@ -32,7 +32,8 @@ compare by identity, without one.
 
 A third saving explores fewer configurations.  A loop of a confluent or
 a reducible rule set, decided once per rule set of a loaded program
-(`confluence.loop_kind`, confluent first), is reduced by
+(`confluence.loop_kind`, confluent first; the module is imported at the
+first verdict, so a single run never loads it), is reduced by
 `Engine._reduced_loop`: it rewrites the graph with matches that commute
 with every other match, on a copy made at the first rewrite, ticking once
 per rewrite, so the budget still bounds the loop and a truncated one gives
@@ -69,10 +70,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 from typing import Optional, Union
-
-from .confluence import CONFLUENT, independent, loop_kind
 
 # isomorphic is bound here only for perfbench/tracer.py
 from .graphs import Certificate, HostGraph, IsoStore, isomorphic
@@ -324,7 +324,7 @@ class Engine:
             return None
         names = head.body.names
         if names not in self._loop_kinds:
-            self._loop_kinds[names] = loop_kind([self.rules[n] for n in names])
+            self._loop_kinds[names] = _confluence().loop_kind([self.rules[n] for n in names])
         return self._loop_kinds[names]
 
     def _reduced_loop(
@@ -337,14 +337,15 @@ class Engine:
         [alap1] where conflicting ones are.  A loop whose matches all
         conflict at entry steps as written (`_step`)."""
         rules = [self.rules[n] for n in loop.body.names]
+        confluence = _confluence()
         h = graph
         while True:
             matches = ((s, m) for s in rules for m in enumerate_matches(s, h, self.warnings))
-            if kind is CONFLUENT:
+            if kind is confluence.CONFLUENT:
                 enabled = batch = list(islice(matches, 1))
             else:
                 enabled = list(matches)
-                batch = independent(enabled)
+                batch = confluence.independent(enabled)
             if not batch:
                 break
             for schema, match in batch:
@@ -355,6 +356,15 @@ class Engine:
             return _step(self, loop, graph)
         h.signature(self._certificates)
         return [((loop,), h, "alap1") if enabled else ((), h, "alap2")], False
+
+
+@cache
+def _confluence():
+    """`gp2.confluence`, imported at an engine's first loop verdict, so a
+    single run (`run_one`) never loads it."""
+    from . import confluence
+
+    return confluence
 
 
 def _entered(cont: tuple[Command, ...]) -> tuple[Command, ...]:

@@ -33,10 +33,13 @@ class HostLabel:
     list containing the empty string.  Labels are equal, and hash alike,
     exactly when their atoms and marks are.  The hash and the sort key are
     kept in slots filled at first use, so a label that is never certified
-    costs neither.
+    costs neither.  So is its printed text (`format_label`), which `__str__`
+    fills at the first print, so printing a graph (`HostGraph.to_text`)
+    joins stored strings.  `__init__` sets every slot: a slot left unset
+    would make each first print raise and catch an `AttributeError`.
     """
 
-    __slots__ = ("items", "marked", "_sort_key", "_hash")
+    __slots__ = ("items", "marked", "_sort_key", "_hash", "_text")
 
     def __init__(self, items: tuple[Atom, ...] = (), marked: bool = False) -> None:
         for a in items:
@@ -48,6 +51,7 @@ class HostLabel:
         _set_marked(self, marked)
         _set_sort_key(self, None)
         _set_hash(self, None)
+        _set_text(self, None)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"HostLabel is immutable: cannot set {name!r}")
@@ -73,7 +77,11 @@ class HostLabel:
         return f"HostLabel(items={self.items!r}, marked={self.marked!r})"
 
     def __str__(self) -> str:
-        return format_label(self.items, self.marked)
+        text = self._text
+        if text is None:
+            text = format_label(self.items, self.marked)
+            _set_text(self, text)
+        return text
 
     @property
     def sort_key(self) -> tuple:
@@ -92,6 +100,7 @@ _set_items = HostLabel.items.__set__
 _set_marked = HostLabel.marked.__set__
 _set_sort_key = HostLabel._sort_key.__set__
 _set_hash = HostLabel._hash.__set__
+_set_text = HostLabel._text.__set__
 
 
 def format_atom(a: Atom) -> str:
@@ -130,7 +139,9 @@ class HostGraph:
 
     Parallel edges and loops are permitted.  A rewrite changes a copy
     (`rules.apply`), or the graph itself where a run or a normal form owns
-    it.
+    it.  The host reader (`parsing._read_host`) fills `nodes` and `edges`
+    of a new graph directly, in text order, as `add_node` and `add_edge`
+    would, leaving the counters and the indexes as they would.
 
     Two indexes of id lists are built on first use and then kept up to date
     by every mutator and by the generated rewrite of every rule
@@ -334,12 +345,11 @@ class HostGraph:
                 yield eid
 
     def to_text(self) -> str:
-        nodes = " ".join(
-            f"({nid}, {label})" for nid, label in self.nodes.items()
-        )
+        """The host text of the graph, which reads back to it; each label's
+        text is kept in the label once printed."""
+        nodes = " ".join([f"({nid}, {label})" for nid, label in self.nodes.items()])
         edges = " ".join(
-            f"({eid}, {e.source}, {e.target}, {e.label})"
-            for eid, e in self.edges.items()
+            [f"({eid}, {e.source}, {e.target}, {e.label})" for eid, e in self.edges.items()]
         )
         left = f"[ {nodes} " if nodes else "[ "
         right = f"| {edges} ]" if edges else "| ]"

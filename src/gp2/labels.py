@@ -9,15 +9,16 @@ never recurses: `gp2.matcher` writes a rule's code with it, and
 interpreted evaluators it replaced are the reference in `tests/genlib.py`.
 
 Every syntax node, here and in `gp2.program`, subclasses `_Node`: it
-stores its hash when built and compares on an explicit stack.  One table
-gives each node's text as strings and the nodes nested in it; the walker
-(`operands`, `subterms`), the printer (`show`, each node's `str`) and the
-type checker (`infer_type`) read it, so none of them recurses.
+takes its construction, `repr` and immutability from one field table that
+its annotations give, stores its hash when built and compares on an
+explicit stack.  One table gives each node's text as strings and the nodes
+nested in it; the walker (`operands`, `subterms`), the printer (`show`,
+each node's `str`) and the type checker (`infer_type`) read it, so none of
+them recurses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional, Union
 
@@ -78,21 +79,50 @@ def show(node, limit: Optional[int] = None) -> str:
     return "".join(out)
 
 
-class _Node:
-    """A syntax node hashes once, when built, from the stored hashes of
-    the nodes nested in it, so no lookup walks a tree."""
+_REQUIRED = object()  # the default of a field that has none
 
-    # in place of the dataclass __init__, and in its one stack frame: a
-    # __post_init__ would lower the nesting the parser can read by a level
+
+class _Node:
+    """A syntax node: immutable, its fields set by the one `__init__`.
+
+    Each kind annotates its fields in order, a default as a class
+    attribute; those named in the class keyword `keyword_only`, such as a
+    call's bare flag, are passed by name and change only the text.
+    `__init_subclass__` reads them into the field table `_fields` (each
+    field's default, `_REQUIRED` where it has none) and the positional
+    fields `__match_args__`.  A node hashes once, when built, from the
+    stored hashes of the nodes nested in it, so no lookup walks a tree."""
+
+    __match_args__: tuple[str, ...] = ()
+    _fields: dict[str, Any] = {}
+
+    def __init_subclass__(cls, keyword_only: tuple[str, ...] = ()) -> None:
+        names = vars(cls).get("__annotations__", {})
+        cls.__match_args__ = tuple(name for name in names if name not in keyword_only)
+        cls._fields = {name: vars(cls).get(name, _REQUIRED) for name in names}
+
+    # one stack frame per node: nesting never recurses while building
     def __init__(self, *fields, **named) -> None:
-        if len(fields) > len(self.__match_args__) or named.keys() - self.__dataclass_fields__:
-            raise TypeError(f"unexpected arguments for {type(self).__name__}: {fields} {named}")
-        state = vars(self)
-        state.update(zip(self.__match_args__, fields), **named)
-        # keyword-only fields, such as a call's bare flag, change only the text
-        key = (type(self), *map(self.__getattribute__, self.__match_args__))
+        kind, state = type(self), vars(self)
+        positional = kind.__match_args__
+        state.update(zip(positional, fields), **named)
+        for name, default in kind._fields.items():
+            if state.setdefault(name, default) is _REQUIRED:
+                raise TypeError(f"{kind.__name__} needs the field {name!r}")
+        if len(fields) > len(positional) or len(state) > len(kind._fields):
+            raise TypeError(f"unexpected arguments for {kind.__name__}: {fields} {named}")
+        key = (kind, *map(state.__getitem__, positional))
         state["_key"] = key
         state["_hash"] = hash(key)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={vars(self)[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
     def __hash__(self) -> int:
         return self._hash
@@ -130,52 +160,43 @@ class _Node:
 # -- expression AST ----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Empty(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class IntLit(_Node):
     value: int
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class StrLit(_Node):
     value: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Var(_Node):
     name: str
     vtype: VType
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Neg(_Node):
     expr: "ListExpr"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Arith(_Node):
     op: str  # one of + - * /
     left: "ListExpr"
     right: "ListExpr"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Deg(_Node):
     direction: str  # "in" or "out"
     node: str
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Dot(_Node):
     left: "ListExpr"
     right: "ListExpr"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Cons(_Node):
     left: "ListExpr"
     right: "ListExpr"
@@ -184,7 +205,6 @@ class Cons(_Node):
 ListExpr = Union[Empty, IntLit, StrLit, Var, Neg, Arith, Deg, Dot, Cons]
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class RuleLabel(_Node):
     expr: ListExpr
     marked: bool = False
@@ -193,45 +213,38 @@ class RuleLabel(_Node):
 # -- condition AST -----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class TypeCheck(_Node):
     tname: str  # int | string | atom
     expr: ListExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Eq(_Node):
     left: ListExpr
     right: ListExpr
     negated: bool = False
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Rel(_Node):
     op: str  # > >= < <=
     left: ListExpr
     right: ListExpr
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class EdgePred(_Node):
     source: str
     target: str
     label: Optional[ListExpr] = None
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Not(_Node):
     cond: "Condition"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class And(_Node):
     left: "Condition"
     right: "Condition"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Or(_Node):
     left: "Condition"
     right: "Condition"
@@ -345,12 +358,22 @@ def list_items(e: ListExpr) -> list:
     return out
 
 
+# the expressions whose value is an integer, or an error, whatever their operands
+_INTEGERS = (IntLit, Deg, Arith, Neg)
+
+
 def _parts(e, kind: str) -> list:
     """The operands that the value of e as `kind` (`_Writer.value`) is
     written from, each with its kind."""
     if kind == "cond":
-        sub = "cond" if isinstance(e, (Not, And, Or)) else "int" if isinstance(e, Rel) else "list"
-        return [(t, sub) for t in operands(e)]
+        nested = operands(e)
+        if isinstance(e, (Not, And, Or)):
+            sub = "cond"
+        elif isinstance(e, Rel) or isinstance(e, Eq) and all(isinstance(t, _INTEGERS) for t in nested):
+            sub = "int"  # one-item lists compare as their items do
+        else:
+            sub = "list"
+        return [(t, sub) for t in nested]
     if kind == "list":
         return [(t, "item") for t in list_items(e)]
     if kind == "item":  # a variable, or an integer or string expression

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import re
 from functools import cache, cached_property, reduce
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .graphs import GraphError, HostGraph, HostLabel
+from .graphs import Edge, GraphError, HostGraph, HostLabel
 from .labels import (
     Arith,
     Condition,
@@ -491,11 +492,13 @@ def parse_program(text: str) -> ProgramAST:
 # One pattern per host item, each ending in a skip.  A skip is whitespace and
 # `//` comments, and a comment runs to the end of its line, so a text splits
 # into skips and tokens in only one way and a refused text is refused in
-# linear time.  Identifiers and strings are the tokenizer's.
-_SKIP = r"[ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*"
+# linear time.  The skip's quantifiers are possessive: what one of them took
+# is never given back, as no other split exists.  Identifiers and strings
+# are the tokenizer's.
+_SKIP = r"[ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+"
 _ATOM = rf'(?:-{_SKIP})?[0-9]+|"{_STRING_BODY}"'
-# a label's text, then its mark
-_LABEL = rf"(empty(?!\w)|(?:{_ATOM})(?:{_SKIP}:{_SKIP}(?:{_ATOM}))*)(?:{_SKIP}(#))?"
+# a label's text with its mark, which ends it: only a marked label ends in `#`
+_LABEL = rf"((?:empty(?!\w)|(?:{_ATOM})(?:{_SKIP}:{_SKIP}(?:{_ATOM}))*)(?:{_SKIP}#)?)"
 _ID = rf"({_IDENT})"
 
 
@@ -520,46 +523,73 @@ def _host_patterns() -> tuple[re.Pattern, ...]:
 
 
 def _read_host(text: str) -> Optional[HostGraph]:
-    """The host graph that text denotes, read in one pass, or None where
-    the text has an error for the Parser to report."""
+    """The host graph that text denotes, or None where the text has an
+    error for the Parser to report.
+
+    One scan of the text, item by item, collects each node's and edge's
+    groups; the graph's `nodes` and `edges` dicts are then built from them,
+    each label read once per distinct text, its mark included.  What the
+    Parser refuses at an item is refused in bulk: a repeated id (fewer
+    entries than items), an edge end that is not a node, an id that is a
+    keyword and, in a text that is not ASCII, an id that starts with a
+    numeral other than a decimal digit.  As after the Parser's `add_node`
+    and `add_edge` calls, the fresh-id counters are 0 and the indexes
+    unbuilt."""
     opening, node, bar, edge, closing, atoms = _host_patterns()
     m = opening.match(text)
     if m is None:
         return None
-    graph, labels = HostGraph(), {}
+    pos = m.end()
+    node_items = []  # (id, label) of each node
+    while m := node.match(text, pos):
+        node_items.append(m.groups())
+        pos = m.end()
+    if not (m := bar.match(text, pos)):
+        return None
+    pos = m.end()
+    edge_items = []  # (id, source, target, label) of each edge
+    while m := edge.match(text, pos):
+        edge_items.append(m.groups())
+        pos = m.end()
+    if not closing.fullmatch(text, pos):
+        return None
 
-    def label(key: tuple) -> HostLabel:
-        found = labels.get(key)
-        if found is None:
-            items = []
-            for sign, digits, string in atoms.findall(key[0]):
-                if digits:
-                    items.append(-int(digits) if sign else int(digits))
-                elif string:
-                    items.append(_ESCAPE.sub(r"\1", string[1:-1]))
-            found = labels[key] = HostLabel(tuple(items), key[1] is not None)
+    labels: dict[str, HostLabel] = {}
+
+    def label(written: str) -> HostLabel:
+        """The label of a text not read before."""
+        items = []
+        for sign, digits, string in atoms.findall(written):
+            if digits:
+                items.append(-int(digits) if sign else int(digits))
+            elif string:
+                items.append(_ESCAPE.sub(r"\1", string[1:-1]))
+        labels[written] = found = HostLabel(tuple(items), written[-1] == "#")
         return found
 
+    nodes: dict[str, HostLabel] = {}
+    edges: dict[str, Edge] = {}
     try:
-        pos = m.end()
-        while m := node.match(text, pos):
-            nid = m[1]
-            if nid in KEYWORDS or not (nid[0].isalpha() or nid[0] == "_"):
-                return None
-            graph.add_node(label(m.group(2, 3)), nid)
-            pos = m.end()
-        if not (m := bar.match(text, pos)):
-            return None
-        pos = m.end()
-        while m := edge.match(text, pos):
-            eid = m[1]
-            if eid in KEYWORDS or not (eid[0].isalpha() or eid[0] == "_"):
-                return None
-            graph.add_edge(m[2], m[3], label(m.group(4, 5)), eid)
-            pos = m.end()
-    except (GraphError, ValueError):  # a duplicate id, unknown endpoint or over-long integer
+        for nid, written in node_items:
+            nodes[nid] = labels.get(written) or label(written)
+        for eid, source, target, written in edge_items:
+            edges[eid] = Edge(source, target, labels.get(written) or label(written))
+    except ValueError:  # an integer of more digits than int() takes
         return None
-    return graph if closing.fullmatch(text, pos) else None
+    ends = {*map(itemgetter(1), edge_items), *map(itemgetter(2), edge_items)}
+    if (
+        len(nodes) < len(node_items)
+        or len(edges) < len(edge_items)
+        or not ends <= nodes.keys()
+        or not KEYWORDS.isdisjoint(nodes)
+        or not KEYWORDS.isdisjoint(edges)
+    ):
+        return None
+    if not text.isascii() and not all(i[0].isalpha() or i[0] == "_" for i in (*nodes, *edges)):
+        return None
+    graph = HostGraph()
+    graph.nodes, graph.edges = nodes, edges
+    return graph
 
 
 def parse_host_graph(text: str) -> HostGraph:

@@ -7,55 +7,47 @@ and conditions are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .labels import _PIECES, _Node, operands, subterms
 from .rules import ConditionalRuleSchema, Violation, validate
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Skip(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Fail(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class RuleSetCall(_Node):
+class RuleSetCall(_Node, keyword_only=("bare",)):
     names: tuple[str, ...]
     # a bare identifier prints without braces
-    bare: bool = field(default=False, kw_only=True)
+    bare: bool = False
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Seq(_Node):
     items: tuple["Command", ...]
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class If(_Node):
     cond: "Command"
     then: "Command"
     els: Optional["Command"] = None
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Try(_Node):
     cond: "Command"
     then: "Command"
     els: Optional["Command"] = None
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Loop(_Node):
     body: "Command"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Or(_Node):
     left: "Command"
     right: "Command"

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import gp2
+from gp2 import corpus
 from gp2.cli import main
 from gp2.graphs import isomorphic
 from gp2.parsing import parse_host_graph
@@ -275,3 +276,31 @@ class TestErrors:
         code, out, _ = run_cli(capsys, "run", "--help")
         assert code == 0
         assert out.startswith("usage: gp2 run")
+
+
+def test_a_run_never_imports_the_confluence_analysis(files):
+    """`gp2 run` needs no loop verdict, so neither importing the CLI nor a
+    run of `connected` loads `gp2.confluence`; an engine's first loop
+    verdict does."""
+    p = files("p.gp2", corpus.program_text("connected"))
+    g = files("g.host", '[ (a, 0) (b, 1) (c, 2) | (e, a, b, "x") (f, c, b, 1) ]\n')
+    script = f"""
+import contextlib, io, sys
+import gp2.cli
+print("gp2.confluence" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = gp2.cli.main(["run", {p!r}, {g!r}])
+print(code, out.getvalue().startswith("[ "), "gp2.confluence" in sys.modules)
+from gp2 import Budget, Engine, corpus, parse_host_graph
+program = corpus.load("connected")
+engine = Engine(program.rules, Budget())
+result = engine.semantics(program.main, parse_host_graph(open({g!r}).read()))
+print(len(result.graphs), "gp2.confluence" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(gp2.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["False", "0 True False", "1 True", ""]

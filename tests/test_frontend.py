@@ -301,6 +301,73 @@ class TestHostReaderAgainstParser:
         assert time.perf_counter() - began < 1.0
 
 
+def numbered_host(nodes: int, edges: int) -> tuple[list[str], list[str]]:
+    """The node and edge items of a host: node i labelled i, edge k from
+    node k to node k + 1 (mod the node count) labelled k."""
+    node_items = [f"(n{i}, {i})" for i in range(1, nodes + 1)]
+    edge_items = [f"(e{k}, n{k % nodes + 1}, n{(k + 1) % nodes + 1}, {k})" for k in range(edges)]
+    return node_items, edge_items
+
+
+def host_of(node_items: list[str], edge_items: list[str]) -> str:
+    return f"[ {' '.join(node_items)} | {' '.join(edge_items)} ]"
+
+
+def bulk_refusals() -> dict[str, tuple[str, str]]:
+    """Hosts that the reader refuses only once its scan is over, each with
+    the Parser's message: a repeated id, an unknown end or a bad id late in
+    the text, and each of them again with a syntax error after it."""
+    nodes, edges = numbered_host(600, 50)
+    cases = {
+        "node id repeated at the 500th node": (
+            nodes[:499] + ["(n7, 0)"] + nodes[500:], edges, "duplicate node id 'n7'"
+        ),
+        "edge id repeated": (
+            nodes, edges[:30] + ["(e3, n1, n2, 0)"] + edges[31:], "duplicate edge id 'e3'"
+        ),
+        "unknown end in the last edge only": (
+            nodes, edges[:-1] + ["(e49, n1, m1, 0)"], "unknown target node 'm1'"
+        ),
+        "keyword as an edge id": (
+            nodes, edges[:40] + ["(if, n1, n2, 0)"] + edges[41:], "expected 'IDENT', found 'if'"
+        ),
+        "edge id starting with ²": (
+            nodes, edges[:40] + ["(²e, n1, n2, 0)"] + edges[41:], "unexpected character '²'"
+        ),
+    }
+    texts = {}
+    for name, (node_items, edge_items, message) in cases.items():
+        texts[name] = host_of(node_items, edge_items), message
+        broken = edge_items + ["(e99 n1, n2, 0)"]  # a missing comma
+        texts[name + ", then a syntax error"] = host_of(node_items, broken), message
+    return texts
+
+
+class TestBulkRefusals:
+    @pytest.mark.parametrize("name", list(bulk_refusals()))
+    def test_refused_at_the_parser_s_line_and_column(self, name):
+        text, message = bulk_refusals()[name]
+        assert not compare_with_parser(text)
+        with pytest.raises(ParseError) as got:
+            parse_host_graph(text)
+        assert got.value.message == message
+
+    def test_a_host_of_ten_thousand_nodes_and_edges_reads_in_linear_time(self):
+        assert compare_with_parser(host_of(*numbered_host(10_000, 10_000)))
+        times = []
+        for size in (1_000, 10_000):
+            text = host_of(*numbered_host(size, size))
+            best = float("inf")
+            for _ in range(3):
+                began = time.perf_counter()
+                graph = parse_host_graph(text)
+                best = min(best, time.perf_counter() - began)
+            assert len(graph.nodes) == len(graph.edges) == size
+            times.append(best)
+        # ten times the items in well under a hundred times the time
+        assert times[1] < max(30 * times[0], 0.5), times
+
+
 # -- printing ----------------------------------------------------------------
 
 
