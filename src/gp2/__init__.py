@@ -2,7 +2,6 @@
 
 from .executor import (
     Budget,
-    BudgetExceeded,
     Engine,
     ResultSet,
     RunOutcome,
@@ -18,7 +17,6 @@ from .rules import ConditionalRuleSchema
 
 __all__ = [
     "Budget",
-    "BudgetExceeded",
     "CheckError",
     "CheckedProgram",
     "ConditionalRuleSchema",

@@ -144,10 +144,6 @@ class ResultSet:
         return "\n".join(parts) if parts else "(empty)"
 
 
-class BudgetExceeded(Exception):
-    pass
-
-
 @dataclass
 class TraceEntry:
     step: int

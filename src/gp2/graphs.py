@@ -16,10 +16,19 @@ graphs built apart share one certificate and compare by identity.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 Atom = int | str
+
+# the words of the language, which no identifier is
+KEYWORDS = {
+    "main", "if", "then", "else", "try", "or", "skip", "fail", "empty",
+    "where", "interface", "rule", "int", "string", "atom", "list",
+    "edge", "indeg", "outdeg", "not", "and",
+}
+_WORD = re.compile(r"\w+")
 
 
 class GraphError(Exception):
@@ -43,10 +52,9 @@ class HostLabel:
 
     def __init__(self, items: tuple[Atom, ...] = (), marked: bool = False) -> None:
         for a in items:
-            if a.__class__ is not int and a.__class__ is not str and (
-                not isinstance(a, (int, str)) or isinstance(a, bool)
-            ):
-                raise GraphError(f"label atom must be int or str, got {a!r}")
+            if a.__class__ is not int and (a.__class__ is not str or "\n" in a):
+                if not isinstance(a, (int, str)) or isinstance(a, bool) or "\n" in str(a):
+                    raise GraphError(f"label atom must be an int or a one-line str, got {a!r}")
         _set_items(self, items)
         _set_marked(self, marked)
         _set_sort_key(self, None)
@@ -115,6 +123,17 @@ def format_label(items: tuple[Atom, ...], marked: bool) -> str:
     return text + " #" if marked else text
 
 
+def _is_identifier(item_id) -> bool:
+    """Whether an id is one the host reader reads: a letter or `_`, then
+    letters, digits or `_`, and not a keyword."""
+    return (
+        isinstance(item_id, str)
+        and _WORD.fullmatch(item_id) is not None
+        and (item_id[0].isalpha() or item_id[0] == "_")
+        and item_id not in KEYWORDS
+    )
+
+
 def mark_class(edge: bool, source: bool, target: bool) -> int:
     """The mark class of an edge, from whether it, its source and its target
     are marked: 4 if it is, plus 2 if its source is and 1 if its target is."""
@@ -137,23 +156,24 @@ class Edge(NamedTuple):
 class HostGraph:
     """A finite directed multigraph with identifier-indexed nodes and edges.
 
-    Parallel edges and loops are permitted.  A rewrite changes a copy
-    (`rules.apply`), or the graph itself where a run or a normal form owns
-    it.  The host reader (`parsing._read_host`) fills `nodes` and `edges`
-    of a new graph directly, in text order, as `add_node` and `add_edge`
-    would, leaving the counters and the indexes as they would.
+    Parallel edges and loops are permitted.  A graph is built by `add_node`
+    and `add_edge`, or by the host reader (`parsing._read_host`), which
+    fills `nodes` and `edges` of a new graph directly, in text order.  From
+    then on only rules change it: the generated rewrite of a rule
+    (`matcher.generate_rewrite`, through `rules.apply`) changes a copy, or
+    the graph itself where a run or a normal form owns it.
 
-    Two indexes of id lists are built on first use and then kept up to date
-    by every mutator and by the generated rewrite of every rule
-    (`matcher.generate_rewrite`).  Their lists are replaced, never changed
-    in place, so a copy copies only the dicts that hold them:
+    Two indexes of id lists are built on first use.  The generated rewrite
+    is their one writer: it keeps a built index up to date, replacing its
+    lists, never changing them in place, so a copy copies only the dicts
+    that hold them.  `add_node` and `add_edge` drop both indexes:
 
     - the incidence index: each node's incident edge ids in edge insertion
       order, a loop listed once;
     - the marked index (`marked`): the ids of the marked nodes, and of the
       edges of each mark class.
 
-    The cached certificate (`signature`) is dropped on every mutation.
+    The cached certificate (`signature`) is dropped on every change.
     """
 
     def __init__(self) -> None:
@@ -170,14 +190,12 @@ class HostGraph:
     def add_node(self, label: HostLabel, node_id: Optional[str] = None) -> str:
         if node_id is None:
             node_id = self._fresh_node_id()
+        elif not _is_identifier(node_id):
+            raise GraphError(f"node id {node_id!r} is not an identifier")
         elif node_id in self.nodes:
             raise GraphError(f"duplicate node id {node_id!r}")
         self.nodes[node_id] = label
-        self._signature = None
-        if self._incident is not None:
-            self._incident[node_id] = []
-        if label.marked and self._marked is not None:
-            self._mark(0, node_id, True)
+        self._signature = self._incident = self._marked = None
         return node_id
 
     def add_edge(
@@ -193,62 +211,13 @@ class HostGraph:
             raise GraphError(f"unknown target node {target!r}")
         if edge_id is None:
             edge_id = self._fresh_edge_id()
+        elif not _is_identifier(edge_id):
+            raise GraphError(f"edge id {edge_id!r} is not an identifier")
         elif edge_id in self.edges:
             raise GraphError(f"duplicate edge id {edge_id!r}")
         self.edges[edge_id] = Edge(source, target, label)
-        self._signature = None
-        incident = self._incident
-        if incident is not None:
-            incident[source] = incident[source] + [edge_id]
-            if target != source:
-                incident[target] = incident[target] + [edge_id]
-        self._index_edge(edge_id, True)
+        self._signature = self._incident = self._marked = None
         return edge_id
-
-    def remove_edge(self, edge_id: str) -> None:
-        if edge_id not in self.edges:
-            raise GraphError(f"unknown edge id {edge_id!r}")
-        self._index_edge(edge_id, False)
-        e = self.edges.pop(edge_id)
-        self._signature = None
-        incident = self._incident
-        if incident is not None:
-            for end in {e.source, e.target}:
-                incident[end] = _without(incident[end], edge_id)
-
-    def remove_node(self, node_id: str) -> None:
-        if node_id not in self.nodes:
-            raise GraphError(f"unknown node id {node_id!r}")
-        incident = self.incidence()
-        if incident[node_id]:
-            raise GraphError(f"node {node_id!r} still incident to edge {incident[node_id][0]!r}")
-        label = self.nodes.pop(node_id)
-        self._signature = None
-        del incident[node_id]
-        if label.marked and self._marked is not None:
-            self._mark(0, node_id, False)
-
-    def relabel_node(self, node_id: str, label: HostLabel) -> None:
-        if node_id not in self.nodes:
-            raise GraphError(f"unknown node id {node_id!r}")
-        self._signature = None
-        if self._marked is None or self.nodes[node_id].marked == label.marked:
-            self.nodes[node_id] = label
-            return
-        incident = self.incidence()[node_id]
-        for eid in incident:
-            self._index_edge(eid, False)
-        self.nodes[node_id] = label
-        self._mark(0, node_id, label.marked)
-        for eid in incident:
-            self._index_edge(eid, True)
-
-    def _index_edge(self, edge_id: str, add: bool) -> None:
-        """Add an edge to the marked index, if it is built, or take it out."""
-        if self._marked is not None:
-            c = self._edge_class(edge_id)
-            if c:
-                self._mark(c, edge_id, add)
 
     def _mark(self, key: int, item: str, add: bool) -> None:
         """Add an id to one list of the marked index, or take it out."""
@@ -259,10 +228,6 @@ class HostGraph:
             del index[key]
         else:
             index[key] = _without(index[key], item)
-
-    def _edge_class(self, edge_id: str) -> int:
-        e, nodes = self.edges[edge_id], self.nodes
-        return mark_class(e.label.marked, nodes[e.source].marked, nodes[e.target].marked)
 
     def _fresh_node_id(self) -> str:
         while True:
@@ -324,11 +289,12 @@ class HostGraph:
         with no ids is left out."""
         if self._marked is None:
             index: dict[int, list[str]] = {}
-            marked = [n for n, label in self.nodes.items() if label.marked]
+            nodes = self.nodes
+            marked = [n for n, label in nodes.items() if label.marked]
             if marked:
                 index[0] = marked
-            for eid in self.edges:
-                c = self._edge_class(eid)
+            for eid, (s, t, label) in self.edges.items():
+                c = mark_class(label.marked, nodes[s].marked, nodes[t].marked)
                 if c:
                     index.setdefault(c, []).append(eid)
             self._marked = index

@@ -332,17 +332,16 @@ def generate_rule(schema: ConditionalRuleSchema, slot: dict[str, int]) -> tuple:
 def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Callable:
     """The rewrite of a schema whose left nodes have the slots `slot`:
     `rewrite(host, image, labels)` rewrites the host in place at the match
-    `image`, given the right labels' atoms as `build` gives them.  It does
-    what the `HostGraph` mutators would, in their order and with their
-    checks: it deletes the left edges in slot order, then the deleted nodes,
-    relabels or adds the right nodes in slot order, then adds the right
-    edges.  A match agrees with the host on marks, so the mark class of each
-    edge deleted or added is a constant here, and a matched node or deleted
-    edge whose mark is not its left item's raises `GraphError` (a stale
-    match), the nodes before any change; the only loop moves the other
-    edges of a node whose mark the rule changes to their new class.  Index
-    lists are replaced, never changed in place, and an index is built only
-    where a mutator would build it."""
+    `image`, given the right labels' atoms as `build` gives them.  It
+    deletes the left edges in slot order, then the deleted nodes, relabels
+    or adds the right nodes in slot order, then adds the right edges.  It
+    is the one writer of a host's indexes: it keeps a built index up to
+    date, replacing its lists, never changing them in place, and builds the
+    incidence index only where it reads it.  A match agrees with the host
+    on marks, so the mark class of each edge deleted or added is a
+    constant.  An unknown id, a deleted node with an edge left (the first
+    is named) and a matched node or deleted edge whose mark is not its left
+    item's (a stale match) raise `GraphError`, the marks before any change."""
     left, right, interface = schema.left, schema.right, schema.interface
     nodes = sorted(right.nodes)
     was = {n: label.marked for n, label in left.nodes.items()}
@@ -395,7 +394,7 @@ def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Cal
         elif was[n] == mark[n]:
             out.append(f"    if o{i}.items != labels[{i}]:\n        nodes[v{i}] = {label}")
             out += ["        host._signature = None"] if same else []
-        else:  # the node's other edges change class, as `relabel_node` moves them
+        else:  # the node's edges change class
             out.append(f"""    if M is not None:
         if inc is None: inc = host.incidence()
 {move.format(i, "host._mark(c, x, False)")}

@@ -13,7 +13,7 @@ from functools import cache, cached_property, reduce
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .graphs import Edge, GraphError, HostGraph, HostLabel
+from .graphs import KEYWORDS, Edge, GraphError, HostGraph, HostLabel
 from .labels import (
     Arith,
     Condition,
@@ -50,12 +50,6 @@ from .program import (
 )
 from .rules import ConditionalRuleSchema, RuleGraph
 
-
-KEYWORDS = {
-    "main", "if", "then", "else", "try", "or", "skip", "fail", "empty",
-    "where", "interface", "rule", "int", "string", "atom", "list",
-    "edge", "indeg", "outdeg", "not", "and",
-}
 
 SYMBOLS = [
     "=>", "!=", ">=", "<=",
@@ -532,9 +526,8 @@ def _read_host(text: str) -> Optional[HostGraph]:
     Parser refuses at an item is refused in bulk: a repeated id (fewer
     entries than items), an edge end that is not a node, an id that is a
     keyword and, in a text that is not ASCII, an id that starts with a
-    numeral other than a decimal digit.  As after the Parser's `add_node`
-    and `add_edge` calls, the fresh-id counters are 0 and the indexes
-    unbuilt."""
+    numeral other than a decimal digit.  The fresh-id counters are 0 and
+    both indexes unbuilt, as in a graph the Parser builds."""
     opening, node, bar, edge, closing, atoms = _host_patterns()
     m = opening.match(text)
     if m is None:

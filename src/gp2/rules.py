@@ -300,10 +300,11 @@ def apply(
     rule's generated one (`matcher.generate_rewrite`), which deletes the
     images of non-interface left items, relabels interface node images
     whose atoms or mark change, and adds the right-only items with fresh
-    ids, as the `HostGraph` mutators would; the mark class of every item it
-    deletes or adds was fixed when the rule was compiled.  A match whose
-    items are gone, whose matched nodes or edges have changed their marks,
-    or whose deleted node has gained an edge, raises `GraphError`."""
+    ids.  It is the one writer of the host's indexes, and keeps a built one
+    up to date; the mark class of every item it deletes or adds was fixed
+    when the rule was compiled.  A match whose items are gone, whose
+    matched nodes or edges have changed their marks, or whose deleted node
+    has gained an edge, raises `GraphError`."""
     rule = _rule(schema)
     image, alpha = match
     labels = rule.build(image, alpha, host)

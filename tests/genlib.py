@@ -6,6 +6,7 @@ reads global randomness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter, deque
@@ -16,7 +17,6 @@ from gp2.executor import (
     BOTTOM_POSSIBLE,
     BOTTOM_PROVEN,
     Budget,
-    BudgetExceeded,
     Configuration,
     Failure,
     Result,
@@ -28,6 +28,8 @@ from gp2.executor import (
 from gp2.graphs import (
     Atom,
     Certificate,
+    Edge,
+    GraphError,
     HostGraph,
     HostLabel,
     IsoStore,
@@ -550,38 +552,141 @@ def eval_condition(
 # -- reference rewrite -------------------------------------------------
 
 
+def _fresh(prefix: str, counter: int, taken: dict) -> tuple[int, str]:
+    """The next fresh id after `counter` that `taken` does not hold, with
+    the counter that gave it."""
+    while f"{prefix}{counter + 1}" in taken:
+        counter += 1
+    return counter + 1, f"{prefix}{counter + 1}"
+
+
 def reference_apply(
     schema: ConditionalRuleSchema, host: HostGraph, match: tuple, copy: bool = True
 ) -> HostGraph:
-    """`rules.apply` as a walk over the `HostGraph` mutators, the rewrite
-    that the generated one (`matcher.generate_rewrite`) replaced: remove the
-    left edges in slot order, then the deleted nodes, relabel or add the
-    right nodes in slot order, then add the right edges.  The right labels
-    come from the schema's generated builder, as in `apply`."""
+    """`rules.apply` by direct construction.  The match is checked first,
+    with the generated rewrite's `GraphError` messages in its order: the
+    marks of the matched nodes, then each left edge's host edge (known,
+    same mark), each deleted node (known, no edge left but the deleted
+    ones) and each interface node (known).  The result's `nodes` and
+    `edges` are then the host's without the deleted items, with the right
+    nodes relabelled or added in slot order, then the right edges added,
+    under fresh ids.  Both indexes are left unbuilt, so a scan supplies
+    them, and the certificate is kept only where nothing changed.  The
+    right labels come from the schema's generated builder, as in `apply`."""
     left, right, interface = schema.left, schema.right, schema.interface
     image, alpha = match
     labels = _rule(schema).build(image, alpha, host)
-    result = host.copy() if copy else host
-    slot = {n: i for i, n in enumerate(sorted(left.nodes))}
-    for heid in image[len(slot) :]:
-        result.remove_edge(heid)
-    for n in sorted(left.nodes):
-        if n not in interface:
-            result.remove_node(image[slot[n]])
-    nodes, ids = sorted(right.nodes), {}
-    for n, items in zip(nodes, labels):
-        marked = right.nodes[n].marked
-        if n not in interface:
-            ids[n] = result.add_node(HostLabel(items, marked))
-            continue
-        hid = ids[n] = image[slot[n]]
-        old = result.nodes[hid]
-        if old.items != items or old.marked != marked:
-            result.relabel_node(hid, HostLabel(items, marked))
-    for eid, items in zip(sorted(right.edges), labels[len(nodes) :]):
+    at = dict(zip(sorted(left.nodes), image))
+    for n, x in at.items():
+        label = host.nodes.get(x)
+        if label is not None and label.marked != left.nodes[n].marked:
+            raise GraphError(f"stale match: node {x!r} is {'un' * (not label.marked)}marked")
+    edges = dict(host.edges)
+    for eid, x in zip(sorted(left.edges), image[len(at) :]):
+        if x not in edges:
+            raise GraphError(f"unknown edge id {x!r}")
+        label = edges.pop(x).label
+        if label.marked != left.edges[eid].label.marked:
+            raise GraphError(f"stale match: edge {x!r} is {'un' * (not label.marked)}marked")
+    deleted = [at[n] for n in sorted(left.nodes) if n not in interface]
+    for x in deleted:
+        if x not in host.nodes:
+            raise GraphError(f"unknown node id {x!r}")
+        first = next((i for i, e in edges.items() if x in (e.source, e.target)), None)
+        if first is not None:
+            raise GraphError(f"node {x!r} still incident to edge {first!r}")
+    for n in sorted(right.nodes):
+        if n in interface and at[n] not in host.nodes:
+            raise GraphError(f"unknown node id {at[n]!r}")
+    nodes = {x: label for x, label in host.nodes.items() if x not in deleted}
+    node_counter, edge_counter, ids = host._node_counter, host._edge_counter, {}
+    for n, items in zip(sorted(right.nodes), labels):
+        if n in interface:
+            ids[n] = at[n]
+        else:
+            node_counter, ids[n] = _fresh("n", node_counter, nodes)
+        nodes[ids[n]] = HostLabel(items, right.nodes[n].marked)
+    for eid, items in zip(sorted(right.edges), labels[len(right.nodes) :]):
         e = right.edges[eid]
-        result.add_edge(ids[e.source], ids[e.target], HostLabel(items, e.label.marked))
+        edge_counter, x = _fresh("e", edge_counter, edges)
+        edges[x] = Edge(ids[e.source], ids[e.target], HostLabel(items, e.label.marked))
+    result = HostGraph() if copy else host
+    same = nodes == host.nodes and edges == host.edges
+    result._signature = host._signature if same else None
+    result.nodes, result.edges = nodes, edges
+    result._node_counter, result._edge_counter = node_counter, edge_counter
+    result._incident = result._marked = None
     return result
+
+
+# -- changing a host by rule ---------------------------------------------
+#
+# A run changes a host only by applying rules, so tests change one the same
+# way: each edit below applies, in place, a rule without variables at a
+# match chosen by hand, and the generated rewrite keeps the host's indexes.
+
+
+def _constant(items: tuple):
+    """The list expression of a label's atoms."""
+    terms = [IntLit(a) if isinstance(a, int) else StrLit(a) for a in items]
+    return functools.reduce(Cons, terms) if terms else Empty()
+
+
+@functools.cache
+def _edit_rule(left: tuple, right: tuple, interface: frozenset) -> ConditionalRuleSchema:
+    """The rule whose sides are ((node id, label), ...) and ((edge id,
+    source, target, label), ...), each label a `HostLabel`."""
+    sides = []
+    for nodes, edges in (left, right):
+        side = RuleGraph()
+        for nid, label in nodes:
+            side.add_node(nid, RuleLabel(_constant(label.items), label.marked))
+        for eid, s, t, label in edges:
+            side.add_edge(eid, s, t, RuleLabel(_constant(label.items), label.marked))
+        sides.append(side)
+    return ConditionalRuleSchema("edit", {}, sides[0], interface, sides[1])
+
+
+def _edit(host: HostGraph, left: tuple, right: tuple, image: tuple) -> None:
+    """Apply the rule of these sides at `image`; the nodes that both sides
+    have are its interface."""
+    interface = frozenset(n for n, _ in left[0]) & frozenset(n for n, _ in right[0])
+    apply(_edit_rule(left, right, interface), host, (image, {}), copy=False)
+
+
+def _ends(host: HostGraph, source: str, target: str) -> tuple[tuple, dict]:
+    """The rule nodes that keep the ends of an edge as they are, one for a
+    loop, and the rule node of each end."""
+    at = {x: f"n{i}" for i, x in enumerate(dict.fromkeys((source, target)), 1)}
+    return tuple((n, host.nodes[x]) for x, n in at.items()), at
+
+
+def edit_add_node(host: HostGraph, label: HostLabel) -> str:
+    """Add a node by rule; its fresh id."""
+    _edit(host, ((), ()), ((("n1", label),), ()), ())
+    return next(reversed(host.nodes))
+
+
+def edit_add_edge(host: HostGraph, source: str, target: str, label: HostLabel) -> str:
+    """Add an edge by rule; its fresh id."""
+    nodes, at = _ends(host, source, target)
+    _edit(host, (nodes, ()), (nodes, (("e1", at[source], at[target], label),)), tuple(at))
+    return next(reversed(host.edges))
+
+
+def edit_remove_edge(host: HostGraph, edge_id: str) -> None:
+    e = host.edges[edge_id]
+    nodes, at = _ends(host, e.source, e.target)
+    _edit(host, (nodes, (("e1", at[e.source], at[e.target], e.label),)), (nodes, ()), (*at, edge_id))
+
+
+def edit_remove_node(host: HostGraph, node_id: str) -> None:
+    """Remove a node by rule; a node with an edge raises `GraphError`."""
+    _edit(host, ((("n1", host.nodes[node_id]),), ()), ((), ()), (node_id,))
+
+
+def edit_relabel_node(host: HostGraph, node_id: str, label: HostLabel) -> None:
+    _edit(host, ((("n1", host.nodes[node_id]),), ()), ((("n1", label),), ()), (node_id,))
 
 
 # -- reference matcher -------------------------------------------------
@@ -1546,6 +1651,10 @@ def _has_cycle(edges: dict[int, list[int]], root: int) -> bool:
 # The big-step runner that `gp2.executor.run_one` replaced, kept verbatim
 # as the reference: it recurses on sequences, `or`, `if`/`try` and loops
 # rather than stepping flat continuations.
+
+
+class BudgetExceeded(Exception):
+    """The reference runner's step budget ran out."""
 
 
 class ReferenceRunner:

@@ -1,5 +1,7 @@
-"""Time the generated rewrite (`rules.apply`) against the walk over the
-`HostGraph` mutators that it replaced (`genlib.reference_apply`).
+"""Time the generated rewrite (`rules.apply`) against a direct construction
+of its result (`genlib.reference_apply`), which builds new `nodes` and
+`edges` dicts and leaves the indexes unbuilt, where the rewrite keeps
+the built ones up to date.
 
     PYTHONPATH=src python tests/rewrite_timing.py [rounds] [cycles]
 

@@ -14,7 +14,16 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from genlib import fresh_certificate, host_universe, reference_certificate
+from genlib import (
+    edit_add_edge,
+    edit_add_node,
+    edit_relabel_node,
+    edit_remove_edge,
+    edit_remove_node,
+    fresh_certificate,
+    host_universe,
+    reference_certificate,
+)
 from gp2 import corpus, graphs
 from gp2.executor import Budget, Engine, equivalent
 from gp2.graphs import HostGraph, HostLabel, IsoStore
@@ -43,36 +52,38 @@ def rebuilt(g: HostGraph) -> HostGraph:
 
 
 def mutate(rng: random.Random, g: HostGraph) -> None:
-    """One random mutation: a node or an edge added or removed, a loop or a
-    parallel edge added, or a node relabelled, often only its mark flipped."""
+    """One random rule application: a node or an edge added or removed, a
+    loop or a parallel edge added, or a node relabelled, often only its
+    mark flipped."""
     nodes, edges = list(g.nodes), list(g.edges)
     op = rng.randrange(7) if nodes else 0
     if op == 0:
-        g.add_node(rng.choice(LABELS))
+        edit_add_node(g, rng.choice(LABELS))
     elif op == 1:
-        g.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(LABELS))
+        edit_add_edge(g, rng.choice(nodes), rng.choice(nodes), rng.choice(LABELS))
     elif op == 2:
         n = rng.choice(nodes)
-        g.add_edge(n, n, rng.choice(LABELS))
+        edit_add_edge(g, n, n, rng.choice(LABELS))
     elif op == 3 and edges:
         e = g.edges[rng.choice(edges)]
-        g.add_edge(e.source, e.target, rng.choice(LABELS))
+        edit_add_edge(g, e.source, e.target, rng.choice(LABELS))
     elif op == 4 and edges:
-        g.remove_edge(rng.choice(edges))
+        edit_remove_edge(g, rng.choice(edges))
     elif op == 5:
         isolated = [n for n in nodes if not g.incidence()[n]]
         if isolated:
-            g.remove_node(rng.choice(isolated))
+            edit_remove_node(g, rng.choice(isolated))
     else:
         n = rng.choice(nodes)
         old = g.nodes[n]
         flipped = HostLabel(old.items, not old.marked)
-        g.relabel_node(n, flipped if rng.random() < 0.5 else rng.choice(LABELS))
+        edit_relabel_node(g, n, flipped if rng.random() < 0.5 else rng.choice(LABELS))
 
 
 def test_the_signature_equals_a_fresh_certificate_after_every_mutation():
-    """Seeded mutation sequences over certified graphs, some with the
-    marked index built, with copies taken mid-sequence and mutated apart:
+    """Seeded sequences of small rule applications (`mutate`) over
+    certified graphs, some with the marked index built, with copies taken
+    mid-sequence and mutated apart:
     after every mutation the graph's certificate equals, and hashes as, the
     certificate of a rebuilt graph and the from-scratch `fresh_certificate`."""
     rng = random.Random(24)

@@ -6,6 +6,11 @@ from hypothesis import strategies as st
 
 from genlib import (
     ReferenceStore,
+    edit_add_edge,
+    edit_add_node,
+    edit_relabel_node,
+    edit_remove_edge,
+    edit_remove_node,
     host_universe,
     is_label_preserving_morphism,
     preserves_structure,
@@ -14,6 +19,7 @@ from genlib import (
     reference_isomorphic,
 )
 from gp2.graphs import (
+    KEYWORDS,
     Edge,
     GraphError,
     HostGraph,
@@ -22,7 +28,7 @@ from gp2.graphs import (
     Premorphism,
     isomorphic,
 )
-from gp2.parsing import parse_host_graph
+from gp2.parsing import ParseError, parse_host_graph
 
 
 def single(label=(0,)):
@@ -41,6 +47,15 @@ class TestLabels:
 
     def test_mark_distinguishes(self):
         assert HostLabel((1,), True) != HostLabel((1,), False)
+
+    def test_a_string_atom_with_a_line_break_is_refused(self):
+        """The host reader has no line-break escape, so such a label would
+        not read back; every other character does."""
+        for atom in ("a\nb", "\n", type("Text", (str,), {})("x\n")):
+            with pytest.raises(GraphError, match="one-line str"):
+                HostLabel((0, atom))
+        label = HostLabel(('a\rb\t\\"\x00é', -1), True)
+        assert parse_host_graph(f"[ (n1, {label}) | ]").nodes["n1"] == label
 
 
 class TestDegree:
@@ -91,7 +106,7 @@ class TestStructure:
         n = g.add_node(HostLabel((0,)))
         g.add_edge(n, n, HostLabel(()))
         with pytest.raises(GraphError):
-            g.remove_node(n)
+            edit_remove_node(g, n)
 
     def test_refusal_names_first_incident_edge(self):
         g = HostGraph()
@@ -99,7 +114,36 @@ class TestStructure:
         g.add_edge(b, b, HostLabel(()), "z")
         g.add_edge(a, b, HostLabel(()), "y")
         with pytest.raises(GraphError, match="still incident to edge 'z'"):
-            g.remove_node(b)
+            edit_remove_node(g, b)
+
+    # every keyword; ids that start with a letter or `_`; and ids that start
+    # with a decimal digit, another numeral or a combining mark, or hold a
+    # space, `-`, `#` or a line break, are empty or are not a str
+    IDS = [*sorted(KEYWORDS), "n1", "_", "_9", "x_y", "Main", "if1", "é", "Ωmega", "ß", "a²", "x١"]
+    IDS += ["1x", "١", "²", "²x", "Ⅻ", "e\u0301", "\u0301", "a b", "", "a-b", "x\n", "x#", 5]
+
+    @pytest.mark.parametrize("item_id", IDS, ids=repr)
+    def test_explicit_ids_are_exactly_those_that_read_back(self, item_id):
+        label = HostLabel((0,))
+        g = HostGraph()
+        g.nodes[item_id] = label
+        g.edges[item_id] = Edge(item_id, item_id, label)
+        try:
+            reads_back = parse_host_graph(g.to_text()).to_text() == g.to_text()
+        except ParseError:
+            reads_back = False
+        with_node = HostGraph()
+        with_node.add_node(label, "v")
+        for add in (
+            lambda: HostGraph().add_node(label, item_id),
+            lambda: with_node.add_edge("v", "v", label, item_id),
+        ):
+            try:
+                add()
+            except GraphError as exc:
+                assert not reads_back and "is not an identifier" in str(exc)
+            else:
+                assert reads_back
 
     def test_fresh_ids_skip_collisions(self):
         g = HostGraph()
@@ -112,13 +156,13 @@ class TestStructure:
         g = HostGraph()
         n = g.add_node(HostLabel((0,)))
         h = g.copy()
-        h.relabel_node(n, HostLabel((1,)))
+        edit_relabel_node(h, n, HostLabel((1,)))
         assert g.nodes[n] == HostLabel((0,))
 
 
 class TestIncidenceIndex:
     """The lazy index answers every adjacency query as a full scan would,
-    through any sequence of mutations and copies."""
+    through any sequence of rule applications and copies."""
 
     @staticmethod
     def check_against_scans(g: HostGraph) -> None:
@@ -142,24 +186,24 @@ class TestIncidenceIndex:
                 ["node", "edge", "edge", "edge", "drop_edge", "drop_node", "relabel", "copy"]
             )
             if op == "node" or not g.nodes:
-                g.add_node(HostLabel((rng.randint(0, 2),)))
+                edit_add_node(g, HostLabel((rng.randint(0, 2),)))
             elif op == "edge":
-                g.add_edge(rng.choice(list(g.nodes)), rng.choice(list(g.nodes)), HostLabel(()))
+                edit_add_edge(g, rng.choice(list(g.nodes)), rng.choice(list(g.nodes)), HostLabel(()))
             elif op == "drop_edge" and g.edges:
-                g.remove_edge(rng.choice(list(g.edges)))
+                edit_remove_edge(g, rng.choice(list(g.edges)))
             elif op == "drop_node":
                 n = rng.choice(list(g.nodes))
                 first = next((i for i, e in g.edges.items() if n in (e.source, e.target)), None)
                 if first is None:
-                    g.remove_node(n)
+                    edit_remove_node(g, n)
                 else:
                     refused += 1
                     with pytest.raises(GraphError) as info:
-                        g.remove_node(n)
+                        edit_remove_node(g, n)
                     assert str(info.value) == f"node {n!r} still incident to edge {first!r}"
                     assert n in g.nodes
             elif op == "relabel":
-                g.relabel_node(rng.choice(list(g.nodes)), HostLabel((9,), True))
+                edit_relabel_node(g, rng.choice(list(g.nodes)), HostLabel((9,), True))
             elif op == "copy" and len(pool) < 4:
                 pool.append(g.copy())
             for h in pool:
@@ -181,8 +225,8 @@ def scanned_marks(g: HostGraph) -> dict:
 
 
 class TestMarkedIndex:
-    """The marked index, kept up to date by every mutation and copy, is the
-    one a scan builds, whenever it was first built."""
+    """The marked index, kept up to date by every rule application and
+    copy, is the one a scan builds, whenever it was first built."""
 
     @staticmethod
     def check(g: HostGraph) -> None:
@@ -200,17 +244,17 @@ class TestMarkedIndex:
                 )
                 label = HostLabel((rng.randint(0, 2),), rng.random() < 0.5)
                 if op == "node" or not g.nodes:
-                    g.add_node(label)
+                    edit_add_node(g, label)
                 elif op == "edge":
-                    g.add_edge(rng.choice(list(g.nodes)), rng.choice(list(g.nodes)), label)
+                    edit_add_edge(g, rng.choice(list(g.nodes)), rng.choice(list(g.nodes)), label)
                 elif op == "drop_edge" and g.edges:
-                    g.remove_edge(rng.choice(list(g.edges)))
+                    edit_remove_edge(g, rng.choice(list(g.edges)))
                 elif op == "drop_node":
                     n = rng.choice(list(g.nodes))
                     if all(n not in (e.source, e.target) for e in g.edges.values()):
-                        g.remove_node(n)
+                        edit_remove_node(g, n)
                 elif op == "relabel":
-                    g.relabel_node(rng.choice(list(g.nodes)), label)
+                    edit_relabel_node(g, rng.choice(list(g.nodes)), label)
                 elif op == "copy" and len(pool) < 4:
                     pool.append(g.copy())
                 # the index of the first graph is built late, the others' early
@@ -222,18 +266,19 @@ class TestMarkedIndex:
     def test_node_and_edge_ids_may_coincide(self):
         g = parse_host_graph("[ (x, 0 #) (y, 1) | (x, x, y, 2) (y, y, x, 3 #) ]")
         assert g.marked() == {0: ["x"], 2: ["x"], 5: ["y"]}
-        g.remove_edge("x")
-        g.relabel_node("x", HostLabel((0,)))
+        edit_remove_edge(g, "x")
+        edit_relabel_node(g, "x", HostLabel((0,)))
         assert g.marked() == {4: ["y"]}
-        g.remove_edge("y")
-        g.relabel_node("y", HostLabel((1,), True))
+        edit_remove_edge(g, "y")
+        edit_relabel_node(g, "y", HostLabel((1,), True))
         assert g.marked() == {0: ["y"]}
 
     def test_copies_share_lists_until_changed(self):
         g = parse_host_graph("[ (a, 0 #) (b, 1) | (e1, a, b, 2) ]")
         g.marked()
         h = g.copy()
-        h.relabel_node("b", HostLabel((1,), True))
+        assert all(h.marked()[c] is ids for c, ids in g.marked().items())
+        edit_relabel_node(h, "b", HostLabel((1,), True))
         assert g.marked() == {0: ["a"], 2: ["e1"]}
         assert h.marked() == {0: ["a", "b"], 3: ["e1"]}
 

@@ -10,7 +10,15 @@ from itertools import combinations
 
 import pytest
 
-from genlib import ReferenceEngine, fresh_certificate, random_body, random_host, small_hosts
+from genlib import (
+    ReferenceEngine,
+    edit_add_node,
+    edit_remove_node,
+    fresh_certificate,
+    random_body,
+    random_host,
+    small_hosts,
+)
 from gp2 import corpus
 from gp2.executor import Budget, Engine
 from gp2.graphs import HostGraph, HostLabel
@@ -202,8 +210,8 @@ def test_equal_contents_share_a_certificate_but_keep_their_ids():
     table = {}
     a = parse_host_graph("[ (n1, 0) (n2, 1) | (e1, n1, n2, 2) ]")
     b = a.copy()
-    b.add_node(HostLabel((5,)))  # takes n3 and moves b's counter on
-    b.remove_node("n3")
+    edit_add_node(b, HostLabel((5,)))  # takes n3 and moves b's counter on
+    edit_remove_node(b, "n3")
     assert b.nodes == a.nodes and b.edges == a.edges
     assert a.signature(table) is b.signature(table) and len(table) == 1
     assert (a.add_node(HostLabel()), b.add_node(HostLabel())) == ("n3", "n4")
