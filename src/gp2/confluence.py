@@ -63,6 +63,7 @@ from .labels import (
     subterms,
     variables,
 )
+from .matcher import _labels, raises
 from .rules import ConditionalRuleSchema, Match, RuleGraph, _rule, apply, enumerate_matches
 
 CONFLUENT = "confluent"
@@ -104,10 +105,10 @@ def reducible(rules: list[ConditionalRuleSchema]) -> bool:
         nodes, written = schema.right.nodes, _changed(schema)
         if (
             schema.condition is not None
-            or _rule(schema).raises
+            or raises(schema)
             or not len(schema.left.nodes) == len(schema.interface) == len(nodes)
             or schema.right.edges
-            or any(degree_nodes(label.expr) for label in _labels(schema))
+            or any(degree_nodes(label.expr) for label in _labels(schema.left, schema.right))
             or not (schema.left.edges or written)
             or any(nodes[n].marked in left_marks for n in written)
         ):
@@ -166,7 +167,7 @@ def obstacle(rules: list[ConditionalRuleSchema]) -> Optional[str]:
             if reason is not None:
                 return f"{schema.name}: {reason}"
     constants = {
-        t.value for s in rules for label in _labels(s) for t in subterms(label.expr)
+        t.value for s in rules for label in _labels(s.left, s.right) for t in subterms(label.expr)
         if isinstance(t, IntLit)
     }
     for i, a in enumerate(rules):
@@ -186,18 +187,12 @@ def obstacle(rules: list[ConditionalRuleSchema]) -> Optional[str]:
     return None
 
 
-def _labels(schema: ConditionalRuleSchema):
-    for graph in (schema.left, schema.right):
-        yield from graph.nodes.values()
-        yield from (e.label for e in graph.edges.values())
-
-
 def _condition(schema: ConditionalRuleSchema) -> Optional[str]:
     return None if schema.condition is None else "it has a condition"
 
 
 def _shapes(schema: ConditionalRuleSchema) -> Optional[str]:
-    for label in _labels(schema):
+    for label in _labels(schema.left, schema.right):
         e = label.expr
         if not isinstance(e, Var) and not all(
             isinstance(t, (Empty, IntLit, StrLit, Cons)) for t in subterms(e)

@@ -61,7 +61,8 @@ on.
   unchanged.  It takes them in one batch: applying one disables only
   itself, enables nothing and changes no other match's image, so the
   independent matches shrink by exactly that one, and the batch reaches
-  the same exits as applying them one at a time.
+  the same exits as applying them one at a time; the matches outside the
+  batch are then exactly the ones left, all conflicting.
 
 `successors` and single runs keep the full one-step relation.
 """
@@ -327,11 +328,11 @@ class Engine:
         self, loop: Loop, graph: HostGraph, kind: str
     ) -> tuple[list[Transition], bool]:
         """What `_step` gives for a loop that `loop_kind` reduces, reduced:
-        the graph rewritten by its first match each time (CONFLUENT) or by
-        every independent match in one batch (INDEPENDENT) until there is
-        none, then one [alap2] transition where no match is left and one
-        [alap1] where conflicting ones are.  A loop whose matches all
-        conflict at entry steps as written (`_step`)."""
+        the graph rewritten by its first match each time until there is
+        none (CONFLUENT), or by one batch of every independent match
+        (INDEPENDENT); then one [alap2] transition where no match is left
+        and one [alap1] where conflicting ones are.  A loop whose matches
+        all conflict at entry steps as written (`_step`)."""
         rules = [self.rules[n] for n in loop.body.names]
         confluence = _confluence()
         h = graph
@@ -342,16 +343,17 @@ class Engine:
             else:
                 enabled = list(matches)
                 batch = confluence.independent(enabled)
-            if not batch:
-                break
             for schema, match in batch:
                 if not self.tick():
                     return [], True
                 h = apply(schema, h, match, copy=h is graph)
-        if enabled and h is graph:
+            if not batch or kind is not confluence.CONFLUENT:
+                break
+        left = len(enabled) > len(batch)
+        if left and h is graph:
             return _step(self, loop, graph)
         h.signature(self._certificates)
-        return [((loop,), h, "alap1") if enabled else ((), h, "alap2")], False
+        return [((loop,), h, "alap1") if left else ((), h, "alap2")], False
 
 
 @cache

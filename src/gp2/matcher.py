@@ -1,14 +1,13 @@
-"""The generated code of a rule: its schema's one search, which unifies
-and tests the condition and the dangling condition inside its loops, its
-schema's evaluator of right labels, and its schema's rewrite; and the
-plain search of a left graph, without condition or dangling test, for
-`rules.infer_assignment`.  `generate`, `generate_rule` and
-`generate_rewrite` write them as Python source, which `rules` compiles
-with `exec` on first use.  Expressions and conditions become straight-line
-code, written by `gp2.labels._Writer`, so nesting in a rule never nests in
-the source.  The rewrite is straight-line too: the mark class of each item
-it deletes or adds is a constant fixed when the rule is compiled.
-"""
+"""The generated code of a rule schema: its one search and its one
+rewrite, which `generate` and `generate_rewrite` write as Python source
+and `rules` compiles with `exec` on first use.  The search unifies, and
+tests the condition, the dangling condition and, where they can raise
+(`raises`), the right labels inside its loops, so every match it finds
+can be applied; the rewrite evaluates the right labels, then rewrites.
+Expressions and conditions become straight-line code, written by
+`gp2.labels._Writer`, so nesting in a rule never nests in the source.  The
+rewrite is straight-line too: the mark class of each item it deletes or
+adds is a constant fixed when the rule is compiled."""
 
 from __future__ import annotations
 
@@ -103,29 +102,42 @@ def _label(label: RuleLabel, const: Callable[[object], str]) -> Optional[tuple]:
 _START = (7, 6, 5, 4, 2, 1, 3)
 
 
+def _labels(*graphs: RuleGraph) -> list[RuleLabel]:
+    """The labels of rule graphs: each one's nodes', then its edges', in
+    insertion order, the order its right labels are evaluated in."""
+    return [x for g in graphs for x in [*g.nodes.values(), *(e.label for e in g.edges.values())]]
+
+
 def _bound(left: RuleGraph) -> dict[str, str]:
     """The type (`VType` value) each variable of the left labels has in
     every match, as `_Writer` reads `bound`."""
     bound: dict[str, str] = {}
-    for label in [*left.nodes.values(), *(e.label for e in left.edges.values())]:
+    for label in _labels(left):
         for t in subterms(label.expr):
             if isinstance(t, Var) and bound.get(t.name, "atom") == "atom":
                 bound[t.name] = t.vtype.value
     return bound
 
 
-def generate(
-    graph: RuleGraph, compiled: _Compiled, schema: Optional[ConditionalRuleSchema] = None
-) -> Callable:
-    """The search of a left graph, or with `schema` the search of a schema
-    whose left graph it is, generated as Python source and compiled once.
+def raises(schema: ConditionalRuleSchema) -> bool:
+    """Whether a right label of the schema can raise: it divides, or reads
+    a variable at another type than the left side binds."""
+    probe = _Writer({}, str, "", _bound(schema.left))
+    for label in _labels(schema.right):
+        probe.value(label.expr, "list", "")
+    return probe.raises
+
+
+def generate(schema: ConditionalRuleSchema, compiled: _Compiled) -> Callable:
+    """The search of a schema whose left graph has the record `compiled`,
+    generated as Python source and compiled once.
 
     `search(host)` gives the sorted list of (slot tuple, assignment) of
-    every injective premorphism that agrees on marks and unifies, and with
-    `schema` satisfies the condition and the dangling condition.  Each
-    loop binds one item, an edge with its ends, to locals, so injectivity
-    is a few `==` tests, between items of one mark, and nothing is undone.
-    Each step of the plan takes
+    every injective premorphism that agrees on marks, unifies, satisfies
+    the condition and the dangling condition, and whose right labels
+    evaluate.  Each loop binds one item, an edge with its ends, to locals,
+    so injectivity is a few `==` tests, between items of one mark, and
+    nothing is undone.  Each step of the plan takes
 
     - an edge with a bound end, from the incidence index of that end;
     - else an edge that is or touches a marked item, from the marked index,
@@ -142,9 +154,11 @@ def generate(
     A condition that cannot raise is tested, and each length test is
     made, as soon as their nodes and variables are bound.  A condition
     that can raise is tested in the innermost loop, before the length
-    tests, and its error is found as (slot tuple, `EvalError`), so the
+    tests, and right labels that can raise (`raises`) are evaluated there
+    after them; an error is found as (slot tuple, `EvalError`), so the
     caller sees errors and matches in slot-tuple order.  A degree is
     counted in the incidence index inline."""
+    graph = schema.left
     nodes, edges, slot = compiled.nodes, compiled.edges, compiled.slot
     k, n = len(nodes), len(nodes) + len(edges)
     ends = {
@@ -166,11 +180,11 @@ def generate(
     image = "".join(f"x{s}, " for s in range(n))
     bound: set[int] = set()  # the bound slots
     bound_vars: set[str] = set()
-    condition = schema.condition if schema else None
+    condition = schema.condition
     dangling = {  # the slot of each deleted node -> the number of left edges at it
         slot[v]: sum(v in (e.source, e.target) for e in graph.edges.values())
         for v in nodes
-        if schema and v not in schema.interface
+        if v not in schema.interface
     }
     late = False  # whether the condition can raise
     if condition is not None:
@@ -184,7 +198,8 @@ def generate(
         needs |= {s for s in range(n) if variables(condition).intersection(names[s])}
 
     def emit_condition(depth: int) -> None:
-        """The test of the condition; with `late`, in the innermost loop."""
+        """The test of the condition; with `late`, in the innermost loop,
+        where an evaluation error is found with the slot tuple."""
         pad, skip = "    " * depth, "continue" if depth > 1 else "return found"
         writer.fail = f"found.append((({image}), EvalError({{}}))); {skip}"
         search.append(f"{pad}if not {writer.value(condition, 'cond', pad)}: {skip}")
@@ -298,6 +313,11 @@ def generate(
     if condition is not None:  # a condition that can raise
         emit_condition(depth)
         search += [f"{pad}if len(inc[x{v}]) != {dangling[v]}: continue" for v in sorted(dangling)]
+    if raises(schema):  # for their errors only: the rewrite evaluates them again
+        skip = "continue" if n else "return found"
+        writer.fail = f"found.append((({image}), EvalError({{}}))); {skip}"
+        for label in _labels(schema.right):
+            writer.value(label.expr, "list", pad)
     search.append(f"{pad}found.append((({image}), {assignment}))")
     lines = ["def search(host):", "    nodes, edges, found = host.nodes, host.edges, []"]
     text = "\n".join(search)
@@ -310,46 +330,36 @@ def generate(
     return namespace["search"]
 
 
-def generate_rule(schema: ConditionalRuleSchema, slot: dict[str, int]) -> tuple:
-    """(build, raises) of a schema whose left nodes have the slots `slot`.
-    `build(image, alpha, host)` gives the atoms of the right labels in slot
-    order, evaluated in insertion order as `eval_list` would; `raises` tells
-    whether it can raise (a right label divides, or reads a variable at
-    another type than the left side binds)."""
-    right = schema.right
-    namespace: dict = {"EvalError": EvalError}
-    node = lambda n: f"image[{slot[n]}]"  # noqa: E731
-    writer = _Writer(namespace, node, "raise EvalError({})", _bound(schema.left))
-    nodes = {n: writer.value(label.expr, "list", "    ") for n, label in right.nodes.items()}
-    edges = {e: writer.value(edge.label.expr, "list", "    ") for e, edge in right.edges.items()}
-    labels = [nodes[n] for n in sorted(nodes)] + [edges[e] for e in sorted(edges)]
-    source = ["def build(image, alpha, host):", *writer.lines]
-    source.append(f"    return ({''.join(v + ', ' for v in labels)})")
-    exec("\n".join(source), namespace)
-    return namespace["build"], writer.raises
-
-
 def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Callable:
     """The rewrite of a schema whose left nodes have the slots `slot`:
-    `rewrite(host, image, labels)` rewrites the host in place at the match
-    `image`, given the right labels' atoms as `build` gives them.  It
-    deletes the left edges in slot order, then the deleted nodes, relabels
-    or adds the right nodes in slot order, then adds the right edges.  It
-    is the one writer of a host's indexes: it keeps a built index up to
-    date, replacing its lists, never changing them in place, and builds the
-    incidence index only where it reads it.  A match agrees with the host
-    on marks, so the mark class of each edge deleted or added is a
-    constant.  An unknown id, a deleted node with an edge left (the first
-    is named) and a matched node or deleted edge whose mark is not its left
-    item's (a stale match) raise `GraphError`, the marks before any change."""
+    `rewrite(host, image, alpha)` rewrites the host in place at the match
+    (`image`, `alpha`).  It first evaluates the right labels on the host as
+    it is, nodes then edges, each in insertion order, so that degree
+    operands observe the degrees before the rewrite and an `EvalError`
+    leaves the host as it was.  It then deletes the left edges in slot
+    order, then the deleted nodes, relabels or adds the right nodes in slot
+    order, then adds the right edges.  It is the one writer of a host's
+    indexes: it keeps a built index up to date, replacing its lists, never
+    changing them in place, and builds the incidence index only where it
+    reads it.  A match agrees with the host on marks, so the mark class of
+    each edge deleted or added is a constant.  An unknown id, a deleted
+    node with an edge left (the first is named) and a matched node or
+    deleted edge whose mark is not its left item's (a stale match) raise
+    `GraphError`, the marks before any change."""
     left, right, interface = schema.left, schema.right, schema.interface
+    namespace = {"GraphError": GraphError, "HostLabel": HostLabel, "Edge": Edge, "_without": _without}
+    namespace.update(MARKED=HostLabel((), True), UNMARKED=HostLabel((), False), EvalError=EvalError)
+    writer = _Writer(namespace, lambda n: f"image[{slot[n]}]", "raise EvalError({})", _bound(left))
+    values = [writer.value(label.expr, "list", "    ") for label in _labels(right)]
+    node_value = dict(zip(right.nodes, values))
+    edge_value = dict(zip(right.edges, values[len(right.nodes) :]))
     nodes = sorted(right.nodes)
     was = {n: label.marked for n, label in left.nodes.items()}
     mark = {n: right.nodes[n].marked for n in nodes}
     deleted = [n for n in sorted(left.nodes) if n not in interface]
     same = all(n in interface and was[n] == mark[n] for n in nodes)
     same = same and not (left.edges or deleted or right.edges)  # only atoms may change
-    out = ["def rewrite(host, image, labels):"]
+    out = ["def rewrite(host, image, alpha):", *writer.lines]
     out.append("    nodes, edges, inc, M = host.nodes, host.edges, host._incident, host._marked")
     for n in sorted(left.nodes):  # before any change; an unknown node raises below
         x, label = f"image[{slot[n]}]", "MARKED" if was[n] else "UNMARKED"
@@ -387,12 +397,12 @@ def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Cal
             c = 4 * E.label.marked + 2 * nodes[E.source].marked + nodes[E.target].marked
             if c: {}"""
     for i, n in enumerate(nodes):
-        label = f"HostLabel(labels[{i}], {mark[n]})"
+        label = f"HostLabel({node_value[n]}, {mark[n]})"
         if n not in interface:
             out.append(f"    v{i} = host._fresh_node_id()\n    nodes[v{i}] = {label}")
             out += [f"    if M is not None: M[0] = M.get(0, []) + [v{i}]"] if mark[n] else []
         elif was[n] == mark[n]:
-            out.append(f"    if o{i}.items != labels[{i}]:\n        nodes[v{i}] = {label}")
+            out.append(f"    if o{i}.items != {node_value[n]}:\n        nodes[v{i}] = {label}")
             out += ["        host._signature = None"] if same else []
         else:  # the node's edges change class
             out.append(f"""    if M is not None:
@@ -407,7 +417,7 @@ def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Cal
     for j, eid in enumerate(sorted(right.edges)):
         e = right.edges[eid]
         s, t = nodes.index(e.source), nodes.index(e.target)
-        label = f"HostLabel(labels[{len(nodes) + j}], {e.label.marked})"
+        label = f"HostLabel({edge_value[eid]}, {e.label.marked})"
         out.append(f"    w{j} = host._fresh_edge_id()\n    edges[w{j}] = Edge(v{s}, v{t}, {label})")
         for end in dict.fromkeys((s, t)):
             at.setdefault(end, []).append(f"w{j}")
@@ -419,7 +429,5 @@ def generate_rewrite(schema: ConditionalRuleSchema, slot: dict[str, int]) -> Cal
         out.append(f"        inc[v{i}] = {f'inc[v{i}] + ' * (nodes[i] in interface)}[{', '.join(ids)}]")
     out += ["    if M is not None:"] if classes else []
     out += [f"        M[{c}] = M.get({c}, []) + [{', '.join(ids)}]" for c, ids in classes.items()]
-    namespace = {"GraphError": GraphError, "HostLabel": HostLabel, "Edge": Edge, "_without": _without}
-    namespace.update(MARKED=HostLabel((), True), UNMARKED=HostLabel((), False))
     exec("\n".join(out), namespace)
     return namespace["rewrite"]

@@ -13,17 +13,17 @@ a match is the tuple of host ids in slot order.  A schema's record
 (`_Rule`) holds its search, which `matcher.generate` writes for it: the
 search unifies, and tests the condition and the dangling condition as
 soon as their items are bound; it starts at marked items where the left
-graph has them, read from the host's marked index (`HostGraph.marked`).
-The record adds its evaluator of right labels (`matcher.generate_rule`)
-and, from its first application, its rewrite (`matcher.generate_rewrite`):
-straight-line code whose mark classes are fixed when the rule is compiled.
+graph has them, read from the host's marked index (`HostGraph.marked`),
+and where a right label can raise it evaluates the right labels last.
+The record adds, from its first application, its rewrite
+(`matcher.generate_rewrite`): straight-line code that evaluates the right
+labels, then rewrites, its mark classes fixed when the rule is compiled.
 
 There is one match path.  `enumerate_matches` yields every applicable
 match with its assignment, sorted by slot tuple so that a seeded run does
-not depend on the plan; `apply` rewrites at one, and the right labels are
-evaluated in `apply`, once per applied match.  `infer_assignment` reads
-the plain search of the left graph, without condition or dangling test,
-which is generated only when it is asked for.
+not depend on the plan; `apply` rewrites at one.  `infer_assignment`
+reads the search of the rule that keeps its left graph as it is, which
+is generated only when it is asked for.
 
 Which loops the explorer reduces, and by which matches, is decided in
 `gp2.confluence`.
@@ -56,7 +56,7 @@ from .labels import (
     subterms,
     variables,
 )
-from .matcher import generate, generate_rewrite, generate_rule
+from .matcher import generate, generate_rewrite
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,9 @@ class _Compiled:
     """What matching and rewriting read of one rule graph.
 
     The slots are the sorted nodes, then the sorted edges, and `slot` maps
-    each node to its slot.  A left graph's plain search is generated when
-    `infer_assignment` first asks for it (`matcher.generate`)."""
+    each node to its slot.  A left graph's `search` is that of the rule
+    that keeps it (`_left`), generated when `infer_assignment` first asks
+    for it."""
 
     __slots__ = ("nodes", "edges", "slot", "search")
 
@@ -196,28 +197,28 @@ def _compiled(graph: RuleGraph) -> _Compiled:
 
 
 def _left(graph: RuleGraph) -> _Compiled:
+    """The record of a left graph, with the search of the rule keeping it."""
     compiled = _compiled(graph)
     if compiled.search is None:
-        compiled.search = generate(graph, compiled)
+        keep = ConditionalRuleSchema("", {}, graph, frozenset(graph.nodes), graph)
+        compiled.search = generate(keep, compiled)
     return compiled
 
 
 class _Rule:
     """What matching and rewriting read of one schema: its graphs' records,
-    its generated search (`matcher.generate`) and evaluator of the right
-    labels (`matcher.generate_rule`), and its generated rewrite
-    (`matcher.generate_rewrite`).  `loops` holds the explorer's verdict on
-    loops of each rule set this rule comes first in (`confluence.loop_kind`)."""
+    its generated search (`matcher.generate`) and its generated rewrite
+    (`matcher.generate_rewrite`), each of which evaluates the right labels
+    itself.  `loops` holds the explorer's verdict on loops of each rule
+    set this rule comes first in (`confluence.loop_kind`)."""
 
-    __slots__ = ("left", "right", "interface", "condition", "search", "build", "rewrite")
-    __slots__ += ("raises", "loops")
+    __slots__ = ("left", "right", "interface", "condition", "search", "rewrite", "loops")
 
     def __init__(self, schema: ConditionalRuleSchema) -> None:
         left, right = _compiled(schema.left), _compiled(schema.right)
         self.left, self.right = left, right
         self.interface, self.condition = schema.interface, schema.condition
-        self.search = generate(schema.left, left, schema)
-        self.build, self.raises = generate_rule(schema, left.slot)
+        self.search = generate(schema, left)
         self.rewrite: Optional[Callable] = None  # generated at the first rewrite
         self.loops: dict[tuple[_Rule, ...], Optional[str]] = {}
 
@@ -264,29 +265,21 @@ def enumerate_matches(
     warnings: Optional[list[str]] = None,
 ) -> Iterator[Match]:
     """Yield every applicable match, in slot-tuple order, as (slot tuple,
-    assignment); its right labels are checked as it is yielded, so a
-    caller that rewrites the host in place must take every match first.
+    assignment).  The rule's one search runs in full at the first step,
+    on the host as it is then.
 
-    The rule's one search discards a candidate when no assignment exists,
-    the condition is false or the dangling condition fails.  A candidate
-    whose condition raises an evaluation error, which the search gives as
-    (slot tuple, `EvalError`), or whose right labels raise one, is
-    discarded with a warning.  Right labels are evaluated here only where
-    they can raise.
+    The search discards a candidate when no assignment exists, the
+    condition is false or the dangling condition fails, and gives a
+    candidate whose condition or right labels raise an evaluation error as
+    (slot tuple, `EvalError`); such a candidate is discarded here with a
+    warning.
     """
-    rule = _rule(schema)
-    build = rule.build if rule.raises else None
-    for image, alpha in rule.search(host):
-        try:
-            if isinstance(alpha, EvalError):  # the condition raised
-                raise alpha
-            if build is not None:
-                build(image, alpha, host)
-        except EvalError as exc:
+    for image, alpha in _rule(schema).search(host):
+        if isinstance(alpha, EvalError):
             if warnings is not None:
-                warnings.append(f"rule {schema.name}: match discarded ({exc})")
-            continue
-        yield image, alpha
+                warnings.append(f"rule {schema.name}: match discarded ({alpha})")
+        else:
+            yield image, alpha
 
 
 def apply(
@@ -295,23 +288,22 @@ def apply(
     """Apply the instantiated rule at a match of `enumerate_matches`, to a
     copy of the host or, with `copy` false, to the host itself.
 
-    Evaluates the right-hand labels on the host before rewriting it, so
-    degree operands observe pre-application degrees.  The rewrite is the
-    rule's generated one (`matcher.generate_rewrite`), which deletes the
-    images of non-interface left items, relabels interface node images
-    whose atoms or mark change, and adds the right-only items with fresh
-    ids.  It is the one writer of the host's indexes, and keeps a built one
-    up to date; the mark class of every item it deletes or adds was fixed
-    when the rule was compiled.  A match whose items are gone, whose
-    matched nodes or edges have changed their marks, or whose deleted node
-    has gained an edge, raises `GraphError`."""
+    The rewrite is the rule's generated one (`matcher.generate_rewrite`).
+    It evaluates the right-hand labels before any change, so degree
+    operands observe pre-application degrees and an `EvalError` leaves the
+    host as it was.  It then deletes the images of non-interface left
+    items, relabels interface node images whose atoms or mark change, and
+    adds the right-only items with fresh ids.  It is the one writer of the
+    host's indexes, and keeps a built one up to date; the mark class of
+    every item it deletes or adds was fixed when the rule was compiled.  A
+    match whose items are gone, whose matched nodes or edges have changed
+    their marks, or whose deleted node has gained an edge, raises
+    `GraphError`."""
     rule = _rule(schema)
-    image, alpha = match
-    labels = rule.build(image, alpha, host)
     result = host.copy() if copy else host
     if rule.rewrite is None:
         rule.rewrite = generate_rewrite(schema, rule.left.slot)
-    rule.rewrite(result, image, labels)
+    rule.rewrite(result, *match)
     return result
 
 

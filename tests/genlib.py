@@ -64,7 +64,7 @@ from gp2.labels import (
     variables,
 )
 from gp2.labels import Or as CondOr
-from gp2.matcher import _bound
+from gp2.matcher import _bound, _labels, raises
 from gp2.program import (
     CheckedProgram,
     Command,
@@ -572,10 +572,14 @@ def reference_apply(
     nodes relabelled or added in slot order, then the right edges added,
     under fresh ids.  Both indexes are left unbuilt, so a scan supplies
     them, and the certificate is kept only where nothing changed.  The
-    right labels come from the schema's generated builder, as in `apply`."""
+    right labels are evaluated first, by the interpreted `eval_list`, in
+    the order of the generated rewrite: the nodes, then the edges, each in
+    insertion order."""
     left, right, interface = schema.left, schema.right, schema.interface
     image, alpha = match
-    labels = _rule(schema).build(image, alpha, host)
+    g = premorphism(left, image)
+    node_items = {n: eval_list(label.expr, g, alpha, host) for n, label in right.nodes.items()}
+    edge_items = {e: eval_list(r.label.expr, g, alpha, host) for e, r in right.edges.items()}
     at = dict(zip(sorted(left.nodes), image))
     for n, x in at.items():
         label = host.nodes.get(x)
@@ -600,16 +604,16 @@ def reference_apply(
             raise GraphError(f"unknown node id {at[n]!r}")
     nodes = {x: label for x, label in host.nodes.items() if x not in deleted}
     node_counter, edge_counter, ids = host._node_counter, host._edge_counter, {}
-    for n, items in zip(sorted(right.nodes), labels):
+    for n in sorted(right.nodes):
         if n in interface:
             ids[n] = at[n]
         else:
             node_counter, ids[n] = _fresh("n", node_counter, nodes)
-        nodes[ids[n]] = HostLabel(items, right.nodes[n].marked)
-    for eid, items in zip(sorted(right.edges), labels[len(right.nodes) :]):
+        nodes[ids[n]] = HostLabel(node_items[n], right.nodes[n].marked)
+    for eid in sorted(right.edges):
         e = right.edges[eid]
         edge_counter, x = _fresh("e", edge_counter, edges)
-        edges[x] = Edge(ids[e.source], ids[e.target], HostLabel(items, e.label.marked))
+        edges[x] = Edge(ids[e.source], ids[e.target], HostLabel(edge_items[eid], e.label.marked))
     result = HostGraph() if copy else host
     same = nodes == host.nodes and edges == host.edges
     result._signature = host._signature if same else None
@@ -954,7 +958,8 @@ def generate_test(schema: ConditionalRuleSchema, slot: dict[str, int]):
     return namespace["test"]
 
 
-_tests: dict[int, tuple] = {}  # id of a schema's `_Rule` -> (that record, plain search, test)
+# id of a schema's `_Rule` -> (that record, plain search, test, right labels to evaluate)
+_tests: dict[int, tuple] = {}
 
 
 def two_phase_matches(
@@ -964,20 +969,23 @@ def two_phase_matches(
     search per schema replaced: the plain search of the left graph (the one
     `infer_assignment` reads), then, in slot-tuple order, the generated
     test of the condition and the dangling condition (`generate_test`, made
-    once per schema record), then the right labels where they can raise."""
+    once per schema record), then, where they can raise, the right labels
+    by the interpreted `eval_list`, nodes then edges in insertion order."""
     rule = _rule(schema)
     kept = _tests.get(id(rule))
     if kept is None or kept[0] is not rule:
         search = _left(schema.left).search
-        kept = _tests[id(rule)] = rule, search, generate_test(schema, rule.left.slot)
-    _, search, test = kept
-    build = rule.build if rule.raises else None
+        labels = _labels(schema.right) if raises(schema) else []
+        kept = _tests[id(rule)] = rule, search, generate_test(schema, rule.left.slot), labels
+    _, search, test, labels = kept
     for image, alpha in search(host):
         try:
             if test is not None and not test(image, alpha, host):
                 continue
-            if build is not None:
-                build(image, alpha, host)
+            if labels:
+                g = premorphism(schema.left, image)
+                for label in labels:
+                    eval_list(label.expr, g, alpha, host)
         except EvalError as exc:
             if warnings is not None:
                 warnings.append(f"rule {schema.name}: match discarded ({exc})")

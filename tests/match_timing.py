@@ -1,6 +1,7 @@
 """Time the one search per schema (`rules.enumerate_matches`) against the
 two-phase path that it replaced (`genlib.two_phase_matches`: the plain
-search of the left graph, then the condition and dangling test).
+search of the left graph, then the condition and dangling test, then the
+right labels where they can raise, evaluated by interpretation).
 
     PYTHONPATH=src python tests/match_timing.py [rounds] [cycles] [workload ...]
 

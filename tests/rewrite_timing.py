@@ -1,7 +1,8 @@
 """Time the generated rewrite (`rules.apply`) against a direct construction
-of its result (`genlib.reference_apply`), which builds new `nodes` and
-`edges` dicts and leaves the indexes unbuilt, where the rewrite keeps
-the built ones up to date.
+of its result (`genlib.reference_apply`), which evaluates the right labels
+by interpretation, builds new `nodes` and `edges` dicts and leaves the
+indexes unbuilt, where the rewrite evaluates them in generated code and
+keeps the built indexes up to date.
 
     PYTHONPATH=src python tests/rewrite_timing.py [rounds] [cycles]
 

@@ -156,7 +156,7 @@ def test_integer_comparisons_in_searches_build_no_tuple(monkeypatch):
     searches = {}
     for program in corpus.PROGRAMS:
         for name, schema in corpus.load(program).rules.items():
-            matcher.generate(schema.left, _compiled(schema.left), schema)
+            matcher.generate(schema, _compiled(schema.left))
             searches[program, name] = sources[-1]
     for key in (("acyclic", "delete"), ("eulerian", "unbalanced")):
         assert re.search(r"\n +u\d+ = u\d+ [!=]= [uk]\d+\n", searches[key]), searches[key]

@@ -20,6 +20,7 @@ from genlib import (
     random_schema,
     random_simple_label,
     reference_infer_assignment,
+    reference_apply,
     reference_matches,
     reference_premorphisms,
     reference_run_one,
@@ -54,7 +55,7 @@ from gp2.labels import (
     variables,
 )
 from gp2.labels import Or as CondOr
-from gp2.matcher import generate_rule
+from gp2.matcher import raises
 from gp2.parsing import parse_host_graph, parse_program
 from gp2.program import checked
 from gp2.rules import (
@@ -580,6 +581,30 @@ class TestLabelsPerAppliedMatch:
         ]
 
 
+    def test_an_in_place_apply_whose_label_raises_changes_nothing(self):
+        """The rewrite evaluates the right labels before any check or change:
+        at a match made by hand where a label divides by zero, an in-place
+        `apply` raises `EvalError` and leaves the host's text, id counters,
+        indexes and certificate as they were."""
+        schema = schema_of(
+            "rule cut(x: int) [ (n1, x) (n2, 0) | (e1, n1, n2, 0) ]"
+            " => [ (n1, 0 #) (n2, 0) (n3, 12 / x) | (e2, n2, n3, 1 #) ] interface = {n1, n2}",
+            "cut",
+        )
+        host = parse_host_graph("[ (n1, 0) (n2, 0) (n3, 4 #) | (e1, n1, n2, 0) (e2, n2, n3, 0 #) ]")
+        index, marks, certificate = host.incidence(), host.marked(), host.signature()
+        before = (host.to_text(), host._node_counter, host._edge_counter)
+        copies = {k: list(v) for k, v in index.items()}, {k: list(v) for k, v in marks.items()}
+        with pytest.raises(EvalError, match="division by zero"):
+            apply(schema, host, (("n1", "n2", "e1"), {"x": 0}), copy=False)
+        assert (host.to_text(), host._node_counter, host._edge_counter) == before
+        assert (host._incident, host._marked) == copies
+        assert host._signature is certificate
+        result = apply(schema, host, (("n1", "n2", "e1"), {"x": 3}))
+        want = "[ (n1, 0 #) (n2, 0) (n3, 4 #) (n4, 4) | (e2, n2, n3, 0 #) (e1, n2, n4, 1 #) ]"
+        assert result.to_text() == want
+
+
 class TestApplyRuleset:
     def test_empty_ruleset_has_no_result(self):
         assert apply_ruleset([], parse_host_graph("[ (n1, 0) | ]")) == []
@@ -1087,8 +1112,9 @@ class TestCompiledLabels:
         assert seen["assignments"] > 0, seen
 
     def test_right_labels_evaluate_as_eval_list(self):
-        """The generated evaluator of a right label, whose variables the left
-        side does not bind, so that every type check is written."""
+        """The right label that the generated rewrite evaluates, read off
+        `apply`'s result or its error, whose variables the left side does not
+        bind, so that every type check is written."""
         host = parse_host_graph("[ (n1, 0) (n2, 1) | (e1, n1, n2, 0) (e2, n1, n1, 0) ]")
         g = Premorphism({"n1": "n1", "n2": "n2"}, {})
         left = RuleGraph()
@@ -1100,8 +1126,8 @@ class TestCompiledLabels:
             expr = random_right_expr(rng, 3)
             right = RuleGraph()
             right.add_node("n1", RuleLabel(expr))
-            schema = ConditionalRuleSchema("r", {}, left, frozenset(), right)
-            build, raises = generate_rule(schema, {"n1": 0, "n2": 1})
+            right.add_node("n2", RuleLabel(Empty()))
+            schema = ConditionalRuleSchema("r", {}, left, frozenset(g.node_map), right)
             alpha = {
                 "i": rng.choice([-2, 0, 3, 3, "bad"]),
                 "j": rng.choice([0, 2]),
@@ -1109,15 +1135,58 @@ class TestCompiledLabels:
                 "a": rng.choice([1, "q"]),
                 "x": rng.choice([(), (1, "b"), (0,)]),
             }
-            got = evaluate_or_error(lambda: build(("n1", "n2"), alpha, host)[0])
+            match = (("n1", "n2"), alpha)
+            got = evaluate_or_error(lambda: apply(schema, host, match).nodes["n1"].items)
             assert got == evaluate_or_error(lambda: eval_list(expr, g, alpha, host)), str(expr)
             public = evaluate_or_error(lambda: gp2.labels.eval_list(expr, g, alpha, host))
             assert public == evaluate_or_error(lambda: eval_list(expr, g, alpha, host)), str(expr)
-            assert raises or got[0] == "value", str(expr)
+            assert raises(schema) or got[0] == "value", str(expr)
             seen[got[0]] += 1
             seen["division by zero"] += got == ("error", "division by zero")
             seen["degree"] += got[0] == "value" and bool(degree_nodes(expr))
         assert min(seen.values()) >= 20, seen
+
+    def test_searches_keep_a_match_exactly_when_its_right_labels_evaluate(self):
+        """Right labels that can raise are evaluated in the search, degrees
+        counted inline: `enumerate_matches` keeps a match exactly when the
+        interpreted `eval_list` evaluates every right label, in the same
+        order, and otherwise warns with its message.  At a kept match the
+        rewrite, whose degrees `HostGraph.degree` reads, gives the reference's
+        result.  The left side binds i, j, s and a as atoms and x as a list,
+        so that the right side's type checks are written."""
+        left = RuleGraph()
+        atoms = [Var(name, VType.ATOM) for name in "ijsa"]
+        left.add_node("n1", RuleLabel(Cons(Cons(atoms[0], atoms[1]), Cons(atoms[2], atoms[3]))))
+        left.add_node("n2", RuleLabel(Var("x", VType.LIST)))
+        pool = [0, 2, -3, "", "ab"]
+        seen = collections.Counter()
+        for trial in range(400):
+            rng = random.Random(trial)
+            right = RuleGraph()
+            for nid in ("n2", "n1"):  # evaluated in insertion order
+                right.add_node(nid, RuleLabel(random_right_expr(rng, 2)))
+            right.add_edge("e1", "n1", "n2", RuleLabel(random_right_expr(rng, 2)))
+            schema = ConditionalRuleSchema("r", {}, left, frozenset({"n1", "n2"}), right)
+            host = HostGraph()
+            ids = []
+            for _ in range(rng.randint(2, 4)):
+                items = tuple(rng.choice(pool) for _ in range(rng.choice([4, 4, 1])))
+                ids.append(host.add_node(HostLabel(items)))
+            for _ in range(rng.randint(0, 5)):
+                host.add_edge(rng.choice(ids), rng.choice(ids), HostLabel((0,)))
+            found = matches_and_warnings(premorphism_matches, schema, host)
+            assert found == matches_and_warnings(reference_matches, schema, host), host.to_text()
+            labels = [*right.nodes.values(), right.edges["e1"].label]
+            degrees = any(degree_nodes(label.expr) for label in labels)
+            for match in enumerate_matches(schema, host):
+                want = reference_apply(schema, host, match)
+                assert apply(schema, host, match).to_text() == want.to_text(), host.to_text()
+                seen["kept"] += 1
+                seen["kept, degrees read by the search"] += degrees and raises(schema)
+            for warning in found[1]:
+                for error in ("division by zero", "not an integer", "not a string"):
+                    seen[error] += error in warning
+        assert min(seen.values()) >= 20 and len(seen) == 5, seen
 
     def test_conditions_evaluate_as_eval_condition(self):
         """`gp2.labels.eval_condition`, which runs the generated code, against
