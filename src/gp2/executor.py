@@ -22,13 +22,13 @@ The explorer's cost is per configuration.  Two savings make each one
 cheaper and change nothing it explores.  A rule-set call that is a loop
 body or a premise has one configuration, whose successors are its
 results or failure, so `Engine.semantics` answers it from one application
-of its rules.  And each `Engine` keeps one table from exact graph content
-to certificate (`HostGraph.signature`), through which every graph it
-derives is certified, so equal contents share one certificate and compare
-by identity.  A certificate computes its canonical form only when it meets
-a different one of equal hash, and `equivalent` hands one table per host
-to the engines of both sides, so results that the two sides derive alike
-compare by identity, without one.
+of its rules.  And each `Engine` keeps one table from graph content, up to
+edge ids, to certificate (`HostGraph.signature`), through which every graph
+it derives is certified, so equal contents share one certificate and
+compare by identity.  A certificate computes its canonical form only when
+it meets a different one of equal hash, and `equivalent` hands one table
+per host to the engines of both sides, so results that the two sides
+derive alike compare by identity, without one.
 
 A third saving explores fewer configurations.  A loop of a confluent or
 a reducible rule set, decided once per rule set of a loaded program

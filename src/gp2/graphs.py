@@ -10,13 +10,15 @@ taken in one pass when the graph is first certified: the sorted hashes of
 the node labels, and the sorted labels and end degrees of the edges.  It
 computes its canonical form only when it meets a different certificate of
 equal hash.  A caller that certifies many graphs, such as the explorer,
-passes a table from exact graph content to certificate, so that equal
-graphs built apart share one certificate and compare by identity.
+passes a table from graph content, up to edge ids, to certificate, so
+that graphs built apart that differ at most in their edge ids share one
+certificate and compare by identity.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
@@ -324,13 +326,14 @@ class HostGraph:
     def signature(self, table: Optional[dict] = None) -> Certificate:
         """The certificate: equal exactly for isomorphic graphs.
 
-        `table` maps exact graph contents (node ids and labels, edge ids,
-        ends and labels) to certificates.  With one, a graph whose content
-        equals one certified through it before takes that certificate, and
-        a new content is added.  A lookup hashes as the certificate does
-        (`_certificate_hash`), and only a hit compares the contents, as
-        dicts.  It changes nothing else of the graph: its fresh id counters
-        stay its own."""
+        `table` maps graph contents (node ids and labels, and the multiset
+        of edge ends and labels, up to edge ids: `_Content`) to
+        certificates.  With one, a graph whose content equals one certified
+        through it before takes that certificate, and a new content is
+        added.  A lookup hashes as the certificate does
+        (`_certificate_hash`), and only a hit compares the contents.  It
+        changes nothing else of the graph: its ids, text and fresh id
+        counters stay its own."""
         if self._signature is None:
             nodes, edges = self.nodes, self.edges
             h = _certificate_hash(nodes, edges, self.incidence())
@@ -362,21 +365,33 @@ def _certificate_hash(nodes: dict[str, HostLabel], edges: dict[str, Edge], incid
 
 
 class _Content(tuple):
-    """(hash, nodes, edges): a graph's exact content, hashed as its
-    certificate is; equal contents have equal dicts."""
+    """(hash, nodes, edges): a graph's content, hashed as its certificate
+    is.  Contents are equal when their node dicts are and their edges are
+    one multiset of (source, target, label), whatever their ids: then the
+    identity on nodes extends to an isomorphism.  The multisets are built
+    only where the node dicts agree and the edge dicts differ."""
 
     __slots__ = ()
 
     def __hash__(self) -> int:
         return self[0]
 
+    def __eq__(self, other) -> bool:
+        return self[0] == other[0] and self[1] == other[1] and (
+            self[2] == other[2] or Counter(self[2].values()) == Counter(other[2].values())
+        )
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
 
 class Certificate:
     """A graph up to isomorphism: it hashes by invariants of the graph
-    (`_certificate_hash`) and holds a snapshot of its content.  Its
-    canonical form (`_canonical_form`) is computed at the first comparison
-    with a different certificate of equal hash, and the snapshot is then
-    dropped; certificates of equal hash then compare by their forms.
+    (`_certificate_hash`) and holds a snapshot of the content of the first
+    graph certified to it.  Its canonical form (`_canonical_form`) is
+    computed at the first comparison with a different certificate of equal
+    hash, and the snapshot is then dropped; certificates of equal hash then
+    compare by their forms.
     """
 
     __slots__ = ("_hash", "_content", "_form")

@@ -1015,6 +1015,19 @@ def fresh_certificate(g: HostGraph) -> Certificate:
     return Certificate(_Content((h, dict(nodes), dict(edges))))
 
 
+class ExactContent(tuple):
+    """`gp2.graphs._Content` as it was before contents compared up to edge
+    ids: (hash, nodes, edges), hashed as the certificate is, and equal
+    exactly when the hashes and the node and edge dicts are, edge ids
+    included.  Set as `gp2.graphs._Content`, it gives the reference content
+    table."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self[0]
+
+
 def reference_certificate(g: HostGraph) -> tuple:
     """Canonical form by colour refinement and individualisation.
 

@@ -3,18 +3,21 @@ canonical form only when they meet a different certificate of equal hash.
 
 A certificate taken after every mutation is checked against fresh ones of
 a rebuilt graph; correctness is checked with every hash forced to a
-constant and across in-place rewrites; how finely the hash separates
-classes, and the canonical forms and content-table hits of the
-benchmark's explorer requests, are pinned."""
+constant and across in-place rewrites; contents that differ only in edge
+ids share a certificate, checked against the id-exact reference table;
+how finely the hash separates classes, and the canonical forms and
+content-table hits of the benchmark's explorer requests, are pinned."""
 
 import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 from genlib import (
+    ExactContent,
     edit_add_edge,
     edit_add_node,
     edit_relabel_node,
@@ -22,11 +25,13 @@ from genlib import (
     edit_remove_node,
     fresh_certificate,
     host_universe,
+    random_body,
     reference_certificate,
+    small_hosts,
 )
 from gp2 import corpus, graphs
 from gp2.executor import Budget, Engine, equivalent
-from gp2.graphs import HostGraph, HostLabel, IsoStore
+from gp2.graphs import Edge, HostGraph, HostLabel, IsoStore
 from gp2.parsing import parse_host_graph, parse_program
 from gp2.program import checked
 from gp2.rules import apply, enumerate_matches
@@ -208,19 +213,149 @@ def test_a_certificate_outlives_an_in_place_rewrite():
             assert rebuilt(old).signature(table) is cert
 
 
+# -- contents equal up to edge ids ------------------------------------------
+
+
+def edges_renamed(rng: random.Random, g: HostGraph, edges: list | None = None) -> HostGraph:
+    """g's nodes in a shuffled order, with its edges, or the given ones,
+    added in a shuffled order under new ids."""
+    h = HostGraph()
+    nodes = list(g.nodes)
+    rng.shuffle(nodes)
+    for n in nodes:
+        h.add_node(g.nodes[n], n)
+    edges = list(g.edges.values()) if edges is None else list(edges)
+    rng.shuffle(edges)
+    for i, e in enumerate(edges):
+        h.add_edge(e.source, e.target, e.label, f"f{i}")
+    return h
+
+
+def one_edge_variants(rng: random.Random, g: HostGraph) -> list[HostGraph]:
+    """g with one edge retargeted, relabelled, re-marked, copied in parallel
+    or deleted, each under new edge ids."""
+    if not g.edges:
+        return []
+    edges = list(g.edges.values())
+    i = rng.randrange(len(edges))
+    s, t, label = edges[i]
+    others = [n for n in g.nodes if n != t]
+    changed = [
+        Edge(s, rng.choice(others), label) if others else None,
+        Edge(s, t, HostLabel(label.items + (9,), label.marked)),
+        Edge(s, t, HostLabel(label.items, not label.marked)),
+    ]
+    out = [edges_renamed(rng, g, edges[:i] + [e] + edges[i + 1 :]) for e in changed if e]
+    out.append(edges_renamed(rng, g, edges + [edges[i]]))
+    out.append(edges_renamed(rng, g, edges[:i] + edges[i + 1 :]))
+    return out
+
+
+def test_contents_equal_up_to_edge_ids_share_one_certificate():
+    """Over every host with at most 2 nodes and 2 edges, and 300 random
+    marked hosts, through one content table: a rebuild with renamed and
+    reordered edge ids gets the very certificate of its graph, and the five
+    one-edge variants of each graph fall into the classes of the reference
+    certificate.  Taken with one hash, the contents compare as they should
+    by `==` and by `!=`: a rebuild's equal to its graph's, each variant's
+    unequal."""
+    rng = random.Random(34)
+    hosts = list(host_universe(2, 2)) + [random_marked_host(rng) for _ in range(300)]
+    table: dict = {}
+    classes: dict = {}
+    reference_classes: dict = {}
+    seen = Counter()
+    for g in hosts:
+        ends = [(e.source, e.target) for e in g.edges.values()]
+        seen["loops"] += any(s == t for s, t in ends)
+        seen["parallel"] += len(set(ends)) < len(ends)
+        cert = g.signature(table)
+        renamed = edges_renamed(rng, g)
+        assert renamed.signature(table) is cert, g.to_text()
+        # contents of one hash, so that the nodes and edges decide
+        content, renamed_content = (graphs._Content((0, h.nodes, h.edges)) for h in (g, renamed))
+        assert content == renamed_content and not content != renamed_content
+        for h in [g] + one_edge_variants(rng, g):
+            seen["graphs"] += 1
+            if h is not g:
+                other = graphs._Content((0, h.nodes, h.edges))
+                assert content != other and not content == other, h.to_text()
+            assert classes.setdefault(h.signature(table), len(classes)) == (
+                reference_classes.setdefault(reference_certificate(h), len(reference_classes))
+            ), (g.to_text(), h.to_text())
+    assert seen["loops"] >= 500 and seen["parallel"] >= 250 and seen["graphs"] >= 4_500, seen
+
+
+EDGE_RULES = checked(
+    parse_program(
+        """
+rule mark(x: list) [ (n1, x) | ] => [ (n1, x #) | ] interface = {n1}
+rule mark_edge(x, y, z: list)
+  [ (n1, x) (n2, y) | (e1, n1, n2, z) ] => [ (n1, x) (n2, y) | (e1, n1, n2, z #) ]
+  interface = {n1, n2}
+rule turn(x, y, z: list)
+  [ (n1, x) (n2, y) | (e1, n1, n2, z) ] => [ (n1, x) (n2, y) | (e1, n2, n1, z) ]
+  interface = {n1, n2}
+rule mark_loop(x, z: list) [ (n1, x) | (e1, n1, n1, z) ] => [ (n1, x #) | (e1, n1, n1, z) ]
+  interface = {n1}
+rule grow(x: list) [ (n1, x) | ] => [ (n1, x) (n2, 1) | (e1, n1, n2, 0) ] interface = {n1}
+main = skip
+"""
+    )
+).rules
+
+
+def test_explorations_do_not_change_under_id_exact_contents(monkeypatch):
+    """Seeded explorations of random bodies over rules that keep edges (and
+    so renew their ids) on hosts with at most 2 nodes and 2 edges, and of
+    the corpus programs on the `explore` hosts of one benchmark cycle, give
+    the same `describe()` output, steps and warnings whether the content
+    table compares contents up to edge ids or with them
+    (`genlib.ExactContent`, the reference); only fewer canonical forms."""
+    rng = random.Random(34)
+    hosts = small_hosts(2, 2)
+    runs = [
+        (EDGE_RULES, random_body(rng, tuple(EDGE_RULES)), rng.sample(hosts, 8))
+        for _ in range(200)
+    ]
+    for request in workloads.explore(random.Random(5), 1)[0]:
+        program = corpus.load(request["program"])
+        runs.append((program.rules, program.main, [parse_host_graph(request["host"])]))
+
+    def explore_all():
+        out = []
+        for rules, body, starts in runs:
+            engine = Engine(rules, Budget(max_steps=300, max_configs=50))
+            for host in starts:
+                result = engine.semantics(body, host)
+                out.append((result.describe(), engine.steps, list(engine.warnings)))
+        return out
+
+    counts = count_certification(monkeypatch)
+    want = explore_all()
+    forms = counts["forms"]
+    monkeypatch.setattr(graphs, "_Content", ExactContent)
+    assert explore_all() == want
+    assert forms < counts["forms"] - forms, (forms, counts["forms"] - forms)
+
+
 # -- what is certified -------------------------------------------------------
 
 
 def count_certification(monkeypatch) -> Counter:
-    """Count canonical forms computed, and graphs certified with and without
-    a table hit, from here on."""
+    """Count canonical forms computed (and the seconds they took), and
+    graphs certified with and without a table hit, from here on."""
     counts: Counter = Counter()
     form = graphs._canonical_form
     signature = HostGraph.signature
 
     def counted_form(nodes, edges):
         counts["forms"] += 1
-        return form(nodes, edges)
+        start = time.perf_counter()
+        try:
+            return form(nodes, edges)
+        finally:
+            counts["form_s"] += time.perf_counter() - start
 
     def counted_signature(g, table=None):
         if g._signature is not None:
@@ -265,10 +400,12 @@ def test_explore_requests_compute_few_canonical_forms(monkeypatch):
     """`semantics` of the corpus programs on the `explore` hosts of 8
     benchmark cycles (seed 5): 3,373 canonical forms before certificates
     waited for an equal hash, 953 while the hash took a sum of squared
-    label hashes, 798 now: of isomorphic graphs built apart, and of graphs
+    label hashes, 798 while the content table compared edge ids, 306 now:
+    of isomorphic graphs built apart other than by edge ids, and of graphs
     that the hash cannot tell apart, such as paths marked at different
-    inner nodes.  2,765 graphs are certified, 3,373 while a reducible loop
-    took one match per configuration."""
+    inner nodes.  2,409 graphs are certified and 554 take a certificate
+    from the table (2,765 and 198 while it compared edge ids, 3,373
+    certified while a reducible loop took one match per configuration)."""
     programs = {name: corpus.load(name) for name in PROGRAMS["explore"]}
     cycles = workloads.explore(random.Random("explore:5"), 8)
 
@@ -281,4 +418,4 @@ def test_explore_requests_compute_few_canonical_forms(monkeypatch):
     serve(cycles[0])
     counts = count_certification(monkeypatch)
     serve([req for cycle in cycles for req in cycle])
-    assert (counts["forms"], counts["certified"], counts["reused"]) == (798, 2_765, 198)
+    assert (counts["forms"], counts["certified"], counts["reused"]) == (306, 2_409, 554)

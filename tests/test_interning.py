@@ -207,6 +207,9 @@ def test_reused_certificates_equal_fresh_ones(monkeypatch):
 
 
 def test_equal_contents_share_a_certificate_but_keep_their_ids():
+    """Graphs of equal content, or of content equal up to edge ids, take
+    one certificate through a table; each keeps its own ids, text and fresh
+    id counters."""
     table = {}
     a = parse_host_graph("[ (n1, 0) (n2, 1) | (e1, n1, n2, 2) ]")
     b = a.copy()
@@ -218,3 +221,15 @@ def test_equal_contents_share_a_certificate_but_keep_their_ids():
     assert a.signature(table) == b.signature(table) and len(table) == 3
     c = parse_host_graph("[ (n1, 0) (n2, 1) | (e1, n1, n2, 3) ]")
     assert c.signature(table) != a.signature(table) and len(table) == 4
+    # equal up to edge ids, as when a rule that keeps an edge renews its id
+    texts = (
+        "[ (n1, 0) (n2, 1) | (e1, n1, n2, 2) (e2, n1, n2, 2) (e3, n2, n2, 4 #) ]",
+        "[ (n2, 1) (n1, 0) | (e9, n2, n2, 4 #) (e2, n1, n2, 2) (e4, n1, n2, 2) ]",
+    )
+    d, e = map(parse_host_graph, texts)
+    assert d.signature(table) is e.signature(table) and len(table) == 5
+    assert (d.to_text(), e.to_text()) == texts
+    assert [g.add_edge("n1", "n1", HostLabel()) for g in (d, e, d, e)] == ["e4", "e1", "e5", "e3"]
+    assert d.signature(table) is e.signature(table) and len(table) == 6
+    assert d.to_text().endswith("(e4, n1, n1, empty) (e5, n1, n1, empty) ]")
+    assert e.to_text().endswith("(e1, n1, n1, empty) (e3, n1, n1, empty) ]")
